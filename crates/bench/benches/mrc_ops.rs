@@ -20,7 +20,7 @@ fn bench(c: &mut Criterion) {
         })
     });
     c.bench_function("sampled_stack_access", |b| {
-        let mut s = SampledStack::new(2);
+        let mut s = SampledStack::new(2, 1024, 201);
         let mut i = 0u64;
         b.iter(|| {
             i = (i + 7919) % 65_536;

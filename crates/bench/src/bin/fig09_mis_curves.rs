@@ -19,7 +19,11 @@ fn main() {
         }
     }
     // Sampled profiling (the edges pool is 24 MB; sampling keeps it cheap).
-    let mut stacks: Vec<SampledStack> = descs.iter().map(|_| SampledStack::new(2)).collect();
+    let total_granules = sys.total_granules();
+    let mut stacks: Vec<SampledStack> = descs
+        .iter()
+        .map(|_| SampledStack::new(2, 1024, total_granules + 1))
+        .collect();
     let mut counts = vec![0u64; descs.len()];
     let mut trace = model.trace();
     let mut instrs = 0u64;
@@ -31,7 +35,6 @@ fn main() {
             counts[i] += 1;
         }
     }
-    let total_granules = sys.total_granules();
     let sizes = [0usize, 16, 32, 64, 96, 128, 160, 200];
     println!("Fig 9a — mis miss-rate curves (MPKI vs LLC size; paper: edges stay flat ~95,");
     println!("          vertices fall towards 0 near the LLC size):");
@@ -42,9 +45,9 @@ fn main() {
     println!();
     let mut curves = Vec::new();
     for (i, d) in descs.iter().enumerate() {
-        let c = MissCurve::from_histogram(stacks[i].histogram(), instrs, 1024)
-            .resized(total_granules + 1)
-            .monotonized();
+        let c = stacks[i]
+            .take_curve(instrs)
+            .unwrap_or_else(|| MissCurve::flat(0.0, total_granules + 1, 1024));
         print!("{:>10}", d.name);
         for &g in &sizes {
             print!("{:>9.2}", c.mpki_at(g));

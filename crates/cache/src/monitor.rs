@@ -35,6 +35,16 @@ impl Default for MonitorConfig {
 }
 
 /// A per-VC utility monitor producing interval miss-rate curves.
+///
+/// Like the hardware it models, a monitor resolves its curve only up to
+/// the largest capacity it reports, `curve_points - 1` granules. Its
+/// [`SampledStack`] therefore keeps just the top
+/// `D = (curve_points - 1) * granule_lines / 2^sample_rate_log2` sampled
+/// lines and counts deeper reuses as cold misses: every such reuse misses
+/// at every reported capacity anyway, and the lines above depth `D` keep
+/// their exact distances, so the curves are bit-identical to those of an
+/// unbounded stack. Memory is `O(D)` per VC however large the VC's
+/// footprint (about 50 K sampled lines per VC on the 4-core chip).
 #[derive(Debug)]
 pub struct UtilityMonitor {
     config: MonitorConfig,
@@ -57,7 +67,11 @@ impl UtilityMonitor {
         );
         Self {
             config,
-            stack: SampledStack::new(config.sample_rate_log2),
+            stack: SampledStack::new(
+                config.sample_rate_log2,
+                config.granule_lines,
+                config.curve_points,
+            ),
             accesses: 0,
             last_curve: None,
         }
@@ -74,19 +88,19 @@ impl UtilityMonitor {
         self.accesses
     }
 
-    /// Ends the interval: converts the sampled histogram into a miss curve
-    /// normalized by `interval_instructions`, EWMA-blends it with history,
-    /// resets interval state, and returns the blended curve.
+    /// Ends the interval: converts the sampled stack distances into a miss
+    /// curve normalized by `interval_instructions`, EWMA-blends it with
+    /// history, resets interval state, and returns the blended curve.
     ///
     /// Returns the previous curve (or a flat zero curve) when the interval
     /// saw no accesses — an idle VC keeps its last-known behaviour, like
     /// real GMONs between reconfigurations.
     pub fn rollover(&mut self, interval_instructions: u64) -> MissCurve {
         wp_obs::add(wp_obs::Counter::MonitorRollovers, 1);
-        let instructions = interval_instructions.max(1);
-        let hist = self.stack.take_histogram();
         self.accesses = 0;
-        if hist.total() == 0 {
+        // Exact LRU counts give a non-increasing curve: no monotonizing
+        // pass is needed.
+        let Some(fresh) = self.stack.take_curve(interval_instructions) else {
             let curve = self.last_curve.clone().unwrap_or_else(|| {
                 MissCurve::flat(0.0, self.config.curve_points, self.config.granule_lines)
             });
@@ -95,10 +109,7 @@ impl UtilityMonitor {
             let decayed = curve.scaled(1.0 - self.config.ewma_alpha);
             self.last_curve = Some(decayed.clone());
             return decayed;
-        }
-        let fresh = MissCurve::from_histogram(&hist, instructions, self.config.granule_lines)
-            .resized(self.config.curve_points)
-            .monotonized();
+        };
         let blended = match &self.last_curve {
             Some(prev) => fresh.ewma(prev, self.config.ewma_alpha),
             None => fresh,
@@ -203,6 +214,106 @@ mod tests {
         let cs = sampled.rollover(60_000);
         // APKI should agree within 2x (sampling noise bound, coarse check).
         assert!(cs.at_zero() > ce.at_zero() * 0.5 && cs.at_zero() < ce.at_zero() * 2.0);
+    }
+
+    /// The monitor as it was before the depth bound: every sampled line
+    /// kept forever in an exact Mattson stack, the scaled histogram turned
+    /// into a curve by `from_histogram`, resized and monotonized.
+    struct UnboundedMonitor {
+        config: MonitorConfig,
+        stack: wp_mrc::MattsonStack,
+        hist: wp_mrc::StackDistanceHistogram,
+        last_curve: Option<MissCurve>,
+    }
+
+    impl UnboundedMonitor {
+        fn record(&mut self, line: u64) {
+            let rate = self.config.sample_rate_log2;
+            let h = line.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            if rate > 0 && (h >> (64 - rate)) != 0 {
+                return;
+            }
+            let scale = 1u64 << rate;
+            match self.stack.access(line) {
+                Some(d) => self.hist.record_weighted(d * scale, scale),
+                None => self.hist.record_cold_weighted(scale),
+            }
+        }
+
+        fn rollover(&mut self, instructions: u64) -> MissCurve {
+            let hist = std::mem::take(&mut self.hist);
+            let c = self.config;
+            if hist.total() == 0 {
+                let curve = self
+                    .last_curve
+                    .clone()
+                    .unwrap_or_else(|| MissCurve::flat(0.0, c.curve_points, c.granule_lines));
+                let decayed = curve.scaled(1.0 - c.ewma_alpha);
+                self.last_curve = Some(decayed.clone());
+                return decayed;
+            }
+            let fresh = MissCurve::from_histogram(&hist, instructions.max(1), c.granule_lines)
+                .resized(c.curve_points)
+                .monotonized();
+            let blended = match &self.last_curve {
+                Some(prev) => fresh.ewma(prev, c.ewma_alpha),
+                None => fresh,
+            };
+            self.last_curve = Some(blended.clone());
+            blended
+        }
+    }
+
+    #[test]
+    fn bounded_monitor_matches_unbounded_oracle_bit_for_bit() {
+        for rate in [0u32, 2, 3] {
+            let config = MonitorConfig {
+                sample_rate_log2: rate,
+                granule_lines: 8,
+                curve_points: 6,
+                ewma_alpha: 0.6,
+            };
+            let mut bounded = UtilityMonitor::new(config);
+            let mut oracle = UnboundedMonitor {
+                config,
+                stack: wp_mrc::MattsonStack::new(),
+                hist: wp_mrc::StackDistanceHistogram::new(),
+                last_curve: None,
+            };
+            let depth = bounded.stack.max_depth();
+            assert_eq!(depth, 40 >> rate);
+            let mut x = 0xDEAD_BEEFu64 ^ u64::from(rate);
+            // Phases of different footprints, one idle interval, and a
+            // footprint ~100x the bound; EWMA history carries across.
+            for (interval, &(len, footprint)) in [
+                (20_000u32, 30u64),
+                (30_000, 4_000),
+                (0, 0),
+                (25_000, 400),
+                (40_000, 20_000),
+                (15_000, 60),
+            ]
+            .iter()
+            .enumerate()
+            {
+                for _ in 0..len {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let line = if x % 3 == 0 { x % footprint } else { x % 16 };
+                    bounded.record(line);
+                    oracle.record(line);
+                    assert!(bounded.stack.tracked_lines() <= depth);
+                }
+                let instrs = 10 * u64::from(len);
+                let got = bounded.rollover(instrs);
+                let want = oracle.rollover(instrs);
+                let bits =
+                    |c: &MissCurve| c.points().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "rate {rate} interval {interval}");
+            }
+            assert!(oracle.stack.distinct_lines() > 50 * depth.max(1));
+        }
     }
 
     #[test]

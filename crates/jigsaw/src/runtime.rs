@@ -66,10 +66,9 @@ pub struct NucaRuntime {
     config: NucaConfig,
     label: String,
     vcs: Vec<VcState>,
-    /// Page → VC index (the TLB tag store).
-    page_map: FastMap<PageId, u32>,
-    /// First-toucher of each page, for the lazy upgrade rule.
-    page_owner: FastMap<PageId, CoreId>,
+    /// Page → (VC index, first toucher): the TLB tag store plus the
+    /// owner the lazy upgrade rule compares against.
+    pages: FastMap<PageId, (u32, CoreId)>,
     /// One partitioned store per bank; partition key = VC index.
     banks: Vec<PartitionedCache>,
     /// Thread VC index per core (created at attach).
@@ -112,8 +111,7 @@ impl NucaRuntime {
                 .map(|_| PartitionedCache::new(lines_per_bank))
                 .collect(),
             vcs: Vec::new(),
-            page_map: FastMap::default(),
-            page_owner: FastMap::default(),
+            pages: FastMap::default(),
             thread_vc: vec![None; num_cores],
             process_vc: 0,
             pools_per_core: vec![0; num_cores],
@@ -208,23 +206,21 @@ impl NucaRuntime {
     /// core upgrades the page to the process VC (Sec. 2.4). Pool-tagged
     /// pages never upgrade — the pool VC's center adapts instead.
     fn resolve_vc(&mut self, core: CoreId, page: PageId) -> u32 {
-        if let Some(&idx) = self.page_map.get(&page) {
-            let is_pool = matches!(self.vcs[idx as usize].kind, VcKind::UserPool { .. });
-            if !is_pool {
-                if let Some(&owner) = self.page_owner.get(&page) {
-                    if owner != core && idx != self.process_vc {
-                        // Upgrade to the process VC; resident lines in the
-                        // old VC become unreachable and age out.
-                        self.page_map.insert(page, self.process_vc);
-                        return self.process_vc;
-                    }
-                }
+        if let Some(entry) = self.pages.get_mut(&page) {
+            let (idx, owner) = *entry;
+            if owner != core
+                && idx != self.process_vc
+                && !matches!(self.vcs[idx as usize].kind, VcKind::UserPool { .. })
+            {
+                // Upgrade to the process VC; resident lines in the old VC
+                // become unreachable and age out.
+                entry.0 = self.process_vc;
+                return self.process_vc;
             }
             return idx;
         }
         let idx = self.thread_vc_of(core);
-        self.page_map.insert(page, idx);
-        self.page_owner.insert(page, core);
+        self.pages.insert(page, (idx, core));
         idx
     }
 
@@ -330,8 +326,7 @@ impl LlcScheme for NucaRuntime {
                 center,
             );
             for &page in &pool.pages {
-                self.page_map.insert(page, idx);
-                self.page_owner.insert(page, core);
+                self.pages.insert(page, (idx, core));
             }
         }
     }
@@ -610,7 +605,7 @@ mod tests {
         rt.attach_core(CoreId(0), &[]);
         rt.access(ctx(0, 100), &mut u);
         let page = LineAddr(100).page();
-        let idx = rt.page_map[&page];
+        let idx = rt.pages[&page].0;
         assert!(matches!(
             rt.vcs[idx as usize].kind,
             VcKind::ThreadPrivate(CoreId(0))
@@ -626,7 +621,7 @@ mod tests {
         rt.access(ctx(0, 100), &mut u);
         rt.access(ctx(1, 100), &mut u); // same page, different core
         let page = LineAddr(100).page();
-        assert_eq!(rt.page_map[&page], rt.process_vc);
+        assert_eq!(rt.pages[&page].0, rt.process_vc);
     }
 
     #[test]
@@ -644,7 +639,7 @@ mod tests {
         rt.access(ctx(0, 100), &mut u);
         rt.access(ctx(2, 100), &mut u);
         let page = LineAddr(100).page();
-        let idx = rt.page_map[&page];
+        let idx = rt.pages[&page].0;
         assert!(matches!(rt.vcs[idx as usize].kind, VcKind::UserPool { .. }));
     }
 

@@ -5,8 +5,11 @@
 //!
 //! * [`MissCurve`] — misses-per-kilo-instruction (MPKI) as a function of
 //!   cache capacity, plus the algebra defined on such curves.
-//! * [`StackDistanceHistogram`] and [`MattsonStack`] — exact and sampled
-//!   LRU stack-distance profiling, from which miss curves are derived.
+//! * [`StackDistanceHistogram`] and [`MattsonStack`] — exact LRU
+//!   stack-distance profiling, from which miss curves are derived.
+//! * [`SampledStack`] — the hash-sampled, depth-bounded stack that models
+//!   Jigsaw/Whirlpool's GMON monitors: exact curves up to the capacity it
+//!   reports, in `O(D)` memory.
 //! * [`ShardsStack`] — SHARDS spatial-hash sampling over the Mattson
 //!   machinery: ~constant-memory miss curves over whole traces at a small,
 //!   bounded miss-ratio error, with fixed-rate and `s_max`-adaptive modes

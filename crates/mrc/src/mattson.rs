@@ -3,99 +3,249 @@
 use crate::fxmap::FastMap;
 use crate::histogram::StackDistanceHistogram;
 
-/// A Fenwick (binary-indexed) tree over access timestamps, used to count the
-/// number of distinct lines touched since a given time in `O(log n)`.
+/// The set of live access timestamps (each holds at most one line), with
+/// `O(log n)` counts of the live timestamps at or before a given time.
 ///
-/// Keeps a shadow array of point values so the tree can be rebuilt exactly
-/// when it grows (zero-extending a Fenwick array is incorrect once prefix
-/// queries cross the old boundary).
+/// Timestamps are bits, 64 to a word, and a Fenwick (binary-indexed) tree
+/// over the words' popcounts answers prefix counts: one tree walk plus a
+/// masked popcount. The tree is 64× smaller than one with a node per
+/// timestamp, so walks stay in cache, and it is rebuilt exactly from the
+/// bits when the time axis grows (zero-extending a Fenwick array is
+/// incorrect once prefix queries cross the old boundary).
 #[derive(Debug, Clone, Default)]
 struct Fenwick {
+    bits: Vec<u64>,
+    /// 1-based Fenwick tree over `bits[w].count_ones()`.
     tree: Vec<u32>,
-    vals: Vec<u32>,
 }
 
 impl Fenwick {
     fn with_capacity(n: usize) -> Self {
+        let words = n.div_ceil(64).max(1);
         Self {
-            tree: vec![0; n + 1],
-            vals: vec![0; n],
+            bits: vec![0; words],
+            tree: vec![0; words + 1],
         }
     }
 
-    /// Returns `true` when the tree had to reallocate (the caller counts
+    /// Timestamps the set can hold.
+    fn capacity(&self) -> usize {
+        self.bits.len() * 64
+    }
+
+    /// Widens the set to hold `n` timestamps, leaving the tree stale.
+    fn widen(&mut self, n: usize) {
+        let words = (n + 1).next_power_of_two().div_ceil(64);
+        self.bits.resize(words, 0);
+        self.tree.resize(words + 1, 0);
+    }
+
+    /// Returns `true` when the set had to reallocate (the caller counts
     /// these; a properly pre-sized profiler never grows).
     fn grow_to(&mut self, n: usize) -> bool {
-        if n <= self.vals.len() {
+        if n <= self.capacity() {
             return false;
         }
-        let new_len = (n + 1).next_power_of_two();
-        self.vals.resize(new_len, 0);
-        self.tree = vec![0; new_len + 1];
+        self.widen(n);
         self.build_tree();
         true
     }
 
-    /// O(len) Fenwick build from `vals`: push each node's partial sum to
-    /// its parent. `tree` must already be zeroed.
+    /// O(words) Fenwick build from `bits`: push each node's partial sum to
+    /// its parent.
     fn build_tree(&mut self) {
-        let len = self.vals.len();
-        for i in 1..=len {
-            self.tree[i] += self.vals[i - 1];
-            let parent = i + (i & i.wrapping_neg());
-            if parent <= len {
-                let v = self.tree[i];
+        self.tree.fill(0);
+        let words = self.bits.len();
+        for w in 1..=words {
+            self.tree[w] += self.bits[w - 1].count_ones();
+            let parent = w + (w & w.wrapping_neg());
+            if parent <= words {
+                let v = self.tree[w];
                 self.tree[parent] += v;
             }
         }
     }
 
-    /// Resets the tree *in place* to `1` at ranks `0..n` and `0` above —
-    /// the shape timestamp compaction needs — growing only if `n` exceeds
-    /// the current capacity. Returns `true` on a reallocation.
+    /// Resets the set *in place* to exactly the timestamps `0..n` — the
+    /// shape timestamp compaction needs — growing only if `n` exceeds the
+    /// current capacity. Returns `true` on a reallocation.
     fn rebuild_ones(&mut self, n: usize) -> bool {
-        let grew = if n > self.vals.len() {
-            let new_len = (n + 1).next_power_of_two();
-            self.vals.resize(new_len, 0);
-            self.tree.resize(new_len + 1, 0);
-            true
-        } else {
-            false
-        };
-        self.vals[..n].fill(1);
-        self.vals[n..].fill(0);
-        self.tree.fill(0);
+        let grew = n > self.capacity();
+        if grew {
+            self.widen(n);
+        }
+        let (full, rest) = (n / 64, n % 64);
+        self.bits[..full].fill(u64::MAX);
+        self.bits[full..].fill(0);
+        if rest > 0 {
+            self.bits[full] = (1 << rest) - 1;
+        }
         self.build_tree();
         grew
     }
 
-    fn add(&mut self, i: usize, delta: i32) {
-        self.vals[i] = (self.vals[i] as i64 + delta as i64) as u32;
-        let mut i = i + 1;
-        while i < self.tree.len() {
-            self.tree[i] = (self.tree[i] as i64 + delta as i64) as u32;
-            i += i & i.wrapping_neg();
+    /// Whether timestamp `i` is live.
+    fn is_set(&self, i: usize) -> bool {
+        self.bits[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// Marks timestamp `i` live.
+    fn set(&mut self, i: usize) {
+        self.bits[i / 64] |= 1 << (i % 64);
+        let mut w = i / 64 + 1;
+        while w < self.tree.len() {
+            self.tree[w] += 1;
+            w += w & w.wrapping_neg();
         }
     }
 
-    /// Sum of `[0, i]`.
-    fn prefix(&self, mut i: usize) -> u64 {
-        i += 1;
-        let mut s = 0u64;
-        while i > 0 {
-            s += self.tree[i] as u64;
-            i -= i & i.wrapping_neg();
+    /// Marks live timestamp `i` dead.
+    fn clear(&mut self, i: usize) {
+        self.bits[i / 64] &= !(1 << (i % 64));
+        let mut w = i / 64 + 1;
+        while w < self.tree.len() {
+            self.tree[w] -= 1;
+            w += w & w.wrapping_neg();
+        }
+    }
+
+    /// Live timestamps in `[0, i]`.
+    fn prefix(&self, i: usize) -> u64 {
+        let mut w = i / 64;
+        let mut s = u64::from((self.bits[w] & (u64::MAX >> (63 - i % 64))).count_ones());
+        while w > 0 {
+            s += u64::from(self.tree[w]);
+            w -= w & w.wrapping_neg();
         }
         s
     }
+}
 
-    /// Sum of `[a, b]` inclusive; zero if the range is empty.
-    fn range(&self, a: usize, b: usize) -> u64 {
-        if a > b {
-            return 0;
+/// The timestamp + Fenwick-tree LRU stack shared by every profiler in
+/// this module: it maps each live line to the time of its last access and
+/// counts the distinct lines touched since then in `O(log n)`. It records
+/// nothing, so each profiler keeps exactly the statistics it reads.
+///
+/// Timestamps are compacted once the time axis exceeds
+/// [`SLACK`](Self::SLACK) times the live set, so memory stays
+/// proportional to the number of *live* lines rather than total accesses.
+#[derive(Debug, Clone)]
+pub(crate) struct LruTimeline {
+    last_time: FastMap<u64, usize>,
+    present: Fenwick,
+    /// Reused compaction buffer of `(timestamp, line)` pairs, so
+    /// steady-state compaction allocates nothing. After a compaction it
+    /// lists the live lines from least to most recently used.
+    scratch: Vec<(usize, u64)>,
+    time: usize,
+    live: usize,
+    reallocations: u64,
+}
+
+impl LruTimeline {
+    /// Compaction slack: timestamps are compacted once the time axis
+    /// exceeds this multiple of the live set.
+    const SLACK: usize = 4;
+
+    /// An empty stack with a small initial time axis.
+    pub(crate) fn new() -> Self {
+        Self {
+            last_time: FastMap::default(),
+            present: Fenwick::with_capacity(1 << 12),
+            scratch: Vec::new(),
+            time: 0,
+            live: 0,
+            reallocations: 0,
         }
-        let lo = if a == 0 { 0 } else { self.prefix(a - 1) };
-        self.prefix(b) - lo
+    }
+
+    /// A stack pre-sized for up to `expected_lines` live lines (see
+    /// [`MattsonStack::with_line_capacity`]).
+    pub(crate) fn with_line_capacity(expected_lines: usize) -> Self {
+        let lines = expected_lines.max(1);
+        // Timestamps compact once time >= max(2^16, SLACK * live), so the
+        // time axis never exceeds that bound while `live <= lines`.
+        let time_cap = (Self::SLACK * lines).max(1 << 16);
+        Self {
+            last_time: FastMap::with_capacity_and_hasher(lines, Default::default()),
+            present: Fenwick::with_capacity(time_cap),
+            scratch: Vec::with_capacity(lines),
+            time: 0,
+            live: 0,
+            reallocations: 0,
+        }
+    }
+
+    /// Compacts if due, then [`touch`](Self::touch)es `line`.
+    pub(crate) fn access(&mut self, line: u64) -> Option<u64> {
+        self.maybe_compact();
+        self.touch(line)
+    }
+
+    /// Moves `line` to the top of the stack at the current time and
+    /// returns its stack distance (`None` for a line not in the stack).
+    /// Distances count distinct lines including the accessed line itself.
+    fn touch(&mut self, line: u64) -> Option<u64> {
+        let t = self.time;
+        self.reallocations += u64::from(self.present.grow_to(t + 1));
+        let dist = match self.last_time.insert(line, t) {
+            Some(t0) => {
+                // Every live line sits at a timestamp below `t`, so the
+                // lines touched strictly after `t0` are the live set minus
+                // those at or before `t0` (this line included).
+                let between = self.live as u64 - self.present.prefix(t0);
+                self.present.clear(t0);
+                Some(between + 1)
+            }
+            None => {
+                self.live += 1;
+                None
+            }
+        };
+        self.present.set(t);
+        self.time += 1;
+        dist
+    }
+
+    /// Forgets `line`: its next access is a cold miss and it no longer
+    /// counts towards other lines' stack distances.
+    pub(crate) fn remove(&mut self, line: u64) {
+        if let Some(t0) = self.last_time.remove(&line) {
+            self.present.clear(t0);
+            self.live -= 1;
+        }
+    }
+
+    /// Number of live lines.
+    pub(crate) fn live(&self) -> usize {
+        self.live
+    }
+
+    /// Fenwick reallocations so far.
+    pub(crate) fn reallocations(&self) -> u64 {
+        self.reallocations
+    }
+
+    /// Compacts timestamps to ranks `0..live` (LRU first) when the time
+    /// axis is much larger than the live set, keeping the Fenwick tree
+    /// small on long runs. Compaction reuses the existing buffers (the
+    /// Fenwick capacity is the high-water mark), so a pre-sized stack
+    /// compacts without allocating. Returns whether it compacted.
+    fn maybe_compact(&mut self) -> bool {
+        if self.time < (1 << 16) || self.time < Self::SLACK * self.live.max(1) {
+            return false;
+        }
+        self.scratch.clear();
+        self.scratch
+            .extend(self.last_time.iter().map(|(&a, &t)| (t, a)));
+        self.scratch.sort_unstable();
+        let n = self.scratch.len();
+        for (rank, &(_, addr)) in self.scratch.iter().enumerate() {
+            self.last_time.insert(addr, rank);
+        }
+        self.reallocations += u64::from(self.present.rebuild_ones(n));
+        self.time = n;
+        true
     }
 }
 
@@ -119,14 +269,7 @@ impl Fenwick {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MattsonStack {
-    last_time: FastMap<u64, usize>,
-    present: Fenwick,
-    /// Reused compaction buffer of `(timestamp, line)` pairs, so
-    /// steady-state compaction allocates nothing.
-    scratch: Vec<(usize, u64)>,
-    time: usize,
-    live: usize,
-    reallocations: u64,
+    stack: LruTimeline,
     hist: StackDistanceHistogram,
 }
 
@@ -137,19 +280,10 @@ impl Default for MattsonStack {
 }
 
 impl MattsonStack {
-    /// Compaction slack: timestamps are compacted once the time axis
-    /// exceeds this multiple of the live set.
-    const SLACK: usize = 4;
-
     /// Creates an empty profiler.
     pub fn new() -> Self {
         Self {
-            last_time: FastMap::default(),
-            present: Fenwick::with_capacity(1 << 12),
-            scratch: Vec::new(),
-            time: 0,
-            live: 0,
-            reallocations: 0,
+            stack: LruTimeline::new(),
             hist: StackDistanceHistogram::new(),
         }
     }
@@ -162,17 +296,8 @@ impl MattsonStack {
     /// reallocations ([`reallocations`](Self::reallocations) stays 0) as
     /// long as the estimate holds.
     pub fn with_line_capacity(expected_lines: usize) -> Self {
-        let lines = expected_lines.max(1);
-        // Timestamps compact once time >= max(2^16, SLACK * live), so the
-        // time axis never exceeds that bound while `live <= lines`.
-        let time_cap = (Self::SLACK * lines).max(1 << 16);
         Self {
-            last_time: FastMap::with_capacity_and_hasher(lines, Default::default()),
-            present: Fenwick::with_capacity(time_cap),
-            scratch: Vec::with_capacity(lines),
-            time: 0,
-            live: 0,
-            reallocations: 0,
+            stack: LruTimeline::with_line_capacity(expected_lines),
             hist: StackDistanceHistogram::new(),
         }
     }
@@ -182,23 +307,7 @@ impl MattsonStack {
     /// the accessed line itself, so a hit immediately after the previous
     /// access to the same line has distance 1.
     pub fn access(&mut self, line: u64) -> Option<u64> {
-        self.maybe_compact();
-        let t = self.time;
-        self.reallocations += u64::from(self.present.grow_to(t + 1));
-        let dist = match self.last_time.insert(line, t) {
-            Some(t0) => {
-                // Distinct lines touched strictly after t0, plus this line.
-                let between = self.present.range(t0 + 1, t.saturating_sub(1));
-                self.present.add(t0, -1);
-                Some(between + 1)
-            }
-            None => {
-                self.live += 1;
-                None
-            }
-        };
-        self.present.add(t, 1);
-        self.time += 1;
+        let dist = self.stack.access(line);
         match dist {
             Some(d) => self.hist.record(d),
             None => self.hist.record_cold(),
@@ -208,30 +317,14 @@ impl MattsonStack {
 
     /// Number of distinct lines seen so far.
     pub fn distinct_lines(&self) -> usize {
-        self.live
+        self.stack.live()
     }
 
     /// Buffer reallocations performed so far (Fenwick growths). A stack
     /// built with [`with_line_capacity`](Self::with_line_capacity) whose
     /// estimate holds reports 0 after any number of accesses.
     pub fn reallocations(&self) -> u64 {
-        self.reallocations
-    }
-
-    /// Forgets `line` entirely: its next access is a cold miss and it no
-    /// longer counts towards other lines' stack distances. Sampled
-    /// profilers use this to evict lines when their hash threshold drops
-    /// (SHARDS-style rate adaptation). Returns whether the line was
-    /// present.
-    pub fn remove(&mut self, line: u64) -> bool {
-        match self.last_time.remove(&line) {
-            Some(t0) => {
-                self.present.add(t0, -1);
-                self.live -= 1;
-                true
-            }
-            None => false,
-        }
+        self.stack.reallocations()
     }
 
     /// The accumulated histogram.
@@ -244,49 +337,69 @@ impl MattsonStack {
     pub fn take_histogram(&mut self) -> StackDistanceHistogram {
         std::mem::take(&mut self.hist)
     }
-
-    /// Compacts timestamps when the time axis is much larger than the live
-    /// set, keeping the Fenwick tree small on long runs. Compaction reuses
-    /// the existing buffers (the Fenwick capacity is the high-water mark),
-    /// so a pre-sized stack compacts without allocating.
-    fn maybe_compact(&mut self) {
-        if self.time < (1 << 16) || self.time < Self::SLACK * self.live.max(1) {
-            return;
-        }
-        self.scratch.clear();
-        self.scratch
-            .extend(self.last_time.iter().map(|(&a, &t)| (t, a)));
-        self.scratch.sort_unstable();
-        let n = self.scratch.len();
-        for (rank, &(_, addr)) in self.scratch.iter().enumerate() {
-            self.last_time.insert(addr, rank);
-        }
-        self.reallocations += u64::from(self.present.rebuild_ones(n));
-        self.time = n;
-    }
 }
 
-/// A spatially-sampled stack-distance profiler (SHARDS-style).
+/// A spatially-sampled, depth-bounded stack-distance profiler: the model
+/// of Jigsaw/Whirlpool's GMON hardware monitors (Sec. 2.4/3.2).
 ///
-/// Only lines whose hash falls under a threshold are tracked; observed
-/// distances and counts are scaled by the inverse sampling rate. This is the
-/// model for Jigsaw/Whirlpool's GMON hardware monitors, which sample a
-/// subset of sets/lines to keep overheads low (Sec. 2.4/3.2).
+/// Only lines whose hash falls under a threshold are tracked (one in
+/// `2^rate_log2`); observed distances and counts are scaled by the
+/// inverse sampling rate. A GMON only resolves its curve up to the
+/// capacity it reports, `(curve_points - 1)` granules, and so does this
+/// model:
+///
+/// - **Granule buckets.** A curve point at `g` granules only asks how
+///   many accesses have a scaled distance `<= g * granule_lines`, so each
+///   distance is counted in the bucket of its granule, rounded up: at
+///   most `curve_points` counters instead of one per distinct distance.
+/// - **Bounded depth.** A reuse deeper than the largest reported capacity
+///   misses at every point, exactly like a cold access. So the stack holds
+///   only the top [`max_depth`](Self::max_depth)
+///   `D = floor((curve_points - 1) * granule_lines / 2^rate_log2)` sampled
+///   lines: a cold insert that pushes the live count past `D` forgets the
+///   least recently used line. Only lines deeper than `D` are ever
+///   forgotten, and every line above them keeps its exact distance (the
+///   LRU inclusion property), so the curves are bit-identical to those of
+///   an unbounded stack truncated to `curve_points` points.
+///
+/// Memory per monitor is `O(D)` whatever the footprint of the observed
+/// stream; time per sampled access is `O(log D)`.
 #[derive(Debug, Clone)]
 pub struct SampledStack {
-    inner: MattsonStack,
+    stack: LruTimeline,
+    /// Line last touched at each timestamp (slots of lines touched again
+    /// later are stale), so the LRU line can be found and forgotten.
+    line_at: Vec<u64>,
+    /// No live line has a timestamp below this cursor.
+    oldest: usize,
+    max_depth: usize,
     rate_log2: u32,
-    hist: StackDistanceHistogram,
+    granule_lines: u64,
+    /// `buckets[g]`: sampled weight whose scaled distance rounds up to
+    /// `g` granules (`buckets[0]` stays 0: distances are at least 1).
+    buckets: Vec<u64>,
+    /// All sampled weight this interval, cold accesses included.
+    weight: u64,
 }
 
 impl SampledStack {
-    /// Creates a profiler that samples one in `2^rate_log2` lines.
-    /// `rate_log2 == 0` degenerates to exact profiling.
-    pub fn new(rate_log2: u32) -> Self {
+    /// Creates a profiler that samples one in `2^rate_log2` lines and
+    /// reports curves of `curve_points` points (capacities `0..=points-1`
+    /// granules of `granule_lines` lines). `rate_log2 == 0` is exact
+    /// profiling up to that capacity.
+    pub fn new(rate_log2: u32, granule_lines: u64, curve_points: usize) -> Self {
+        let granule_lines = granule_lines.max(1);
+        let curve_points = curve_points.max(1);
+        let reach = (curve_points as u64 - 1) * granule_lines;
         Self {
-            inner: MattsonStack::new(),
+            stack: LruTimeline::new(),
+            line_at: Vec::new(),
+            oldest: 0,
+            max_depth: (reach >> rate_log2) as usize,
             rate_log2,
-            hist: StackDistanceHistogram::new(),
+            granule_lines,
+            buckets: vec![0; curve_points],
+            weight: 0,
         }
     }
 
@@ -304,21 +417,66 @@ impl SampledStack {
         if !self.sampled(line) {
             return;
         }
+        if self.stack.maybe_compact() {
+            // Compaction renumbered the live lines 0..live, LRU first.
+            self.line_at.clear();
+            self.line_at
+                .extend(self.stack.scratch.iter().map(|&(_, line)| line));
+            self.oldest = 0;
+        }
         let scale = 1u64 << self.rate_log2;
-        match self.inner.access(line) {
-            Some(d) => self.hist.record_weighted(d * scale, scale),
-            None => self.hist.record_cold_weighted(scale),
+        let dist = self.stack.touch(line);
+        self.line_at.push(line);
+        self.weight += scale;
+        match dist {
+            Some(d) => {
+                self.buckets[(d << self.rate_log2).div_ceil(self.granule_lines) as usize] += scale
+            }
+            None if self.stack.live() > self.max_depth => self.forget_lru(),
+            None => {}
         }
     }
 
-    /// The accumulated (scaled) histogram.
-    pub fn histogram(&self) -> &StackDistanceHistogram {
-        &self.hist
+    /// Forgets the least recently used line. The cursor only moves
+    /// forward between compactions, so the scan is amortized `O(1)`.
+    fn forget_lru(&mut self) {
+        while !self.stack.present.is_set(self.oldest) {
+            self.oldest += 1;
+        }
+        self.stack.remove(self.line_at[self.oldest]);
+        self.oldest += 1;
     }
 
-    /// Takes the scaled histogram, leaving an empty one.
-    pub fn take_histogram(&mut self) -> StackDistanceHistogram {
-        std::mem::take(&mut self.hist)
+    /// Ends an interval: the miss curve (MPKI over `instructions`, at
+    /// `0..curve_points` granules) of the accesses sampled since the last
+    /// call, or `None` if there were none. The stack itself persists, so
+    /// reuse across interval boundaries is still seen.
+    pub fn take_curve(&mut self, instructions: u64) -> Option<crate::MissCurve> {
+        if self.weight == 0 {
+            return None;
+        }
+        let per_ki = 1000.0 / instructions.max(1) as f64;
+        let mut misses = std::mem::take(&mut self.weight);
+        let points = self
+            .buckets
+            .iter_mut()
+            .map(|hits| {
+                misses -= std::mem::take(hits);
+                misses as f64 * per_ki
+            })
+            .collect();
+        Some(crate::MissCurve::new(points, self.granule_lines))
+    }
+
+    /// Sampled lines currently in the stack (never above
+    /// [`max_depth`](Self::max_depth)).
+    pub fn tracked_lines(&self) -> usize {
+        self.stack.live()
+    }
+
+    /// The depth bound `D`: the most sampled lines the stack holds.
+    pub fn max_depth(&self) -> usize {
+        self.max_depth
     }
 
     /// One in `2^rate_log2` lines are tracked.
@@ -330,6 +488,7 @@ impl SampledStack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MissCurve;
 
     /// Brute-force stack distance for cross-checking.
     fn brute_distances(trace: &[u64]) -> Vec<Option<u64>> {
@@ -404,31 +563,76 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sampled_rate_zero_is_exact() {
-        let mut exact = MattsonStack::new();
-        let mut sampled = SampledStack::new(0);
-        for i in 0..100u64 {
-            exact.access(i % 10);
-            sampled.access(i % 10);
+    /// The unbounded reference: an exact stack over the sampled lines,
+    /// every distance scaled into a histogram (turned into a curve by
+    /// `from_histogram` and cut to the bounded stack's points).
+    fn record_reference(
+        exact: &mut MattsonStack,
+        hist: &mut StackDistanceHistogram,
+        rate_log2: u32,
+        line: u64,
+    ) {
+        let scale = 1u64 << rate_log2;
+        match exact.access(line) {
+            Some(d) => hist.record_weighted(d * scale, scale),
+            None => hist.record_cold_weighted(scale),
         }
-        assert_eq!(exact.histogram(), sampled.histogram());
     }
 
     #[test]
-    fn sampled_total_is_close_to_exact() {
-        // With rate 1/4 over many uniformly-hashed lines, totals should be
-        // within a reasonable factor.
-        let mut sampled = SampledStack::new(2);
-        let n = 40_000u64;
-        for i in 0..n {
-            sampled.access(i.wrapping_mul(2654435761) % 4096);
+    fn bounded_curves_equal_truncated_exact_curves() {
+        // Footprints far beyond the depth bound, long enough to compact
+        // the time axis (at rates 0 and 2); curves must match bit for bit.
+        let (granule, points) = (4u64, 9usize);
+        for rate in [0u32, 2, 3] {
+            let mut bounded = SampledStack::new(rate, granule, points);
+            let mut exact = MattsonStack::new();
+            let mut hist = StackDistanceHistogram::new();
+            let mut x = 0x9E37_79B9u64 + rate as u64;
+            for interval in 0..5 {
+                for _ in 0..60_000 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    // A hot set that fits plus a wide tail that does not.
+                    let line = if x % 4 == 0 { x % 5_000 } else { x % 24 };
+                    if bounded.sampled(line) {
+                        record_reference(&mut exact, &mut hist, rate, line);
+                    }
+                    bounded.access(line);
+                    assert!(bounded.tracked_lines() <= bounded.max_depth());
+                }
+                let want = MissCurve::from_histogram(&std::mem::take(&mut hist), 7_000, granule)
+                    .resized(points);
+                let got = bounded.take_curve(7_000).expect("sampled accesses");
+                let bits =
+                    |c: &MissCurve| c.points().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "rate {rate} interval {interval}");
+            }
+            assert_eq!(bounded.max_depth(), (32 >> rate) as usize);
+            assert!(
+                exact.distinct_lines() > 4 * bounded.max_depth(),
+                "tail exceeds the bound"
+            );
         }
-        let total = sampled.histogram().total();
-        assert!(
-            total > n / 2 && total < n * 2,
-            "scaled total {total} too far from {n}"
-        );
+    }
+
+    #[test]
+    fn bounded_stack_keeps_exact_distances_above_the_bound() {
+        // Depth 8 (exact, 8 points of 1 line): a cycle over 8 lines hits
+        // at distance 8 forever, a cycle over 9 never hits.
+        let mut s = SampledStack::new(0, 1, 9);
+        for i in 0..80u64 {
+            s.access(i % 8);
+        }
+        let fits = s.take_curve(1_000).unwrap();
+        assert_eq!(fits.mpki_at(8), 8.0, "only the 8 cold misses remain");
+        for i in 0..90u64 {
+            s.access(100 + i % 9);
+        }
+        let spills = s.take_curve(1_000).unwrap();
+        assert_eq!(spills.mpki_at(8), 90.0, "every access is deeper than 8");
+        assert_eq!(s.tracked_lines(), 8);
     }
 
     #[test]

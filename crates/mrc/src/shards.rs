@@ -24,11 +24,13 @@
 //! than via the paper's first-bucket shift, so miss *ratios* — what every
 //! consumer here reads — pick up no bias from it; see
 //! [`snapshot_histogram`](ShardsStack::snapshot_histogram)).
+//!
+//! [`MattsonStack`]: crate::MattsonStack
 
 use std::collections::BinaryHeap;
 
 use crate::histogram::StackDistanceHistogram;
-use crate::mattson::MattsonStack;
+use crate::mattson::LruTimeline;
 
 /// The hash modulus `P`: thresholds live in `[1, P]` and the sampling
 /// rate is `T / P`. 2^24 matches the SHARDS paper and gives rate
@@ -62,7 +64,8 @@ pub struct ShardsConfig {
 
 impl ShardsConfig {
     /// Exact profiling: rate 1, no cap. A [`ShardsStack`] so configured
-    /// produces histograms identical to a plain [`MattsonStack`].
+    /// produces histograms identical to a plain
+    /// [`MattsonStack`](crate::MattsonStack).
     pub fn exact() -> Self {
         Self {
             rate: 1.0,
@@ -134,7 +137,7 @@ impl Default for ShardsConfig {
 
 /// A SHARDS-sampled LRU stack-distance profiler.
 ///
-/// Drives a [`MattsonStack`] with only the lines selected by the spatial
+/// Drives the Mattson LRU stack with only the lines selected by the spatial
 /// hash filter, recording each observed distance with the expansion and
 /// weight implied by the sampling rate in effect at the time. With
 /// [`ShardsConfig::adaptive`] the tracked set never exceeds `s_max`, so
@@ -155,7 +158,7 @@ impl Default for ShardsConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardsStack {
-    inner: MattsonStack,
+    inner: LruTimeline,
     config: ShardsConfig,
     /// Current hash threshold `T`; a line is tracked iff
     /// `spatial_hash(line) < T`. Only ever decreases.
@@ -178,8 +181,8 @@ impl ShardsStack {
     /// outgrow it).
     pub fn new(config: ShardsConfig) -> Self {
         let inner = match config.s_max {
-            Some(cap) => MattsonStack::with_line_capacity(cap),
-            None => MattsonStack::new(),
+            Some(cap) => LruTimeline::with_line_capacity(cap),
+            None => LruTimeline::new(),
         };
         Self {
             inner,
@@ -221,7 +224,7 @@ impl ShardsStack {
                     }
                     self.peak_tracked = self.peak_tracked.max(self.tracked.len());
                 } else {
-                    self.peak_tracked = self.inner.distinct_lines();
+                    self.peak_tracked = self.inner.live();
                 }
             }
         }
@@ -253,7 +256,7 @@ impl ShardsStack {
     /// Lines currently tracked (the sampled LRU stack's distinct-line
     /// set; the eviction heap mirrors it only in `s_max` mode).
     pub fn tracked(&self) -> usize {
-        self.inner.distinct_lines()
+        self.inner.live()
     }
 
     /// The largest tracked-set size ever reached — bounded by `s_max`
@@ -332,15 +335,12 @@ impl ShardsStack {
     /// Takes the corrected histogram and resets the accumulated counts
     /// (the sampled LRU stack, threshold, and peak statistics survive, so
     /// reuse across interval boundaries is still seen — matching
-    /// [`MattsonStack::take_histogram`]).
+    /// [`MattsonStack::take_histogram`](crate::MattsonStack::take_histogram)).
     pub fn take_histogram(&mut self) -> StackDistanceHistogram {
         let hist = self.snapshot_histogram();
         self.finite.clear();
         self.cold = 0.0;
         self.total_seen = 0;
-        // Drop the inner stack's shadow histogram too: nothing reads it,
-        // and clearing keeps long multi-interval profiles lean.
-        let _ = self.inner.take_histogram();
         hist
     }
 }
@@ -348,6 +348,7 @@ impl ShardsStack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MattsonStack;
 
     fn xorshift_stream(n: usize, lines: u64) -> Vec<u64> {
         let mut x = 0x243F_6A88_85A3_08D3u64;

@@ -504,7 +504,7 @@ impl<S: LlcScheme> MultiCoreSim<S> {
     /// below repeats the identical f64 sequence per event.
     fn step_core_batched(&mut self, core_idx: usize, target: u64) {
         let core = CoreId(core_idx as u16);
-        let config = self.uncore.config().clone();
+        let (base_cpi, mlp) = (self.uncore.config().base_cpi, self.uncore.config().mlp);
         let mut batch = std::mem::take(&mut self.batch);
         let mut responses = std::mem::take(&mut self.responses);
         batch.clear();
@@ -527,7 +527,7 @@ impl<S: LlcScheme> MultiCoreSim<S> {
         }
 
         let runner = self.runners[core_idx].as_mut().expect("runner exists");
-        let mut clock = BatchClock::new(runner.stats.cycles, config.base_cpi, config.mlp, core_idx);
+        let mut clock = BatchClock::new(runner.stats.cycles, base_cpi, mlp, core_idx);
         self.scheme
             .access_batch(core, &batch, &mut clock, &mut self.uncore, &mut responses);
         debug_assert_eq!(responses.len(), n, "one response per event");
@@ -535,8 +535,8 @@ impl<S: LlcScheme> MultiCoreSim<S> {
         let runner = self.runners[core_idx].as_mut().expect("runner exists");
         for (i, resp) in responses.iter().enumerate() {
             runner.stats.instructions += batch.gaps[i] as u64;
-            runner.stats.cycles += batch.gaps[i] as f64 * config.base_cpi;
-            let stall = resp.latency / config.mlp;
+            runner.stats.cycles += batch.gaps[i] as f64 * base_cpi;
+            let stall = resp.latency / mlp;
             runner.stats.cycles += stall;
             runner.stats.stall_cycles += stall;
             runner.stats.llc_accesses += 1;
@@ -572,7 +572,7 @@ impl<S: LlcScheme> MultiCoreSim<S> {
 
     fn step_core_events(&mut self, core_idx: usize, target: u64) {
         let core = CoreId(core_idx as u16);
-        let config = self.uncore.config().clone();
+        let (base_cpi, mlp) = (self.uncore.config().base_cpi, self.uncore.config().mlp);
         for _ in 0..QUANTUM_EVENTS {
             let runner = self.runners[core_idx].as_mut().expect("runner exists");
             let Some(ev) = runner.trace.next_event() else {
@@ -587,7 +587,7 @@ impl<S: LlcScheme> MultiCoreSim<S> {
             }
             let runner = self.runners[core_idx].as_mut().expect("runner exists");
             runner.stats.instructions += ev.gap_instrs as u64;
-            runner.stats.cycles += ev.gap_instrs as f64 * config.base_cpi;
+            runner.stats.cycles += ev.gap_instrs as f64 * base_cpi;
             self.uncore.interval_instructions[core_idx] += ev.gap_instrs as u64;
             // The event stream is L2-filtered: go straight to the scheme.
             let ctx = AccessContext {
@@ -600,7 +600,7 @@ impl<S: LlcScheme> MultiCoreSim<S> {
             self.uncore.now = self.uncore.now.max(runner_cycles);
             let resp = self.scheme.access(ctx, &mut self.uncore);
             let runner = self.runners[core_idx].as_mut().expect("runner exists");
-            let stall = resp.latency / config.mlp;
+            let stall = resp.latency / mlp;
             runner.stats.cycles += stall;
             runner.stats.stall_cycles += stall;
             runner.stats.llc_accesses += 1;
