@@ -120,6 +120,43 @@ fn batched_parallel_sweep_is_bit_identical_to_per_event_serial() {
     std::fs::remove_dir_all(&cache).unwrap();
 }
 
+/// Golden digest of a small sweep's `cells_json`: single-app replay
+/// cells under LRU and Whirlpool plus a live 2-app mix cell, run with
+/// four workers. Pins the bytes the sweep produced when the file was
+/// recorded; regenerate (only for an intended behaviour change) with
+/// `WP_BLESS=1 cargo test -p wp-bench --test sweep_determinism`.
+#[test]
+fn parallel_sweep_cells_match_golden() {
+    let cache = tmp_cache("golden");
+    let _ = std::fs::remove_dir_all(&cache);
+
+    let mut spec = SweepSpec::new()
+        .cache_dir(&cache)
+        .budgets(WARMUP, MEASURE)
+        .jobs(4);
+    for app in ["delaunay", "mcf"] {
+        for kind in [SchemeKind::SNucaLru, SchemeKind::Whirlpool] {
+            spec.push(kind, CellWork::single(app, kind.default_classification()));
+        }
+    }
+    spec.push(
+        SchemeKind::SNucaLru,
+        CellWork::mix(&["delaunay", "mcf"], 200_000, false),
+    );
+    let json = spec.run().expect("sweep").cells_json() + "\n";
+    std::fs::remove_dir_all(&cache).unwrap();
+
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/sweep_cells.json");
+    if std::env::var_os("WP_BLESS").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).expect("golden dir");
+        std::fs::write(&path, &json).expect("write golden file");
+    } else {
+        let golden = std::fs::read_to_string(&path).expect("read golden file");
+        assert!(golden == json, "sweep cells differ from {}", path.display());
+    }
+}
+
 /// A partial temp file from a killed capture (`<key>.wpt.tmp.<pid>-<seq>`)
 /// is ignored by warm lookup and the app is re-captured into a complete
 /// `.wpt` — the atomic-rename discipline means truncation can never

@@ -75,6 +75,28 @@ fn report_and_timeline_are_identical_across_jobs_and_exec_modes() {
     }
 }
 
+/// Golden digest of the scenario's report line and timeline. Pins the
+/// bytes the engine produced when the file was recorded; regenerate
+/// (only for an intended behaviour change) with
+/// `WP_BLESS=1 cargo test -p wp-tenant --test scenario_determinism`.
+#[test]
+fn report_and_timeline_match_golden() {
+    let (json, timeline) = run(2, ExecMode::Batched);
+    let out = json + "\n" + &timeline;
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/scenario.jsonl");
+    if std::env::var_os("WP_BLESS").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).expect("golden dir");
+        std::fs::write(&path, &out).expect("write golden file");
+    } else {
+        let golden = std::fs::read_to_string(&path).expect("read golden file");
+        assert!(
+            golden == out,
+            "report or timeline differs from {}",
+            path.display()
+        );
+    }
+}
+
 #[test]
 fn fcfs_admission_shows_up_in_the_accounting() {
     let scenario = Scenario::from_json_str(WPS).unwrap();
