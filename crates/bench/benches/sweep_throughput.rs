@@ -1,33 +1,25 @@
-//! Warm-sweep throughput: batched vs per-event execution.
+//! Warm-sweep throughput: replaying a cached capture.
 //!
 //! Criterion mode (`cargo bench -p wp-bench --bench sweep_throughput`)
-//! times a warm single-app replay under both execution modes.
+//! times a warm single-app replay.
 //!
 //! Smoke mode (`cargo bench -p wp-bench --bench sweep_throughput -- --json`)
 //! runs the full warm-sweep measurement and writes the machine-readable
 //! `BENCH_sweep.json` (override the path with `WP_BENCH_JSON`): one cold
 //! cell (live 16-core mix capture) and seventeen warm cells over the
 //! resulting trace — the all-streams mix replay plus one per-stream
-//! breakdown replay per app — each timed under the per-event and the
-//! batched path. Every cell's `RunSummary` is asserted bit-identical
-//! across modes before its timing counts, so the speedups cannot come
-//! from divergent simulation.
-//!
-//! The per-event path pays the seed architecture's cost on mix captures:
-//! every streaming reader decodes all N streams to deliver its own. The
-//! batched path decodes each chunk once (all-streams) or follows one
-//! stream and frame-walks the rest (breakdown) — that asymmetry, plus
-//! batched scheme loops with software prefetch, is the headline
-//! `warm_sweep_speedup` (geometric mean of per-cell speedups, the same
-//! aggregation the repo's figures use).
+//! breakdown replay per app, each of which follows its stream and
+//! frame-walks the rest. The all-streams replay runs with the capture's
+//! own budgets, and its `RunSummary` must equal the cold run's before any
+//! timing counts, so the throughput cannot come from divergent
+//! simulation. The gate is `batched_events_per_sec`, the warm cells'
+//! aggregate event rate.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
 use criterion::{criterion_group, Criterion};
-use whirlpool_repro::harness::{sixteen_core_config, Experiment, SchemeKind};
-use wp_bench::gmean;
-use wp_sim::ExecMode;
+use whirlpool_repro::harness::{sixteen_core_config, Experiment, SchemeKind, MIX_WARMUP_INSTRS};
 use wp_trace::TraceInfo;
 
 /// Four distinct footprints (Fig. 2 spread), repeated over 16 cores.
@@ -48,21 +40,15 @@ fn bench(c: &mut Criterion) {
         .capture_to(&path)
         .run()
         .expect("capture");
-    for (label, mode) in [
-        ("per_event", ExecMode::PerEvent),
-        ("batched", ExecMode::Batched),
-    ] {
-        c.bench_function(&format!("warm_replay/{label}"), |b| {
-            b.iter(|| {
-                Experiment::replay(SchemeKind::SNucaLru, &path)
-                    .warmup(100_000)
-                    .measure(400_000)
-                    .exec_mode(mode)
-                    .run()
-                    .expect("replay")
-            })
-        });
-    }
+    c.bench_function("warm_replay", |b| {
+        b.iter(|| {
+            Experiment::replay(SchemeKind::SNucaLru, &path)
+                .warmup(100_000)
+                .measure(400_000)
+                .run()
+                .expect("replay")
+        })
+    });
     let _ = std::fs::remove_file(&path);
 }
 
@@ -71,48 +57,29 @@ criterion_group!(benches, bench);
 struct Cell {
     name: String,
     events: u64,
-    per_event_ns: u128,
     batched_ns: u128,
 }
 
 impl Cell {
-    fn speedup(&self) -> f64 {
-        self.per_event_ns as f64 / self.batched_ns as f64
-    }
-
     fn to_json(&self) -> String {
         format!(
-            "{{\"cell\":\"{}\",\"events\":{},\"per_event_ns\":{},\"batched_ns\":{},\
-             \"speedup\":{:.2}}}",
-            self.name,
-            self.events,
-            self.per_event_ns,
-            self.batched_ns,
-            self.speedup(),
+            "{{\"cell\":\"{}\",\"events\":{},\"batched_ns\":{}}}",
+            self.name, self.events, self.batched_ns,
         )
     }
 }
 
-/// Times one warm replay cell under both modes, asserting the summaries
-/// are bit-identical before the timing is trusted.
-fn run_cell(name: &str, events: u64, make: impl Fn(ExecMode) -> Experiment) -> Cell {
+/// Times one warm replay cell, returning it with the run's summary JSON.
+fn run_cell(name: &str, events: u64, exp: Experiment) -> (Cell, String) {
     let t0 = Instant::now();
-    let per_event = make(ExecMode::PerEvent).run().expect("per-event replay");
-    let per_event_ns = t0.elapsed().as_nanos();
-    let t0 = Instant::now();
-    let batched = make(ExecMode::Batched).run().expect("batched replay");
+    let summary = exp.run().expect("replay");
     let batched_ns = t0.elapsed().as_nanos();
-    assert_eq!(
-        per_event.to_json(),
-        batched.to_json(),
-        "cell {name}: batched replay diverged from per-event"
-    );
-    Cell {
+    let cell = Cell {
         name: name.to_string(),
         events,
-        per_event_ns,
         batched_ns,
-    }
+    };
+    (cell, summary.to_json())
 }
 
 /// One-shot smoke measurement: the warm-sweep data point for
@@ -127,7 +94,7 @@ fn smoke() {
 
     // Cold cell: live 16-core mix run, captured to the trace cache.
     let t0 = Instant::now();
-    Experiment::mix(SchemeKind::SNucaLru, &MIX_APPS)
+    let cold = Experiment::mix(SchemeKind::SNucaLru, &MIX_APPS)
         .measure(measure)
         .system(sixteen_core_config())
         .capture_to(&cap)
@@ -135,41 +102,39 @@ fn smoke() {
         .expect("record mix");
     let cold_ns = t0.elapsed().as_nanos();
     let info = TraceInfo::scan(&cap).expect("scan capture");
-    let total: u64 = info.streams.iter().map(|s| s.events).sum();
+    let total = info.total_events();
 
-    // Warm cells: the all-streams mix replay, then one per-stream
-    // breakdown replay per app (per-event readers re-decode all 16
-    // streams for each of these; batched readers follow one).
-    let mut cells = vec![run_cell("all_streams", total, |mode| {
+    // Warm cells: the all-streams mix replay under the capture's own
+    // budgets (so it must reproduce the cold run), then one per-stream
+    // breakdown replay per app.
+    let (all_streams, replayed) = run_cell(
+        "all_streams",
+        total,
         Experiment::replay(SchemeKind::SNucaLru, &cap)
             .all_streams()
             .system(sixteen_core_config())
-            .exec_mode(mode)
-    })];
+            .warmup(MIX_WARMUP_INSTRS)
+            .measure(measure),
+    );
+    assert_eq!(
+        replayed,
+        cold.to_json(),
+        "all-streams replay diverged from the cold capture run"
+    );
+    let mut cells = vec![all_streams];
     for s in &info.streams {
         let k = s.meta.id;
-        cells.push(run_cell(
-            &format!("stream{k}:{}", s.meta.name),
-            s.events,
-            |mode| {
-                Experiment::replay(SchemeKind::SNucaLru, &cap)
-                    .stream(k)
-                    .exec_mode(mode)
-            },
-        ));
+        let name = format!("stream{k}:{}", s.meta.name);
+        let exp = Experiment::replay(SchemeKind::SNucaLru, &cap).stream(k);
+        cells.push(run_cell(&name, s.events, exp).0);
     }
     let _ = std::fs::remove_file(&cap);
 
     let warm_events: u64 = cells.iter().map(|c| c.events).sum();
-    let per_event_ns: u128 = cells.iter().map(|c| c.per_event_ns).sum();
     let batched_ns: u128 = cells.iter().map(|c| c.batched_ns).sum();
     let evps = |events: u64, ns: u128| events as f64 * 1e9 / ns as f64;
-    let speedups: Vec<f64> = cells.iter().map(Cell::speedup).collect();
-    let warm_sweep_speedup = gmean(&speedups);
     let cold_evps = evps(total, cold_ns);
-    let per_event_evps = evps(warm_events, per_event_ns);
     let batched_evps = evps(warm_events, batched_ns);
-    let aggregate_speedup = per_event_ns as f64 / batched_ns as f64;
 
     let cell_json: Vec<String> = cells.iter().map(Cell::to_json).collect();
     let json = format!(
@@ -177,13 +142,9 @@ fn smoke() {
          \"capture_events\":{total},\"measure_instrs\":{measure},\
          \"cold\":{{\"ns\":{cold_ns},\"events_per_sec\":{cold_evps:.0}}},\
          \"cells\":[{}],\
-         \"warm\":{{\"events\":{warm_events},\"per_event_ns\":{per_event_ns},\
-         \"batched_ns\":{batched_ns},\"per_event_events_per_sec\":{per_event_evps:.0},\
-         \"batched_events_per_sec\":{batched_evps:.0},\
-         \"aggregate_speedup\":{aggregate_speedup:.2},\
-         \"gmean_cell_speedup\":{warm_sweep_speedup:.2}}},\
-         \"gate\":{{\"warm_sweep_speedup\":{warm_sweep_speedup:.2},\
-         \"batched_events_per_sec\":{batched_evps:.0}}}}}",
+         \"warm\":{{\"events\":{warm_events},\"batched_ns\":{batched_ns},\
+         \"batched_events_per_sec\":{batched_evps:.0}}},\
+         \"gate\":{{\"batched_events_per_sec\":{batched_evps:.0}}}}}",
         info.streams.len(),
         cell_json.join(","),
     );

@@ -45,7 +45,7 @@ use std::time::Instant;
 use whirlpool_repro::harness::{
     descriptors_for, run_budget, CancelToken, Classification, Experiment, HarnessError, SchemeKind,
 };
-use wp_sim::{ExecMode, RunSummary, TraceWorkload, WorkloadBundle};
+use wp_sim::{RunSummary, TraceWorkload, WorkloadBundle};
 use wp_workloads::{registry, AppModel};
 
 use crate::measure_budget;
@@ -144,7 +144,6 @@ pub struct SweepSpec {
     cache_dir: PathBuf,
     warmup_override: Option<u64>,
     measure_override: Option<u64>,
-    exec: Option<ExecMode>,
     store: Option<Arc<dyn TraceStore>>,
     cancel: Option<CancelToken>,
 }
@@ -164,7 +163,6 @@ impl SweepSpec {
             cache_dir: default_cache_dir(),
             warmup_override: None,
             measure_override: None,
-            exec: None,
             store: None,
             cancel: None,
         }
@@ -241,16 +239,6 @@ impl SweepSpec {
     #[must_use]
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
-        self
-    }
-
-    /// Overrides every cell's event delivery path (the `WP_EXEC` /
-    /// [`ExecMode::default`] resolution otherwise). Both modes produce
-    /// bit-identical summaries; the knob exists for the throughput
-    /// benchmarks and the determinism tests that prove that.
-    #[must_use]
-    pub fn exec_mode(mut self, exec: ExecMode) -> Self {
-        self.exec = Some(exec);
         self
     }
 
@@ -407,7 +395,6 @@ impl SweepSpec {
             }
             Ok((summary, phases))
         })?;
-        let exec = self.effective_exec();
         let jobs = self.jobs;
         let cells = self
             .cells
@@ -425,23 +412,11 @@ impl SweepSpec {
             cache_hits,
             cache_misses,
             jobs,
-            exec,
         })
     }
 
-    /// The event delivery path every cell will actually use: the sweep's
-    /// override, else `WP_EXEC`, else the default.
-    fn effective_exec(&self) -> ExecMode {
-        self.exec
-            .or_else(|| std::env::var("WP_EXEC").ok()?.parse().ok())
-            .unwrap_or_default()
-    }
-
-    /// Applies the sweep-wide engine overrides (exec mode, cancel token).
-    fn apply_exec(&self, mut exp: Experiment) -> Experiment {
-        if let Some(mode) = self.exec {
-            exp = exp.exec_mode(mode);
-        }
+    /// Applies the sweep-wide cancel token, if any.
+    fn with_cancel(&self, mut exp: Experiment) -> Experiment {
         if let Some(tok) = &self.cancel {
             exp = exp.cancel_token(tok.clone());
         }
@@ -469,7 +444,7 @@ impl SweepSpec {
                     if let Some(m) = self.measure_override {
                         exp = exp.measure(m);
                     }
-                    return self.apply_exec(exp).run();
+                    return self.with_cancel(exp).run();
                 }
                 // A cached capture: the event stream comes from the
                 // cache; the pools are rebuilt from the registry model
@@ -493,7 +468,7 @@ impl SweepSpec {
                                 pools,
                                 name: app.clone(),
                             };
-                            self.apply_exec(
+                            self.with_cancel(
                                 Experiment::bundles(cell.scheme, vec![bundle])
                                     .warmup(w)
                                     .measure(m),
@@ -553,7 +528,7 @@ impl SweepSpec {
                 if *cores16 {
                     exp = exp.system(whirlpool_repro::harness::sixteen_core_config());
                 }
-                self.apply_exec(exp).run()
+                self.with_cancel(exp).run()
             }
         }
     }
@@ -689,7 +664,7 @@ pub struct CellResult {
 }
 
 /// A completed sweep: cell results in spec order plus the engine
-/// environment that produced them (exec mode, jobs, cache statistics).
+/// environment that produced them (jobs, cache statistics).
 #[derive(Debug, Clone)]
 pub struct SweepResult {
     /// Per-cell results, in the order the cells were pushed.
@@ -700,17 +675,14 @@ pub struct SweepResult {
     pub cache_misses: usize,
     /// Worker threads the sweep ran with.
     pub jobs: usize,
-    /// The event delivery path every cell used.
-    pub exec: ExecMode,
 }
 
 impl SweepResult {
     /// One machine-readable JSON line for the whole sweep:
-    /// `{"env":{…},"cells":[…]}`. The `env` block records the effective
-    /// exec mode, `WP_JOBS`, and trace-cache hit/miss counts so a
-    /// committed `BENCH_*.json` is self-describing; each cell additionally
-    /// carries its wall-clock `phases` breakdown when observability was
-    /// on. Those fields vary run to run by construction — comparisons
+    /// `{"env":{…},"cells":[…]}`. The `env` block records `WP_JOBS` and
+    /// the trace-cache hit/miss counts so a committed `BENCH_*.json` is
+    /// self-describing; each cell additionally carries its wall-clock
+    /// `phases` breakdown when observability was on. Those fields vary run to run by construction — comparisons
     /// that assert determinism use [`cells_json`](Self::cells_json), the
     /// projection that is bit-identical whatever `WP_JOBS`, cache
     /// temperature, or `WP_OBS` were.
@@ -725,18 +697,14 @@ impl SweepResult {
     /// The engine-environment block of [`to_json`](Self::to_json).
     pub fn env_json(&self) -> String {
         format!(
-            "{{\"exec\":{},\"jobs\":{},\"trace_cache_hits\":{},\"trace_cache_misses\":{}}}",
-            wp_sim::json_string(&self.exec.to_string()),
-            self.jobs,
-            self.cache_hits,
-            self.cache_misses,
+            "{{\"jobs\":{},\"trace_cache_hits\":{},\"trace_cache_misses\":{}}}",
+            self.jobs, self.cache_hits, self.cache_misses,
         )
     }
 
     /// The deterministic projection of the sweep: the cell results alone
     /// (no env block, no phase timings), bit-identical for a given cell
-    /// list whatever `WP_JOBS`, the cache temperature, exec mode, or
-    /// `WP_OBS` were.
+    /// list whatever `WP_JOBS`, the cache temperature, or `WP_OBS` were.
     pub fn cells_json(&self) -> String {
         format!("{{\"cells\":[{}]}}", self.cell_rows(false).join(","))
     }

@@ -84,42 +84,6 @@ fn parallel_sweep_is_bit_identical_to_serial_and_reuses_the_cache() {
     std::fs::remove_dir_all(&cache).unwrap();
 }
 
-/// A `WP_JOBS=4` *batched* sweep — single-app replay cells and a live
-/// mix cell — emits JSON bit-identical to the serial per-event sweep:
-/// neither the worker count nor the event delivery path is observable.
-#[test]
-fn batched_parallel_sweep_is_bit_identical_to_per_event_serial() {
-    use wp_sim::ExecMode;
-    let cache = tmp_cache("exec");
-    let _ = std::fs::remove_dir_all(&cache);
-
-    let grid_with = |jobs: usize, mode: ExecMode| {
-        let mut spec = SweepSpec::new()
-            .cache_dir(&cache)
-            .budgets(WARMUP, MEASURE)
-            .jobs(jobs)
-            .exec_mode(mode);
-        for app in ["delaunay", "mcf"] {
-            for kind in [SchemeKind::SNucaLru, SchemeKind::Whirlpool] {
-                spec.push(kind, CellWork::single(app, kind.default_classification()));
-            }
-        }
-        spec.push(
-            SchemeKind::SNucaLru,
-            CellWork::mix(&["delaunay", "mcf"], 200_000, false),
-        );
-        spec.run().expect("sweep").cells_json()
-    };
-    let reference = grid_with(1, ExecMode::PerEvent);
-    assert_eq!(
-        grid_with(4, ExecMode::Batched),
-        reference,
-        "WP_JOBS=4 batched sweep diverged from serial per-event"
-    );
-
-    std::fs::remove_dir_all(&cache).unwrap();
-}
-
 /// Golden digest of a small sweep's `cells_json`: single-app replay
 /// cells under LRU and Whirlpool plus a live 2-app mix cell, run with
 /// four workers. Pins the bytes the sweep produced when the file was

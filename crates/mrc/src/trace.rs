@@ -10,7 +10,7 @@
 
 use std::path::Path;
 
-use wp_trace::{TraceError, TraceInfo, TraceReader};
+use wp_trace::{BatchReader, EventBatch, TraceError, TraceInfo};
 
 use crate::curve::MissCurve;
 use crate::histogram::StackDistanceHistogram;
@@ -167,12 +167,15 @@ fn run_profile(
             .map(|&sid| (sid, StackKind::Sampled(ShardsStack::new(cfg)), 0u64, 0u64))
             .collect(),
     };
-    let mut reader = TraceReader::open(path)?;
-    while let Some((sid, rec)) = reader.next_record()? {
+    let mut reader = BatchReader::open(path)?;
+    let mut batch = EventBatch::new();
+    while let Some(sid) = reader.next_chunk(&mut batch)? {
         if let Some(slot) = slots.iter_mut().find(|s| s.0 == sid) {
-            slot.2 += u64::from(rec.gap_instrs);
-            slot.3 += 1;
-            slot.1.access(rec.line.0);
+            slot.2 += batch.gaps.iter().map(|&g| u64::from(g)).sum::<u64>();
+            slot.3 += batch.len() as u64;
+            for line in &batch.lines {
+                slot.1.access(line.0);
+            }
         }
     }
     for &sid in streams {
@@ -274,7 +277,7 @@ pub fn curve_from_trace_sampled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wp_trace::TraceWriter;
+    use wp_trace::{TraceReader, TraceWriter};
 
     fn temp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("wp-mrc-trace-{}-{name}", std::process::id()))

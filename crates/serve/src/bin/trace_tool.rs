@@ -14,9 +14,9 @@
 //!                           [--granule L] [--json]
 //!                           [--verify-exact] [--max-err E] [--capacity-slack S]
 //! trace_tool sweep --apps a,b[,...] [--schemes S,...] [--warmup N --measure N]
-//!                  [--jobs N] [--cache-dir D] [--exec per-event|batched] [--full-json]
+//!                  [--jobs N] [--cache-dir D] [--full-json]
 //! trace_tool scenario <file.wps> [--schemes S,...] [--jobs N]
-//!                     [--exec per-event|batched] [--timeline] [--check-timeline]
+//!                     [--timeline] [--check-timeline]
 //! trace_tool bench-check --baseline <BENCH_*.json>... --fresh-dir <dir>
 //!                        [--max-regress R]
 //! trace_tool obs <app|file> [--scheme S] [--classification C]
@@ -149,11 +149,11 @@ usage:
                     (miss curves straight from the trace: exact Mattson or
                      SHARDS-sampled, all requested streams in one scan)
   trace_tool sweep  --apps a,b[,...] [--schemes S,...] [--warmup N --measure N]
-                    [--jobs N] [--cache-dir D] [--exec per-event|batched] [--full-json]
+                    [--jobs N] [--cache-dir D] [--full-json]
                     (a (scheme x app) grid on the sweep engine; prints the
                      deterministic cells JSON on one line)
   trace_tool scenario <file.wps> [--schemes S,...] [--jobs N]
-                    [--exec per-event|batched] [--timeline] [--check-timeline]
+                    [--timeline] [--check-timeline]
                     (run a multi-tenant churn scenario under each scheme and
                      print the one-line report JSON; --timeline appends the
                      per-scheme tenant event JSONL, --check-timeline validates

@@ -765,8 +765,8 @@ pub fn obs(rest: &[String], ctx: &OpCtx) -> Result<Vec<String>, String> {
 
 /// `sweep --apps a,b[,...]`: a (scheme × app) grid on the sweep engine,
 /// emitting the deterministic `cells_json` projection (one line) — the
-/// same bytes at any `WP_JOBS`, cache temperature, exec mode, or
-/// daemon/offline split. `--full-json` emits the self-describing
+/// same bytes at any `WP_JOBS`, cache temperature, or daemon/offline
+/// split. `--full-json` emits the self-describing
 /// `to_json` form instead (its `env` block varies by construction).
 ///
 /// # Errors
@@ -783,7 +783,6 @@ pub fn sweep(rest: &[String], ctx: &OpCtx) -> Result<Vec<String>, String> {
             "--measure",
             "--jobs",
             "--cache-dir",
-            "--exec",
         ],
         &["--full-json"],
     )?;
@@ -822,12 +821,6 @@ pub fn sweep(rest: &[String], ctx: &OpCtx) -> Result<Vec<String>, String> {
     if let Some(j) = args.number("--jobs")? {
         spec = spec.jobs(j.max(1) as usize);
     }
-    if let Some(exec) = args.value("--exec") {
-        spec = spec.exec_mode(
-            exec.parse()
-                .map_err(|_| format!("--exec expects 'per-event' or 'batched', got '{exec}'"))?,
-        );
-    }
     match (&ctx.store, args.value("--cache-dir")) {
         (Some(_), Some(_)) => {
             return Err("--cache-dir applies to offline sweeps; the daemon owns its cache".into())
@@ -850,8 +843,8 @@ pub fn sweep(rest: &[String], ctx: &OpCtx) -> Result<Vec<String>, String> {
     }])
 }
 
-/// `scenario <file.wps> [--schemes a,b,...] [--jobs N] [--exec MODE]
-/// [--timeline] [--check-timeline]` — run a multi-tenant scenario under
+/// `scenario <file.wps> [--schemes a,b,...] [--jobs N] [--timeline]
+/// [--check-timeline]` — run a multi-tenant scenario under
 /// every requested scheme and emit one deterministic report line, plus
 /// (with `--timeline`) the tenant-event JSONL.
 ///
@@ -867,7 +860,7 @@ pub fn sweep(rest: &[String], ctx: &OpCtx) -> Result<Vec<String>, String> {
 pub fn scenario(rest: &[String], ctx: &OpCtx) -> Result<Vec<String>, String> {
     let args = Args::parse(
         rest,
-        &["--schemes", "--jobs", "--exec"],
+        &["--schemes", "--jobs"],
         &["--timeline", "--check-timeline"],
     )?;
     let path = match args.positional.as_slice() {
@@ -903,12 +896,6 @@ pub fn scenario(rest: &[String], ctx: &OpCtx) -> Result<Vec<String>, String> {
     };
     if let Some(j) = args.number("--jobs")? {
         opts.jobs = Some(j.max(1) as usize);
-    }
-    if let Some(exec) = args.value("--exec") {
-        opts.exec = Some(
-            exec.parse()
-                .map_err(|_| format!("--exec expects 'per-event' or 'batched', got '{exec}'"))?,
-        );
     }
     let report = wp_tenant::run_scenario(&sc, &schemes, &opts).map_err(|e| e.to_string())?;
     let timeline = report.timeline_jsonl();

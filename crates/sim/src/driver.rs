@@ -13,9 +13,7 @@ use wp_noc::CoreId;
 use wp_trace::{EventBatch, TraceError, TraceWriter};
 
 use crate::config::SystemConfig;
-use crate::scheme::{
-    AccessContext, BatchClock, LlcOutcome, LlcResponse, LlcScheme, Workload, WorkloadBundle,
-};
+use crate::scheme::{BatchClock, LlcOutcome, LlcResponse, LlcScheme, Workload, WorkloadBundle};
 use crate::stats::CoreStats;
 use crate::uncore::Uncore;
 use crate::EnergyBreakdown;
@@ -23,48 +21,6 @@ use crate::EnergyBreakdown;
 /// Events processed per scheduling quantum (per core, before the driver
 /// re-picks the laggard core).
 const QUANTUM_EVENTS: usize = 256;
-
-/// How the driver moves events from workloads into the scheme.
-///
-/// Both modes produce bit-identical [`RunSummary`]s (and bit-identical
-/// captures): the scheduling quanta, the per-event clock arithmetic, and
-/// the access sequence the scheme observes are the same. `Batched` pulls
-/// each quantum as one [`EventBatch`] slice instead of 256 virtual calls,
-/// which lets trace replay decode chunks in bulk (zero-copy from an mmap,
-/// on a lookahead thread) and lets schemes prefetch ahead — the warm-sweep
-/// throughput path. `PerEvent` remains as the reference implementation and
-/// regression baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// One `next_event` virtual call per event (reference path).
-    PerEvent,
-    /// Quantum-sized event slices through `fill_batch`/`access_batch`.
-    #[default]
-    Batched,
-}
-
-impl std::fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ExecMode::PerEvent => "per-event",
-            ExecMode::Batched => "batched",
-        })
-    }
-}
-
-impl std::str::FromStr for ExecMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "per-event" | "perevent" | "event" => Ok(ExecMode::PerEvent),
-            "batched" | "batch" => Ok(ExecMode::Batched),
-            other => Err(format!(
-                "unknown exec mode '{other}' (expected 'per-event' or 'batched')"
-            )),
-        }
-    }
-}
 
 /// Run-level configuration: the simulated system plus driver options that
 /// are not part of the modelled hardware.
@@ -81,8 +37,6 @@ pub struct SimConfig {
     pub system: SystemConfig,
     /// Record every pulled event to this `.wpt` file.
     pub capture_to: Option<PathBuf>,
-    /// How events are moved from workloads into the scheme.
-    pub exec: ExecMode,
     /// Observability probes: with this set, the driver samples every
     /// pool's occupancy and demand each
     /// [`sample_every`](wp_obs::ObsConfig::sample_every) events (read
@@ -97,7 +51,6 @@ impl SimConfig {
         Self {
             system,
             capture_to: None,
-            exec: ExecMode::default(),
             obs: None,
         }
     }
@@ -106,13 +59,6 @@ impl SimConfig {
     #[must_use]
     pub fn capture_to(mut self, path: impl Into<PathBuf>) -> Self {
         self.capture_to = Some(path.into());
-        self
-    }
-
-    /// Selects the event delivery path (see [`ExecMode`]).
-    #[must_use]
-    pub fn exec_mode(mut self, exec: ExecMode) -> Self {
-        self.exec = exec;
         self
     }
 
@@ -224,10 +170,9 @@ pub struct MultiCoreSim<S: LlcScheme> {
     runners: Vec<Option<CoreRunner>>,
     last_reconfig: u64,
     capture: Option<Capture>,
-    exec: ExecMode,
     obs: Option<TimelineProbe>,
-    /// Quantum scratch for the batched path, reused across quanta so the
-    /// steady state allocates nothing.
+    /// Quantum scratch, reused across quanta so the steady state
+    /// allocates nothing.
     batch: EventBatch,
     responses: Vec<LlcResponse>,
 }
@@ -250,7 +195,6 @@ impl<S: LlcScheme> MultiCoreSim<S> {
             runners: (0..cores).map(|_| None).collect(),
             last_reconfig: 0,
             capture: None,
-            exec: ExecMode::default(),
             obs: None,
             batch: EventBatch::with_capacity(QUANTUM_EVENTS),
             responses: Vec::with_capacity(QUANTUM_EVENTS),
@@ -261,7 +205,6 @@ impl<S: LlcScheme> MultiCoreSim<S> {
     /// file if one is configured. Errors only on capture-file creation.
     pub fn with_config(config: SimConfig, scheme: S) -> Result<Self, TraceError> {
         let mut sim = Self::new(config.system, scheme);
-        sim.exec = config.exec;
         if let Some(obs) = &config.obs {
             let every = obs.sample_every.max(1);
             sim.obs = Some(TimelineProbe {
@@ -321,16 +264,6 @@ impl<S: LlcScheme> MultiCoreSim<S> {
             counted: None,
             active: true,
         });
-    }
-
-    /// Selects the event delivery path for subsequent `run` calls.
-    pub fn set_exec_mode(&mut self, exec: ExecMode) {
-        self.exec = exec;
-    }
-
-    /// The current event delivery path.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec
     }
 
     /// Immutable access to the scheme (for occupancy maps etc.).
@@ -490,19 +423,12 @@ impl<S: LlcScheme> MultiCoreSim<S> {
             .unwrap_or_default()
     }
 
+    /// Runs one quantum of core `core_idx`: the workload fills a
+    /// quantum-sized [`EventBatch`] (teed to the capture in pull order),
+    /// the scheme serves it under the per-event clock protocol of
+    /// [`BatchClock`], and the stats fold below repeats the identical f64
+    /// sequence per event.
     fn step_core(&mut self, core_idx: usize, target: u64) {
-        match self.exec {
-            ExecMode::PerEvent => self.step_core_events(core_idx, target),
-            ExecMode::Batched => self.step_core_batched(core_idx, target),
-        }
-    }
-
-    /// One quantum through the batched path. Bit-identical to
-    /// [`step_core_events`](Self::step_core_events): the batch is filled in
-    /// pull order (capture sees the same stream), the scheme replays the
-    /// per-event clock protocol via [`BatchClock`], and the stats fold
-    /// below repeats the identical f64 sequence per event.
-    fn step_core_batched(&mut self, core_idx: usize, target: u64) {
         let core = CoreId(core_idx as u16);
         let (base_cpi, mlp) = (self.uncore.config().base_cpi, self.uncore.config().mlp);
         let mut batch = std::mem::take(&mut self.batch);
@@ -545,6 +471,7 @@ impl<S: LlcScheme> MultiCoreSim<S> {
                 LlcOutcome::Miss => runner.stats.llc_misses += 1,
                 LlcOutcome::Bypass => {
                     runner.stats.llc_bypasses += 1;
+                    // A bypass never performed an LLC access.
                     runner.stats.llc_accesses -= 1;
                 }
             }
@@ -558,7 +485,7 @@ impl<S: LlcScheme> MultiCoreSim<S> {
             clock.cycles.to_bits(),
             "stats fold must replay the batch clock exactly"
         );
-        // A short fill is the batched form of `next_event() == None`.
+        // A short fill means the workload has finished.
         if n < QUANTUM_EVENTS {
             runner.active = false;
             if runner.counted.is_none() {
@@ -568,56 +495,6 @@ impl<S: LlcScheme> MultiCoreSim<S> {
 
         self.batch = batch;
         self.responses = responses;
-    }
-
-    fn step_core_events(&mut self, core_idx: usize, target: u64) {
-        let core = CoreId(core_idx as u16);
-        let (base_cpi, mlp) = (self.uncore.config().base_cpi, self.uncore.config().mlp);
-        for _ in 0..QUANTUM_EVENTS {
-            let runner = self.runners[core_idx].as_mut().expect("runner exists");
-            let Some(ev) = runner.trace.next_event() else {
-                runner.active = false;
-                if runner.counted.is_none() {
-                    runner.counted = Some(runner.stats.delta(&runner.baseline));
-                }
-                return;
-            };
-            if let Some(cap) = &mut self.capture {
-                cap.record(core_idx, &ev);
-            }
-            let runner = self.runners[core_idx].as_mut().expect("runner exists");
-            runner.stats.instructions += ev.gap_instrs as u64;
-            runner.stats.cycles += ev.gap_instrs as f64 * base_cpi;
-            self.uncore.interval_instructions[core_idx] += ev.gap_instrs as u64;
-            // The event stream is L2-filtered: go straight to the scheme.
-            let ctx = AccessContext {
-                core,
-                line: ev.line,
-                is_write: ev.is_write,
-            };
-            // Time for memory queueing: the requesting core's local clock.
-            let runner_cycles = runner.stats.cycles as u64;
-            self.uncore.now = self.uncore.now.max(runner_cycles);
-            let resp = self.scheme.access(ctx, &mut self.uncore);
-            let runner = self.runners[core_idx].as_mut().expect("runner exists");
-            let stall = resp.latency / mlp;
-            runner.stats.cycles += stall;
-            runner.stats.stall_cycles += stall;
-            runner.stats.llc_accesses += 1;
-            match resp.outcome {
-                LlcOutcome::Hit => runner.stats.llc_hits += 1,
-                LlcOutcome::Miss => runner.stats.llc_misses += 1,
-                LlcOutcome::Bypass => {
-                    runner.stats.llc_bypasses += 1;
-                    // A bypass never performed an LLC access.
-                    runner.stats.llc_accesses -= 1;
-                }
-            }
-            let measured = runner.stats.instructions - runner.baseline.instructions;
-            if runner.counted.is_none() && measured >= target {
-                runner.counted = Some(runner.stats.delta(&runner.baseline));
-            }
-        }
     }
 
     fn maybe_reconfigure(&mut self) {
@@ -655,7 +532,7 @@ impl<S: LlcScheme> MultiCoreSim<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{LlcResponse, PoolDescriptor, TraceEvent};
+    use crate::scheme::{AccessContext, LlcResponse, PoolDescriptor, TraceEvent};
     use wp_mem::LineAddr;
 
     /// A trivial scheme: everything hits in the core's nearest bank.

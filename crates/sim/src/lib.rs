@@ -31,7 +31,7 @@ mod stats;
 mod uncore;
 
 pub use config::SystemConfig;
-pub use driver::{CoreRunner, ExecMode, MultiCoreSim, RunSummary, SimConfig};
+pub use driver::{CoreRunner, MultiCoreSim, RunSummary, SimConfig};
 pub use energy::{EnergyBreakdown, EnergyMeter, EnergyParams};
 pub use hierarchy::{PrivateHierarchy, PrivateLookup};
 pub use memory::MemoryChannels;

@@ -14,43 +14,20 @@ use wp_trace::{BatchReader, EventBatch, PrefetchBatches};
 
 use crate::scheme::{PoolDescriptor, TraceEvent, Workload, WorkloadBundle};
 
-/// The batched decode source behind [`TraceWorkload::fill_batch`].
-enum BatchSource {
-    /// Decode chunks inline, on the simulating thread.
-    Direct(BatchReader),
-    /// Decode chunk N+1 on a lookahead thread while N simulates.
-    Prefetch(PrefetchBatches),
-}
-
-impl BatchSource {
-    fn next_chunk(&mut self, batch: &mut EventBatch) -> Result<Option<u16>, wp_trace::TraceError> {
-        match self {
-            BatchSource::Direct(r) => r.next_chunk(batch),
-            BatchSource::Prefetch(p) => p.next_chunk(batch),
-        }
-    }
-}
-
 /// A [`Workload`] that streams one stream of a `.wpt` trace file.
 ///
-/// Under the per-event interface, reading is streaming (one chunk in
-/// memory) through [`wp_trace::TraceReader`]. Under the batched interface
-/// ([`Workload::fill_batch`], the default [`ExecMode`](crate::ExecMode)),
-/// chunks decode zero-copy out of an mmapped image — by default on a
-/// lookahead thread, so decode overlaps simulation; set `WP_PREFETCH=0`
-/// to decode inline. Both interfaces yield the identical event sequence;
-/// a run uses one or the other, never a mix.
+/// Chunks decode zero-copy out of an mmapped image on a lookahead thread
+/// ([`PrefetchBatches`], following only this stream), so decode overlaps
+/// simulation. [`Workload::fill_batch`] copies quantum-sized slices of
+/// the current chunk; [`Workload::next_event`] serves single events from
+/// the same cursor.
 ///
 /// The workload ends when the stream does. I/O or corruption mid-replay
 /// panics with the underlying [`TraceError`](wp_trace::TraceError) — a
 /// half-replayed trace would otherwise masquerade as a short but valid
-/// run. Use [`wp_trace::TraceReader`] directly for fallible consumption.
+/// run. Use [`wp_trace::BatchReader`] directly for fallible consumption.
 pub struct TraceWorkload {
-    reader: wp_trace::TraceReader<std::io::BufReader<std::fs::File>>,
-    /// Lazily opened on first `fill_batch`, so per-event runs never pay
-    /// for a mapping (and batched runs never pay for `reader` beyond the
-    /// header validation it performed at open).
-    batched: Option<BatchSource>,
+    prefetch: PrefetchBatches,
     /// The current decoded chunk of our stream, and the read cursor into it.
     chunk: EventBatch,
     chunk_pos: usize,
@@ -77,8 +54,7 @@ impl TraceWorkload {
     /// capture).
     pub fn open_stream(path: &Path, stream: u16) -> Result<Self, wp_trace::TraceError> {
         Ok(Self {
-            reader: wp_trace::TraceReader::open(path)?,
-            batched: None,
+            prefetch: PrefetchBatches::start(BatchReader::open_stream(path, stream)?)?,
             chunk: EventBatch::new(),
             chunk_pos: 0,
             stream,
@@ -86,73 +62,42 @@ impl TraceWorkload {
         })
     }
 
-    /// Decodes chunks until the next one belonging to our stream sits in
-    /// `self.chunk`; false at end of trace.
+    /// Makes the cursor point at an unread event, decoding the next chunk
+    /// when the current one is used up; false at end of stream.
     ///
-    /// Counted as [`wp_obs::Phase::Decode`] time — under prefetch this is
-    /// the *wait* for the decode thread, which is exactly the share of
-    /// decode cost the simulating thread could not hide.
+    /// Counted as [`wp_obs::Phase::Decode`] time — this is the *wait* for
+    /// the decode thread, which is exactly the share of decode cost the
+    /// simulating thread could not hide.
     fn refill(&mut self) -> bool {
+        if self.chunk_pos < self.chunk.len() {
+            return true;
+        }
         let _span = wp_obs::span(wp_obs::Phase::Decode);
-        let batched = match &mut self.batched {
-            Some(b) => b,
-            None => {
-                let prefetch = !matches!(
-                    std::env::var("WP_PREFETCH").as_deref(),
-                    Ok("0") | Ok("off") | Ok("false")
-                );
-                let source = if prefetch {
-                    PrefetchBatches::open_stream(&self.path, self.stream).map(BatchSource::Prefetch)
-                } else {
-                    BatchReader::open_stream(&self.path, self.stream).map(BatchSource::Direct)
-                };
-                match source {
-                    Ok(s) => self.batched.insert(s),
-                    Err(e) => panic!("replay of {} failed: {e}", self.path.display()),
-                }
-            }
-        };
-        loop {
-            match batched.next_chunk(&mut self.chunk) {
-                Ok(Some(sid)) if sid == self.stream => {
-                    self.chunk_pos = 0;
-                    return true;
-                }
-                Ok(Some(_)) => continue, // another core's stream
-                Ok(None) => {
-                    self.chunk_pos = self.chunk.len();
-                    return false;
-                }
-                Err(e) => panic!("replay of {} failed: {e}", self.path.display()),
-            }
+        self.chunk_pos = 0;
+        match self.prefetch.next_chunk(&mut self.chunk) {
+            Ok(sid) => sid.is_some(),
+            Err(e) => panic!("replay of {} failed: {e}", self.path.display()),
         }
     }
 }
 
 impl Workload for TraceWorkload {
     fn next_event(&mut self) -> Option<TraceEvent> {
-        loop {
-            match self.reader.next_record() {
-                Ok(Some((sid, rec))) if sid == self.stream => {
-                    return Some(TraceEvent {
-                        gap_instrs: rec.gap_instrs,
-                        line: rec.line,
-                        is_write: rec.is_write,
-                    })
-                }
-                Ok(Some(_)) => continue, // another core's stream
-                Ok(None) => return None,
-                Err(e) => panic!("replay of {} failed: {e}", self.path.display()),
-            }
+        if !self.refill() {
+            return None;
         }
+        let i = self.chunk_pos;
+        self.chunk_pos += 1;
+        Some(TraceEvent {
+            gap_instrs: self.chunk.gaps[i],
+            line: self.chunk.lines[i],
+            is_write: self.chunk.writes[i],
+        })
     }
 
     fn fill_batch(&mut self, batch: &mut EventBatch, max: usize) -> usize {
         let mut filled = 0;
-        while filled < max {
-            if self.chunk_pos == self.chunk.len() && !self.refill() {
-                break;
-            }
+        while filled < max && self.refill() {
             let take = (max - filled).min(self.chunk.len() - self.chunk_pos);
             batch.extend_from(&self.chunk, self.chunk_pos, take);
             self.chunk_pos += take;
@@ -195,12 +140,13 @@ pub(crate) fn pool_metas_of(pools: &[PoolDescriptor]) -> Vec<wp_trace::PoolMeta>
 /// Stream definitions precede their chunks, so this usually touches only
 /// the head of the file.
 fn stream_meta(path: &Path, stream: u16) -> Result<wp_trace::StreamMeta, wp_trace::TraceError> {
-    let mut reader = wp_trace::TraceReader::open(path)?;
+    let mut reader = BatchReader::open(path)?;
+    let mut batch = EventBatch::new();
     loop {
         if let Some(meta) = reader.stream(stream) {
             return Ok(meta.clone());
         }
-        if reader.next_record()?.is_none() {
+        if reader.next_chunk(&mut batch)?.is_none() {
             return Err(wp_trace::TraceError::Corrupt(format!(
                 "stream {stream} is not defined in the trace"
             )));

@@ -40,9 +40,8 @@ pub trait Workload: Send {
     ///
     /// The default pulls through `next_event`, so every workload is
     /// batchable; sources with a cheaper bulk path
-    /// ([`TraceWorkload`](crate::TraceWorkload)) override it. A workload
-    /// must be driven through one interface or the other for the whole
-    /// run, not a mix — both consume the same underlying stream.
+    /// ([`TraceWorkload`](crate::TraceWorkload)) override it. The driver
+    /// pulls every quantum through this method.
     fn fill_batch(&mut self, batch: &mut EventBatch, max: usize) -> usize {
         let start = batch.len();
         while batch.len() - start < max {
@@ -118,8 +117,8 @@ pub struct LlcResponse {
 
 /// The per-event clock protocol of a batched quantum.
 ///
-/// The driver's per-event loop advances the core clock and the uncore's
-/// notion of "now" around every scheme access:
+/// Within a quantum, the core clock and the uncore's notion of "now"
+/// advance around every scheme access:
 ///
 /// ```text
 /// cycles += gap · base_cpi;  now = max(now, cycles as u64);   // pre

@@ -15,8 +15,7 @@
 //!
 //! Everything downstream of the schedule is deterministic: the report's
 //! [`ScenarioReport::to_json`] line and the tenant timeline are
-//! bit-identical whatever `WP_JOBS`, the exec mode, or the daemon/CLI
-//! split.
+//! bit-identical whatever `WP_JOBS` or the daemon/CLI split.
 
 use std::collections::HashMap;
 
@@ -25,19 +24,16 @@ use whirlpool_repro::harness::{
 };
 use wp_bench::sweep::{default_jobs, parallel_map, CellWork, SweepSpec};
 use wp_obs::{fmt_f64, quote, TenantEvent, TenantEventKind};
-use wp_sim::ExecMode;
 
 use crate::metrics::{jain_index, slo_violation_fraction, weighted_speedup, MetricError};
 use crate::scenario::{Scenario, SloTarget};
 
 /// Engine knobs. Unset fields fall back to the same environment
-/// defaults the sweep engine uses (`WP_JOBS`, `WP_EXEC`).
+/// default the sweep engine uses (`WP_JOBS`).
 #[derive(Debug, Clone, Default)]
 pub struct ScenarioOpts {
     /// Worker threads for the alone grid and the per-scheme fan-out.
     pub jobs: Option<usize>,
-    /// Event delivery path for every simulation.
-    pub exec: Option<ExecMode>,
     /// Cooperative cancellation, checked between epochs.
     pub cancel: Option<CancelToken>,
 }
@@ -187,9 +183,6 @@ pub fn run_scenario(
     if let Some(j) = opts.jobs {
         spec = spec.jobs(j);
     }
-    if let Some(e) = opts.exec {
-        spec = spec.exec_mode(e);
-    }
     if let Some(c) = &opts.cancel {
         spec = spec.cancel_token(c.clone());
     }
@@ -309,9 +302,6 @@ fn run_one_scheme(
         if scenario.cores == 16 {
             exp = exp.system(sixteen_core_config());
         }
-        if let Some(x) = opts.exec {
-            exp = exp.exec_mode(x);
-        }
         if let Some(c) = &opts.cancel {
             exp = exp.cancel_token(c.clone());
         }
@@ -419,9 +409,8 @@ fn run_one_scheme(
 
 impl ScenarioReport {
     /// One deterministic JSON line for the whole scenario. Excludes
-    /// everything environmental (jobs, exec mode, wall clock), so the
-    /// line is bit-identical across `WP_JOBS`, exec modes, and the
-    /// offline/daemon split — the determinism tests diff it verbatim.
+    /// everything environmental (jobs, wall clock), so the line is
+    /// bit-identical across `WP_JOBS` and the offline/daemon split — the determinism tests diff it verbatim.
     pub fn to_json(&self) -> String {
         let schemes: Vec<String> = self
             .schemes

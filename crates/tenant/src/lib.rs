@@ -17,7 +17,8 @@
 //!    re-trigger classification and allocation, and per-tenant
 //!    instruction/cycle/miss accounting accumulates across epochs. The
 //!    report line and the tenant timeline are bit-identical whatever
-//!    `WP_JOBS`, the exec mode, or the daemon/CLI split.
+//!    `WP_JOBS` or the daemon/CLI split, and pinned by a golden digest
+//!    (`tests/golden/scenario.jsonl`).
 //! 3. **Tenant metrics** ([`metrics`]) — weighted speedup, Jain
 //!    fairness, and the SLO-violation time fraction, all returning
 //!    typed errors (never `NaN`) on degenerate input.

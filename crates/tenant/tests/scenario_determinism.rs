@@ -1,10 +1,9 @@
 //! The scenario engine's determinism contract: the report line and the
-//! tenant timeline are bit-identical whatever `WP_JOBS` or the exec
-//! mode — the same projection contract `SweepResult::cells_json` keeps
-//! for sweeps.
+//! tenant timeline are bit-identical whatever `WP_JOBS` — the same
+//! projection contract `SweepResult::cells_json` keeps for sweeps — and
+//! equal to the golden digest recorded in `tests/golden/`.
 
 use whirlpool_repro::harness::SchemeKind;
-use wp_sim::ExecMode;
 use wp_tenant::{run_scenario, validate_timeline, Scenario, ScenarioOpts};
 
 const WPS: &str = r#"{
@@ -27,11 +26,10 @@ const WPS: &str = r#"{
 
 const KINDS: [SchemeKind; 2] = [SchemeKind::SNucaLru, SchemeKind::Memshare];
 
-fn run(jobs: usize, exec: ExecMode) -> (String, String) {
+fn run(jobs: usize) -> (String, String) {
     let scenario = Scenario::from_json_str(WPS).expect("valid scenario");
     let opts = ScenarioOpts {
         jobs: Some(jobs),
-        exec: Some(exec),
         cancel: None,
     };
     let report = run_scenario(&scenario, &KINDS, &opts).expect("scenario runs");
@@ -39,16 +37,12 @@ fn run(jobs: usize, exec: ExecMode) -> (String, String) {
 }
 
 #[test]
-fn report_and_timeline_are_identical_across_jobs_and_exec_modes() {
-    let (base_json, base_tl) = run(1, ExecMode::PerEvent);
-    for (jobs, exec) in [
-        (4, ExecMode::PerEvent),
-        (1, ExecMode::Batched),
-        (3, ExecMode::Batched),
-    ] {
-        let (j, t) = run(jobs, exec);
-        assert_eq!(base_json, j, "report differs at jobs={jobs} exec={exec:?}");
-        assert_eq!(base_tl, t, "timeline differs at jobs={jobs} exec={exec:?}");
+fn report_and_timeline_are_identical_across_jobs() {
+    let (base_json, base_tl) = run(1);
+    for jobs in [3, 4] {
+        let (j, t) = run(jobs);
+        assert_eq!(base_json, j, "report differs at jobs={jobs}");
+        assert_eq!(base_tl, t, "timeline differs at jobs={jobs}");
     }
     // The report is one line of valid JSON with every scheme present.
     assert!(!base_json.contains('\n'));
@@ -81,7 +75,7 @@ fn report_and_timeline_are_identical_across_jobs_and_exec_modes() {
 /// `WP_BLESS=1 cargo test -p wp-tenant --test scenario_determinism`.
 #[test]
 fn report_and_timeline_match_golden() {
-    let (json, timeline) = run(2, ExecMode::Batched);
+    let (json, timeline) = run(2);
     let out = json + "\n" + &timeline;
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/scenario.jsonl");
     if std::env::var_os("WP_BLESS").is_some() {
@@ -105,7 +99,6 @@ fn fcfs_admission_shows_up_in_the_accounting() {
         &[SchemeKind::SNucaLru],
         &ScenarioOpts {
             jobs: Some(2),
-            exec: None,
             cancel: None,
         },
     )
@@ -132,7 +125,6 @@ fn fcfs_admission_shows_up_in_the_accounting() {
         &[SchemeKind::SNucaLru],
         &ScenarioOpts {
             jobs: Some(1),
-            exec: None,
             cancel: Some(token),
         },
     );

@@ -1,22 +1,23 @@
-//! Column-batched chunk decode: the zero-copy fast path of the reader.
+//! The `.wpt` block parser, and the column-batched views built on it.
 //!
-//! The streaming [`TraceReader`](crate::TraceReader) yields one
-//! [`TraceRecord`](crate::TraceRecord) at a time through a `VecDeque`,
-//! which is the right shape for tools but costs a queue round-trip, a
-//! pool lookup, and a virtual call per event when the simulator replays
-//! millions of them. This module decodes whole chunks at once:
+//! [`BatchReader::next_chunk`] is the only code in the crate that reads
+//! block framing: tags, length varints, CRCs, stream-definition order,
+//! the `End` totals, and the trailing-data check. Everything that reads a
+//! trace runs through it:
 //!
 //! * [`EventBatch`] — a chunk's events as three flat columns
 //!   (gaps/lines/write flags), reused across chunks so steady-state decode
 //!   allocates nothing.
 //! * [`BatchReader`] — walks an in-memory (usually mmapped) `.wpt` image
 //!   block by block, decoding each chunk payload in place into an
-//!   `EventBatch`. Structural validation — CRCs, counts, overflow checks,
-//!   `End`-block totals — is byte-for-byte the same as the streaming
-//!   reader's, because both run on the shared decode in this module.
+//!   `EventBatch`.
 //! * [`PrefetchBatches`] — a `BatchReader` on a worker thread, decoding
 //!   chunk N+1 while the simulator chews on chunk N; batches recycle
 //!   through a bounded channel so the pair holds a fixed set of slabs.
+//!
+//! The record view ([`TraceReader`](crate::TraceReader)) and the
+//! whole-file summary ([`TraceInfo`](crate::TraceInfo)) iterate these
+//! chunks.
 
 use std::path::Path;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -105,7 +106,7 @@ impl EventBatch {
 
 /// Reusable column buffers for the packed→batch transform.
 #[derive(Debug, Default)]
-pub(crate) struct DecodeScratch {
+struct DecodeScratch {
     gaps: Vec<u64>,
     flags: Vec<u64>,
     deltas: Vec<u64>,
@@ -113,7 +114,7 @@ pub(crate) struct DecodeScratch {
 
 /// Parses the stream id off the front of a chunk payload, returning it and
 /// the offset of the rest of the chunk body.
-pub(crate) fn chunk_stream_id(payload: &[u8]) -> Result<(u64, usize), TraceError> {
+fn chunk_stream_id(payload: &[u8]) -> Result<(u64, usize), TraceError> {
     let mut pos = 0;
     let stream = get_varint(payload, &mut pos)?;
     Ok((stream, pos))
@@ -123,10 +124,8 @@ pub(crate) fn chunk_stream_id(payload: &[u8]) -> Result<(u64, usize), TraceError
 /// appending its events and returning the instructions they cover.
 ///
 /// `first_chunk` selects the absolute-base encoding of the stream's first
-/// event. All validation (counts, widths, overflow, trailing bytes)
-/// matches the historical streaming decoder exactly — this *is* the
-/// streaming decoder now, hoisted out so both readers share it.
-pub(crate) fn decode_chunk_body(
+/// event. Validates counts, widths, overflow and trailing bytes.
+fn decode_chunk_body(
     payload: &[u8],
     mut pos: usize,
     first_chunk: bool,
@@ -206,14 +205,14 @@ struct BatchStream {
     skipped: bool,
 }
 
-/// Chunk-at-a-time decoder over an in-memory `.wpt` image.
+/// Chunk-at-a-time decoder over an in-memory `.wpt` image: the crate's
+/// one block parser.
 ///
-/// Equivalent in every observable way to draining a
-/// [`TraceReader`](crate::TraceReader) — same events, same totals
-/// validation, same [`TraceError`]s on the same malformed inputs — but it
-/// hands back whole chunks as column batches and reads payloads directly
-/// out of the (usually mmapped) file image, so there is no per-event or
-/// per-block copy.
+/// It hands back whole chunks as column batches and reads payloads
+/// directly out of the (usually mmapped) file image, so there is no
+/// per-event or per-block copy. All structural problems — bad magic,
+/// checksum mismatches, impossible counts, and files that end before
+/// their `End` block — surface as [`TraceError`]s, never panics.
 #[derive(Debug)]
 pub struct BatchReader {
     data: Arc<TraceData>,
@@ -240,17 +239,18 @@ impl BatchReader {
     /// Wraps an already-loaded trace image, validating the file header.
     pub fn new(data: Arc<TraceData>) -> Result<Self, TraceError> {
         let buf = data.bytes();
-        let Some(head) = buf.get(..8) else {
-            return Err(TraceError::Truncated);
-        };
-        if head[..4] != MAGIC {
+        // Fields are checked in file order, so a short file with a wrong
+        // magic is reported as not a trace rather than as truncated.
+        let head = |range: std::ops::Range<usize>| buf.get(range).ok_or(TraceError::Truncated);
+        if head(0..4)? != MAGIC {
             return Err(TraceError::BadMagic);
         }
-        let version = u16::from_le_bytes([head[4], head[5]]);
+        let version = head(4..6)?;
+        let version = u16::from_le_bytes([version[0], version[1]]);
         if version != VERSION {
             return Err(TraceError::UnsupportedVersion(version));
         }
-        // head[6..8]: flags (reserved).
+        head(6..8)?; // flags (reserved)
         Ok(Self {
             data,
             pos: 8,
@@ -292,11 +292,6 @@ impl BatchReader {
         self.chunks
     }
 
-    /// The shared trace image.
-    pub fn data(&self) -> &Arc<TraceData> {
-        &self.data
-    }
-
     /// Decodes the next chunk into `batch` (cleared first), returning the
     /// stream it belongs to, or `Ok(None)` at a clean end of trace.
     pub fn next_chunk(&mut self, batch: &mut EventBatch) -> Result<Option<u16>, TraceError> {
@@ -305,7 +300,7 @@ impl BatchReader {
             if self.ended {
                 return Ok(None);
             }
-            crate::injected_read_fault()?;
+            injected_read_fault()?;
             // Clone the Arc so `payload` borrows the image, not `self`
             // (check_end and the stream table need `&mut self`).
             let data = Arc::clone(&self.data);
@@ -333,29 +328,25 @@ impl BatchReader {
             self.pos += len as usize;
             // A followed read frame-walks past foreign chunks before the
             // CRC: their payloads are never consumed here, and their
-            // owning stream's reader validates them.
+            // owning stream's reader validates them. A chunk naming an
+            // undefined stream is corrupt whether or not it is followed.
             if tag == TAG_CHUNK {
                 if let Some(f) = self.follow {
                     let (stream, _) = chunk_stream_id(payload)?;
                     if stream != u64::from(f) {
-                        if let Some(state) = self.streams.get_mut(stream as usize) {
-                            state.skipped = true;
-                        }
+                        self.streams
+                            .get_mut(stream as usize)
+                            .ok_or_else(|| undefined_stream(stream))?
+                            .skipped = true;
                         wp_obs::add(wp_obs::Counter::FollowChunksSkipped, 1);
                         continue;
                     }
                 }
             }
-            // The mmapped image is read-only, so `reader-bitflip` here
-            // surfaces the fault's observable result — the CRC error a
-            // flipped payload bit would produce — rather than mutating
-            // the shared page cache under every other reader.
-            if tag == TAG_CHUNK && wp_fault::fire(wp_fault::FaultPoint::ReaderBitflip).is_some() {
-                wp_obs::add(wp_obs::Counter::FaultsInjected, 1);
-                return Err(TraceError::Checksum {
-                    offset: block_offset,
-                });
-            }
+            let flipped = (tag == TAG_CHUNK && !payload.is_empty())
+                .then(|| injected_bitflip(payload, block_offset))
+                .flatten();
+            let payload = flipped.as_deref().unwrap_or(payload);
             if crc32(payload) != expect_crc {
                 return Err(TraceError::Checksum {
                     offset: block_offset,
@@ -381,9 +372,10 @@ impl BatchReader {
                 TAG_CHUNK => {
                     let (stream, body) = chunk_stream_id(payload)?;
                     let first_chunk = {
-                        let state = self.streams.get(stream as usize).ok_or_else(|| {
-                            TraceError::Corrupt(format!("chunk for undefined stream {stream}"))
-                        })?;
+                        let state = self
+                            .streams
+                            .get(stream as usize)
+                            .ok_or_else(|| undefined_stream(stream))?;
                         state.events == 0
                     };
                     let instrs =
@@ -444,6 +436,41 @@ impl BatchReader {
     }
 }
 
+fn undefined_stream(stream: u64) -> TraceError {
+    TraceError::Corrupt(format!("chunk for undefined stream {stream}"))
+}
+
+/// Fault-injection probe, called once per block: surfaces an armed
+/// `reader-io` or `reader-truncate` arm as the typed error the equivalent
+/// disk fault would produce. One relaxed atomic load per point when
+/// nothing is armed.
+fn injected_read_fault() -> Result<(), TraceError> {
+    if wp_fault::fire(wp_fault::FaultPoint::ReaderIo).is_some() {
+        wp_obs::add(wp_obs::Counter::FaultsInjected, 1);
+        return Err(TraceError::Io(std::io::Error::other(
+            "injected trace I/O fault",
+        )));
+    }
+    if wp_fault::fire(wp_fault::FaultPoint::ReaderTruncate).is_some() {
+        wp_obs::add(wp_obs::Counter::FaultsInjected, 1);
+        return Err(TraceError::Truncated);
+    }
+    Ok(())
+}
+
+/// Fault-injection probe for a chunk payload: with `reader-bitflip`
+/// armed, returns a copy of `payload` with one seeded bit flipped, for
+/// the stock CRC check to reject exactly as it would disk rot. The
+/// shared image is never written, and the unarmed path copies nothing.
+fn injected_bitflip(payload: &[u8], block_offset: u64) -> Option<Vec<u8>> {
+    let shot = wp_fault::fire(wp_fault::FaultPoint::ReaderBitflip)?;
+    wp_obs::add(wp_obs::Counter::FaultsInjected, 1);
+    let mut copy = payload.to_vec();
+    let at = (shot.draw(block_offset) % copy.len() as u64) as usize;
+    copy[at] ^= 1 << (shot.draw(at as u64) % 8);
+    Some(copy)
+}
+
 /// How many decoded chunks the prefetch thread may run ahead.
 const PREFETCH_DEPTH: usize = 4;
 
@@ -471,13 +498,6 @@ impl PrefetchBatches {
     /// starts the decode thread.
     pub fn open(path: &Path) -> Result<Self, TraceError> {
         Self::start(BatchReader::open(path)?)
-    }
-
-    /// [`open`](Self::open) with the reader
-    /// [following](BatchReader::follow) one stream, so the decode thread
-    /// never spends time on (or ships) other streams' chunks.
-    pub fn open_stream(path: &Path, stream: u16) -> Result<Self, TraceError> {
-        Self::start(BatchReader::open_stream(path, stream)?)
     }
 
     /// Runs an existing reader on a decode thread.
@@ -598,10 +618,12 @@ impl PrefetchBatches {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::varint::put_varint;
     use crate::writer::TraceWriter;
-    use crate::TraceReader;
 
-    fn encode(events: &[(u32, u64, bool)], chunk: usize) -> Vec<u8> {
+    type Event = (u32, u64, bool);
+
+    fn encode(events: &[Event], chunk: usize) -> Vec<u8> {
         let mut buf = Vec::new();
         let mut w = TraceWriter::new(&mut buf).unwrap().with_chunk_events(chunk);
         let s = w.add_stream("t", &[]).unwrap();
@@ -613,46 +635,70 @@ mod tests {
         buf
     }
 
-    fn drain_batched(buf: Vec<u8>) -> Result<Vec<(u32, u64, bool)>, TraceError> {
-        let mut r = BatchReader::new(Arc::new(TraceData::from_vec(buf)))?;
+    fn reader(buf: Vec<u8>) -> Result<BatchReader, TraceError> {
+        BatchReader::new(Arc::new(TraceData::from_vec(buf)))
+    }
+
+    /// Appends `batch`'s events to `out`.
+    fn collect(batch: &EventBatch, out: &mut Vec<Event>) {
+        for i in 0..batch.len() {
+            out.push((batch.gaps[i], batch.lines[i].0, batch.writes[i]));
+        }
+    }
+
+    /// Every event of `buf`, optionally following one stream.
+    fn drain(buf: Vec<u8>, follow: Option<u16>) -> Result<Vec<Event>, TraceError> {
+        let mut r = reader(buf)?;
+        if let Some(f) = follow {
+            r = r.follow(f);
+        }
         let mut batch = EventBatch::new();
         let mut out = Vec::new();
-        while r.next_chunk(&mut batch)?.is_some() {
-            for i in 0..batch.len() {
-                out.push((batch.gaps[i], batch.lines[i].0, batch.writes[i]));
-            }
+        while let Some(sid) = r.next_chunk(&mut batch)? {
+            assert!(
+                follow.is_none_or(|f| f == sid),
+                "followed read yielded {sid}"
+            );
+            collect(&batch, &mut out);
         }
         Ok(out)
     }
 
-    fn drain_streaming(buf: &[u8]) -> Result<Vec<(u32, u64, bool)>, TraceError> {
-        let mut r = TraceReader::new(buf)?;
-        let mut out = Vec::new();
-        while let Some((_, rec)) = r.next_record()? {
-            out.push((rec.gap_instrs, rec.line.0, rec.is_write));
+    /// Every event of `buf` through the prefetch thread.
+    fn drain_prefetched(buf: Vec<u8>, follow: Option<u16>) -> Result<Vec<Event>, TraceError> {
+        let mut r = reader(buf)?;
+        if let Some(f) = follow {
+            r = r.follow(f);
         }
+        let mut p = PrefetchBatches::start(r)?;
+        let mut batch = EventBatch::new();
+        let mut out = Vec::new();
+        while p.next_chunk(&mut batch)?.is_some() {
+            collect(&batch, &mut out);
+        }
+        // Draining past the end stays a clean None.
+        assert!(p.next_chunk(&mut batch)?.is_none());
         Ok(out)
     }
 
     #[test]
-    fn batched_matches_streaming_across_chunk_sizes() {
-        let events: Vec<(u32, u64, bool)> = (0..1000u64)
+    fn chunks_round_trip_across_chunk_sizes() {
+        let events: Vec<Event> = (0..1000u64)
             .map(|i| ((i % 13) as u32, 4000 + (i * 97) % 512, i % 4 == 0))
             .collect();
         for chunk in [1, 3, 7, 100, 4096] {
-            let buf = encode(&events, chunk);
-            let streaming = drain_streaming(&buf).unwrap();
-            let batched = drain_batched(buf).unwrap();
-            assert_eq!(batched, streaming, "chunk size {chunk}");
-            assert_eq!(batched, events);
+            assert_eq!(
+                drain(encode(&events, chunk), None).unwrap(),
+                events,
+                "chunk size {chunk}"
+            );
         }
     }
 
     #[test]
     fn batch_slabs_are_reused() {
-        let events: Vec<(u32, u64, bool)> = (0..4096u64).map(|i| (1, i, false)).collect();
-        let buf = encode(&events, 256);
-        let mut r = BatchReader::new(Arc::new(TraceData::from_vec(buf))).unwrap();
+        let events: Vec<Event> = (0..4096u64).map(|i| (1, i, false)).collect();
+        let mut r = reader(encode(&events, 256)).unwrap();
         let mut batch = EventBatch::new();
         r.next_chunk(&mut batch).unwrap();
         let cap = batch.gaps.capacity();
@@ -663,105 +709,52 @@ mod tests {
     }
 
     #[test]
-    fn truncation_is_an_error_in_both_readers() {
-        let events: Vec<(u32, u64, bool)> = (0..100).map(|i| (2, 50 + i, false)).collect();
+    fn truncation_is_an_error() {
+        let events: Vec<Event> = (0..100).map(|i| (2, 50 + i, false)).collect();
         let buf = encode(&events, 16);
         for cut in [buf.len() - 1, buf.len() - 5, buf.len() / 2] {
-            let cut_buf = buf[..cut].to_vec();
-            let streaming = drain_streaming(&cut_buf);
-            let batched = drain_batched(cut_buf);
-            assert!(batched.is_err(), "cut at {cut}");
-            assert_eq!(
-                format!("{}", batched.unwrap_err()),
-                format!("{}", streaming.unwrap_err()),
-                "cut at {cut}"
+            let got = drain(buf[..cut].to_vec(), None);
+            assert!(
+                matches!(got, Err(TraceError::Truncated)),
+                "cut at {cut}: {got:?}"
             );
         }
     }
 
     #[test]
-    fn bit_flips_error_identically() {
-        let events: Vec<(u32, u64, bool)> = (0..200).map(|i| (3, 9 * i, i % 2 == 0)).collect();
+    fn bit_flips_are_caught_or_harmless() {
+        let events: Vec<Event> = (0..200).map(|i| (3, 9 * i, i % 2 == 0)).collect();
         let buf = encode(&events, 32);
         for at in (8..buf.len()).step_by(11) {
             let mut bad = buf.clone();
             bad[at] ^= 0x10;
-            let streaming = drain_streaming(&bad);
-            let batched = drain_batched(bad);
-            match (streaming, batched) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b, "flip at {at}"),
-                (Err(a), Err(b)) => {
-                    assert_eq!(format!("{a}"), format!("{b}"), "flip at {at}")
-                }
-                (a, b) => panic!("flip at {at}: streaming {a:?} vs batched {b:?}"),
+            if let Ok(got) = drain(bad, None) {
+                assert_eq!(got, events, "flip at {at} decoded differently");
             }
         }
     }
 
     #[test]
-    fn prefetch_matches_direct() {
-        let events: Vec<(u32, u64, bool)> = (0..5000u64)
+    fn prefetch_round_trips() {
+        let events: Vec<Event> = (0..5000u64)
             .map(|i| ((i % 5) as u32, i * 3 % 701, i % 7 == 0))
             .collect();
-        let buf = encode(&events, 64);
-        let direct = drain_batched(buf.clone()).unwrap();
-        let mut p =
-            PrefetchBatches::start(BatchReader::new(Arc::new(TraceData::from_vec(buf))).unwrap())
-                .unwrap();
-        let mut batch = EventBatch::new();
-        let mut out = Vec::new();
-        while p.next_chunk(&mut batch).unwrap().is_some() {
-            for i in 0..batch.len() {
-                out.push((batch.gaps[i], batch.lines[i].0, batch.writes[i]));
-            }
-        }
-        assert_eq!(out, direct);
-        // Draining past the end stays a clean None.
-        assert!(p.next_chunk(&mut batch).unwrap().is_none());
+        assert_eq!(drain_prefetched(encode(&events, 64), None).unwrap(), events);
     }
 
     #[test]
     fn prefetch_surfaces_errors() {
-        let events: Vec<(u32, u64, bool)> = (0..100).map(|i| (1, i, false)).collect();
+        let events: Vec<Event> = (0..100).map(|i| (1, i, false)).collect();
         let mut buf = encode(&events, 16);
         buf.truncate(buf.len() - 3);
-        let mut p =
-            PrefetchBatches::start(BatchReader::new(Arc::new(TraceData::from_vec(buf))).unwrap())
-                .unwrap();
-        let mut batch = EventBatch::new();
-        let r = loop {
-            match p.next_chunk(&mut batch) {
-                Ok(Some(_)) => continue,
-                other => break other,
-            }
-        };
-        assert!(matches!(r, Err(TraceError::Truncated)));
+        assert!(matches!(
+            drain_prefetched(buf, None),
+            Err(TraceError::Truncated)
+        ));
     }
 
-    #[test]
-    fn multi_stream_chunks_tagged_by_stream() {
-        let mut buf = Vec::new();
-        let mut w = TraceWriter::new(&mut buf).unwrap().with_chunk_events(4);
-        let a = w.add_stream("a", &[]).unwrap();
-        let b = w.add_stream("b", &[]).unwrap();
-        for i in 0..16u64 {
-            w.record(a, 10, LineAddr(i), false).unwrap();
-            w.record(b, 20, LineAddr(1000 + i), true).unwrap();
-        }
-        w.finish().unwrap();
-        drop(w);
-        let mut r = BatchReader::new(Arc::new(TraceData::from_vec(buf))).unwrap();
-        let mut batch = EventBatch::new();
-        let mut per_stream = [0usize; 2];
-        while let Some(sid) = r.next_chunk(&mut batch).unwrap() {
-            per_stream[usize::from(sid)] += batch.len();
-            let expect_gap = if sid == a { 10 } else { 20 };
-            assert!(batch.gaps.iter().all(|&g| g == expect_gap));
-        }
-        assert_eq!(per_stream, [16, 16]);
-        assert_eq!(r.streams().count(), 2);
-    }
-
+    /// Two streams, 8-event chunks: `a` = `(10, i, false)`, `b` =
+    /// `(20, 1000 + 2i, true)` for `i` in `0..64`.
     fn two_stream_trace() -> Vec<u8> {
         let mut buf = Vec::new();
         let mut w = TraceWriter::new(&mut buf).unwrap().with_chunk_events(8);
@@ -776,138 +769,130 @@ mod tests {
         buf
     }
 
-    #[test]
-    fn followed_read_yields_one_stream_and_passes_end_check() {
-        let buf = two_stream_trace();
-        // Reference: drain unfiltered, keep stream 1's events.
-        let mut r = BatchReader::new(Arc::new(TraceData::from_vec(buf.clone()))).unwrap();
-        let mut batch = EventBatch::new();
-        let mut want = Vec::new();
-        while let Some(sid) = r.next_chunk(&mut batch).unwrap() {
-            if sid == 1 {
-                for i in 0..batch.len() {
-                    want.push((batch.gaps[i], batch.lines[i].0, batch.writes[i]));
-                }
-            }
-        }
-        // Followed: stream 0's chunks are skipped undecoded, the end
-        // check (with stream 0's instr total unverifiable) still passes.
-        let mut r = BatchReader::new(Arc::new(TraceData::from_vec(buf)))
-            .unwrap()
-            .follow(1);
-        let mut got = Vec::new();
-        while let Some(sid) = r.next_chunk(&mut batch).unwrap() {
-            assert_eq!(sid, 1, "followed read must only yield stream 1");
-            for i in 0..batch.len() {
-                got.push((batch.gaps[i], batch.lines[i].0, batch.writes[i]));
-            }
-        }
-        assert_eq!(got, want);
-        assert!(!want.is_empty());
+    fn two_stream_events(stream: u16) -> Vec<Event> {
+        (0..64u64)
+            .map(|i| match stream {
+                0 => (10, i, false),
+                _ => (20, 1000 + i * 2, true),
+            })
+            .collect()
     }
 
-    /// `(stream, payload byte range)` of every chunk block in `buf`, by
+    #[test]
+    fn multi_stream_chunks_tagged_by_stream() {
+        let mut r = reader(two_stream_trace()).unwrap();
+        let mut batch = EventBatch::new();
+        let mut per_stream = [Vec::new(), Vec::new()];
+        while let Some(sid) = r.next_chunk(&mut batch).unwrap() {
+            collect(&batch, &mut per_stream[usize::from(sid)]);
+        }
+        assert_eq!(per_stream, [two_stream_events(0), two_stream_events(1)]);
+        assert_eq!(r.streams().count(), 2);
+    }
+
+    #[test]
+    fn followed_read_yields_one_stream_and_passes_end_check() {
+        // The other stream's chunks are skipped undecoded; the end check
+        // (with their totals unverifiable) still passes.
+        for stream in [0, 1] {
+            let want = two_stream_events(stream);
+            assert_eq!(drain(two_stream_trace(), Some(stream)).unwrap(), want);
+            assert_eq!(
+                drain_prefetched(two_stream_trace(), Some(stream)).unwrap(),
+                want
+            );
+        }
+    }
+
+    /// `(tag, block start, payload range)` of every block in `buf`, by
     /// walking the block framing by hand.
-    fn chunk_spans(buf: &[u8]) -> Vec<(u64, std::ops::Range<usize>)> {
-        let mut spans = Vec::new();
+    fn blocks(buf: &[u8]) -> Vec<(u8, usize, std::ops::Range<usize>)> {
+        let mut out = Vec::new();
         let mut pos = 8;
         while pos < buf.len() {
+            let start = pos;
             let tag = buf[pos];
             pos += 1;
             let len = get_varint(buf, &mut pos).unwrap() as usize;
             pos += 4; // crc
-            if tag == crate::TAG_CHUNK {
-                let mut p = pos;
-                let stream = get_varint(buf, &mut p).unwrap();
-                spans.push((stream, p..pos + len));
-            }
+            out.push((tag, start, pos..pos + len));
             pos += len;
-            if tag == crate::TAG_END {
-                break;
-            }
         }
-        spans
+        out
+    }
+
+    /// Payload range of the first chunk of `stream`.
+    fn chunk_payload(buf: &[u8], stream: u64) -> std::ops::Range<usize> {
+        blocks(buf)
+            .into_iter()
+            .find(|(tag, _, payload)| {
+                let mut p = payload.start;
+                *tag == TAG_CHUNK && get_varint(buf, &mut p).unwrap() == stream
+            })
+            .unwrap()
+            .2
     }
 
     #[test]
     fn followed_read_validates_own_chunks_and_walks_past_foreign_ones() {
         let buf = two_stream_trace();
-        let spans = chunk_spans(&buf);
-        let clean = {
-            let mut r = BatchReader::new(Arc::new(TraceData::from_vec(buf.clone())))
-                .unwrap()
-                .follow(1);
-            let mut batch = EventBatch::new();
-            let mut out = Vec::new();
-            while r.next_chunk(&mut batch).unwrap().is_some() {
-                out.extend(batch.lines.iter().map(|l| l.0));
-            }
-            out
-        };
-        let drain = |data: Vec<u8>| {
-            let mut r = BatchReader::new(Arc::new(TraceData::from_vec(data)))
-                .unwrap()
-                .follow(1);
-            let mut batch = EventBatch::new();
-            let mut out = Vec::new();
-            loop {
-                match r.next_chunk(&mut batch) {
-                    Ok(Some(_)) => out.extend(batch.lines.iter().map(|l| l.0)),
-                    Ok(None) => return Ok(out),
-                    Err(e) => return Err(e),
-                }
-            }
-        };
         // A flip inside a *followed* chunk body is a checksum error.
-        let (_, own) = spans.iter().find(|(s, _)| *s == 1).unwrap().clone();
+        let own = chunk_payload(&buf, 1);
         let mut bad = buf.clone();
         bad[own.start + own.len() / 2] ^= 0x04;
-        assert!(matches!(drain(bad), Err(TraceError::Checksum { .. })));
+        assert!(matches!(
+            drain(bad, Some(1)),
+            Err(TraceError::Checksum { .. })
+        ));
         // A flip inside a *foreign* chunk body never reaches this reader:
         // the frame walk steps over it and the followed stream decodes
         // unchanged (stream 0's reader is the one that validates it).
-        let (_, foreign) = spans.iter().find(|(s, _)| *s == 0).unwrap().clone();
+        let foreign = chunk_payload(&buf, 0);
         let mut bad = buf.clone();
         bad[foreign.start + foreign.len() / 2] ^= 0x04;
-        assert_eq!(drain(bad).unwrap(), clean);
+        assert_eq!(drain(bad, Some(1)).unwrap(), two_stream_events(1));
     }
 
     #[test]
-    fn prefetch_follow_matches_direct_follow() {
+    fn chunk_for_undefined_stream_is_corrupt_in_followed_reads_too() {
+        // A well-framed chunk (valid CRC) naming stream 5 of a 2-stream
+        // file, spliced in before the first real chunk.
         let buf = two_stream_trace();
-        let mut direct = BatchReader::new(Arc::new(TraceData::from_vec(buf.clone())))
-            .unwrap()
-            .follow(0);
-        let mut batch = EventBatch::new();
-        let mut want = Vec::new();
-        while direct.next_chunk(&mut batch).unwrap().is_some() {
-            for i in 0..batch.len() {
-                want.push((batch.gaps[i], batch.lines[i].0, batch.writes[i]));
-            }
+        let mut payload = Vec::new();
+        put_varint(&mut payload, 5);
+        payload.extend_from_slice(&[1, 0, 0, 0, 0, 0, 0]);
+        let mut block = vec![TAG_CHUNK];
+        put_varint(&mut block, payload.len() as u64);
+        block.extend_from_slice(&crc32(&payload).to_le_bytes());
+        block.extend_from_slice(&payload);
+        let (_, at, _) = blocks(&buf)
+            .into_iter()
+            .find(|(tag, _, _)| *tag == TAG_CHUNK)
+            .unwrap();
+        let bad = [&buf[..at], &block, &buf[at..]].concat();
+        for follow in [None, Some(0), Some(1)] {
+            let err = drain(bad.clone(), follow).expect_err("undefined stream must be rejected");
+            assert_eq!(
+                err.to_string(),
+                "corrupt trace: chunk for undefined stream 5",
+                "follow {follow:?}"
+            );
         }
-        let reader = BatchReader::new(Arc::new(TraceData::from_vec(buf)))
-            .unwrap()
-            .follow(0);
-        let mut p = PrefetchBatches::start(reader).unwrap();
-        let mut got = Vec::new();
-        while p.next_chunk(&mut batch).unwrap().is_some() {
-            for i in 0..batch.len() {
-                got.push((batch.gaps[i], batch.lines[i].0, batch.writes[i]));
-            }
-        }
-        assert_eq!(got, want);
     }
 
     #[test]
     fn open_validates_header() {
         assert!(matches!(
-            BatchReader::new(Arc::new(TraceData::from_vec(
-                b"NOPE\x01\x00\x00\x00".to_vec()
-            ))),
+            reader(b"NOPE\x01\x00\x00\x00".to_vec()),
             Err(TraceError::BadMagic)
         ));
         assert!(matches!(
-            BatchReader::new(Arc::new(TraceData::from_vec(vec![b'W']))),
+            reader(b"NOPE".to_vec()),
+            Err(TraceError::BadMagic)
+        ));
+        assert!(matches!(reader(vec![b'W']), Err(TraceError::Truncated)));
+        assert!(matches!(
+            reader(b"WPT1\x01\x00".to_vec()),
             Err(TraceError::Truncated)
         ));
     }

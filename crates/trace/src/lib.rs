@@ -27,18 +27,26 @@
 //! per address; the uniform-random pools of `delaunay` cost ≈23 bits per
 //! event against 96 for a naive `u64` address + `u32` gap record (>4×).
 //!
-//! Readers and writers are streaming: memory use is one chunk per stream,
-//! never the whole trace. Malformed input (truncation, bit flips, garbage)
-//! surfaces as [`TraceError`] — never a panic.
+//! Writers are streaming: memory use is one chunk per stream, never the
+//! whole trace. Malformed input (truncation, bit flips, garbage) surfaces
+//! as [`TraceError`] — never a panic.
 //!
-//! # Two read paths
+//! # One parser, two views
 //!
-//! [`TraceReader`] is the streaming, record-at-a-time decoder every tool
-//! uses. [`BatchReader`] decodes the same format chunk-at-a-time into flat
-//! [`EventBatch`] columns straight out of an mmapped file image
-//! ([`TraceData`]), optionally on a lookahead thread ([`PrefetchBatches`])
-//! — the simulator's hot replay path. Both run the identical shared chunk
-//! decoder, so they accept and reject exactly the same inputs.
+//! [`BatchReader::next_chunk`] is the only block parser: it reads the
+//! framing, checks every CRC, stream-definition order and the `End`
+//! totals, and decodes whole chunks into flat [`EventBatch`] columns
+//! straight out of an mmapped file image ([`TraceData`]). Two views sit
+//! on top of it:
+//!
+//! * the **record view**, [`TraceReader`] — one pool-tagged
+//!   [`TraceRecord`] at a time, for tools such as `trace_tool dump`;
+//! * the **prefetching view**, [`PrefetchBatches`] — the same chunks
+//!   decoded on a lookahead thread, the simulator's replay path.
+//!
+//! [`TraceInfo::scan`] summarizes a file by walking its chunks. Because
+//! every consumer runs the same parser, they all accept and reject
+//! exactly the same inputs.
 //
 // `unsafe` is denied rather than forbidden: the single exception is the
 // FFI mmap in `mmap.rs`, which carries its own scoped `allow`.
@@ -136,22 +144,4 @@ impl From<std::io::Error> for TraceError {
             TraceError::Io(e)
         }
     }
-}
-
-/// Fault-injection probe shared by both read paths, called once per
-/// block: surfaces an armed `reader-io` or `reader-truncate` arm as the
-/// typed error the equivalent disk fault would produce. One relaxed
-/// atomic load per point when nothing is armed.
-pub(crate) fn injected_read_fault() -> Result<(), TraceError> {
-    if wp_fault::fire(wp_fault::FaultPoint::ReaderIo).is_some() {
-        wp_obs::add(wp_obs::Counter::FaultsInjected, 1);
-        return Err(TraceError::Io(std::io::Error::other(
-            "injected trace I/O fault",
-        )));
-    }
-    if wp_fault::fire(wp_fault::FaultPoint::ReaderTruncate).is_some() {
-        wp_obs::add(wp_obs::Counter::FaultsInjected, 1);
-        return Err(TraceError::Truncated);
-    }
-    Ok(())
 }

@@ -1,274 +1,93 @@
-//! Streaming `.wpt` decoder and whole-file summarization.
+//! The record view of a trace, and whole-file summarization. Both walk
+//! [`BatchReader`] chunks; neither reads block framing itself.
 
-use std::collections::VecDeque;
-use std::io::Read;
 use std::path::Path;
+use std::sync::Arc;
 
-use crate::batch::{chunk_stream_id, decode_chunk_body, DecodeScratch, EventBatch};
-use crate::crc::crc32;
+use crate::batch::{BatchReader, EventBatch};
 use crate::meta::{PoolLookup, StreamMeta, TraceRecord};
-use crate::varint::get_varint;
-use crate::{TraceError, MAGIC, MAX_BLOCK_BYTES, TAG_CHUNK, TAG_END, TAG_STREAM_DEF, VERSION};
+use crate::mmap::TraceData;
+use crate::TraceError;
 
-#[derive(Debug)]
-struct StreamState {
-    meta: StreamMeta,
-    lookup: PoolLookup,
-    events: u64,
-    instrs: u64,
-}
-
-/// Streaming decoder for `.wpt` traces.
+/// Record-at-a-time view of a `.wpt` trace.
 ///
 /// Yields `(stream id, record)` pairs in file order via
-/// [`next_record`](TraceReader::next_record), holding at most one decoded
-/// chunk in memory. Stream definitions are discovered as they are encountered;
-/// because writers emit every definition before the stream's first chunk,
-/// [`streams`](TraceReader::streams) is complete by the time the first
+/// [`next_record`](TraceReader::next_record), each tagged with its pool
+/// index from the stream's pool table. It holds one decoded chunk of a
+/// [`BatchReader`], so it accepts and rejects exactly the inputs the
+/// chunk view does. Stream definitions precede each stream's first chunk,
+/// so [`streams`](TraceReader::streams) is complete by the time the first
 /// event of each stream is returned.
-///
-/// All structural problems — bad magic, checksum mismatches, impossible
-/// counts, and files that end before their `End` block — surface as
-/// [`TraceError`]s, never panics.
 #[derive(Debug)]
-pub struct TraceReader<R: Read> {
-    input: R,
-    streams: Vec<StreamState>,
-    queue: VecDeque<(u16, TraceRecord)>,
-    ended: bool,
-    /// Byte offset of the next unread block (for error reporting).
-    offset: u64,
-    chunks: u64,
-    /// Reusable decode buffers (chunk decode is shared with
-    /// [`BatchReader`](crate::BatchReader); see `batch.rs`).
-    scratch: DecodeScratch,
+pub struct TraceReader {
+    chunks: BatchReader,
     batch: EventBatch,
+    /// Stream of the chunk in `batch`, and the next record's index in it.
+    stream: u16,
+    pos: usize,
+    /// Pool lookup per stream, built as each stream's first chunk arrives.
+    lookups: Vec<PoolLookup>,
 }
 
-impl TraceReader<std::io::BufReader<std::fs::File>> {
+impl TraceReader {
     /// Opens `path` and validates the file header.
     pub fn open(path: &Path) -> Result<Self, TraceError> {
-        let file = std::fs::File::open(path)?;
-        Self::new(std::io::BufReader::new(file))
+        Ok(Self::over(BatchReader::open(path)?))
     }
-}
 
-impl<R: Read> TraceReader<R> {
-    /// Wraps `input`, reading and validating the file header.
-    pub fn new(mut input: R) -> Result<Self, TraceError> {
-        let mut magic = [0u8; 4];
-        input.read_exact(&mut magic)?;
-        if magic != MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        let mut half = [0u8; 2];
-        input.read_exact(&mut half)?;
-        let version = u16::from_le_bytes(half);
-        if version != VERSION {
-            return Err(TraceError::UnsupportedVersion(version));
-        }
-        input.read_exact(&mut half)?; // flags (reserved)
-        Ok(Self {
-            input,
-            streams: Vec::new(),
-            queue: VecDeque::new(),
-            ended: false,
-            offset: 8,
-            chunks: 0,
-            scratch: DecodeScratch::default(),
+    /// Wraps an already-loaded trace image, validating the file header.
+    pub fn new(data: Arc<TraceData>) -> Result<Self, TraceError> {
+        Ok(Self::over(BatchReader::new(data)?))
+    }
+
+    fn over(chunks: BatchReader) -> Self {
+        Self {
+            chunks,
             batch: EventBatch::new(),
-        })
+            stream: 0,
+            pos: 0,
+            lookups: Vec::new(),
+        }
     }
 
     /// Stream definitions seen so far.
     pub fn streams(&self) -> impl Iterator<Item = &StreamMeta> {
-        self.streams.iter().map(|s| &s.meta)
+        self.chunks.streams()
     }
 
     /// Metadata of stream `id`, if defined.
     pub fn stream(&self, id: u16) -> Option<&StreamMeta> {
-        self.streams.get(usize::from(id)).map(|s| &s.meta)
-    }
-
-    /// Chunks decoded so far.
-    pub fn chunks_read(&self) -> u64 {
-        self.chunks
+        self.chunks.stream(id)
     }
 
     /// The next `(stream id, record)`, or `Ok(None)` at a clean end of
     /// trace (the `End` block was present and its totals matched).
     pub fn next_record(&mut self) -> Result<Option<(u16, TraceRecord)>, TraceError> {
-        loop {
-            if let Some(ev) = self.queue.pop_front() {
-                return Ok(Some(ev));
-            }
-            if self.ended {
+        while self.pos == self.batch.len() {
+            let Some(stream) = self.chunks.next_chunk(&mut self.batch)? else {
                 return Ok(None);
+            };
+            // Streams are defined in id order before their chunks, so
+            // every id up to this one has a definition.
+            while self.lookups.len() <= usize::from(stream) {
+                let meta = self.chunks.stream(self.lookups.len() as u16);
+                let meta = meta.expect("decoded chunks imply a definition");
+                self.lookups.push(PoolLookup::new(&meta.pools));
             }
-            self.read_block()?;
+            self.stream = stream;
+            self.pos = 0;
         }
-    }
-
-    fn read_block(&mut self) -> Result<(), TraceError> {
-        crate::injected_read_fault()?;
-        let block_offset = self.offset;
-        let mut tag = [0u8; 1];
-        if let Err(e) = self.input.read_exact(&mut tag) {
-            // A file that just stops (no End block) is truncated, whatever
-            // the boundary it stops on.
-            return Err(TraceError::from(e));
-        }
-        let len = self.read_varint_stream()?;
-        if len > MAX_BLOCK_BYTES {
-            return Err(TraceError::Corrupt(format!("block of {len} bytes")));
-        }
-        let mut crc_bytes = [0u8; 4];
-        self.input.read_exact(&mut crc_bytes)?;
-        let expect_crc = u32::from_le_bytes(crc_bytes);
-        let mut payload = vec![0u8; len as usize];
-        self.input.read_exact(&mut payload)?;
-        self.offset += 1 + varint_len(len) + 4 + len;
-        // `reader-bitflip` flips a real payload bit in chunk N so the
-        // stock CRC check below catches it, exactly as disk rot would.
-        if !payload.is_empty() && tag[0] == TAG_CHUNK {
-            if let Some(shot) = wp_fault::fire(wp_fault::FaultPoint::ReaderBitflip) {
-                wp_obs::add(wp_obs::Counter::FaultsInjected, 1);
-                let at = (shot.draw(block_offset) % payload.len() as u64) as usize;
-                payload[at] ^= 1 << (shot.draw(at as u64) % 8);
-            }
-        }
-        if crc32(&payload) != expect_crc {
-            return Err(TraceError::Checksum {
-                offset: block_offset,
-            });
-        }
-        match tag[0] {
-            TAG_STREAM_DEF => {
-                let meta = StreamMeta::decode(&payload)?;
-                if usize::from(meta.id) != self.streams.len() {
-                    return Err(TraceError::Corrupt(format!(
-                        "stream {} defined out of order (expected {})",
-                        meta.id,
-                        self.streams.len()
-                    )));
-                }
-                let lookup = PoolLookup::new(&meta.pools);
-                self.streams.push(StreamState {
-                    meta,
-                    lookup,
-                    events: 0,
-                    instrs: 0,
-                });
-                Ok(())
-            }
-            TAG_CHUNK => self.decode_chunk(&payload),
-            TAG_END => self.check_end(&payload),
-            t => Err(TraceError::Corrupt(format!("unknown block tag {t}"))),
-        }
-    }
-
-    fn decode_chunk(&mut self, payload: &[u8]) -> Result<(), TraceError> {
-        let (stream, body) = chunk_stream_id(payload)?;
-        let first_chunk = {
-            let state = self.streams.get(stream as usize).ok_or_else(|| {
-                TraceError::Corrupt(format!("chunk for undefined stream {stream}"))
-            })?;
-            state.events == 0
+        let i = self.pos;
+        self.pos += 1;
+        let line = self.batch.lines[i];
+        let record = TraceRecord {
+            gap_instrs: self.batch.gaps[i],
+            line,
+            is_write: self.batch.writes[i],
+            pool: self.lookups[usize::from(self.stream)].pool_of(line),
         };
-        self.batch.clear();
-        let instrs = decode_chunk_body(
-            payload,
-            body,
-            first_chunk,
-            &mut self.scratch,
-            &mut self.batch,
-        )?;
-        let state = &mut self.streams[stream as usize];
-        for i in 0..self.batch.len() {
-            let line = self.batch.lines[i];
-            self.queue.push_back((
-                stream as u16,
-                TraceRecord {
-                    gap_instrs: self.batch.gaps[i],
-                    line,
-                    is_write: self.batch.writes[i],
-                    pool: state.lookup.pool_of(line),
-                },
-            ));
-        }
-        state.events += self.batch.len() as u64;
-        state.instrs += instrs;
-        self.chunks += 1;
-        Ok(())
+        Ok(Some((self.stream, record)))
     }
-
-    fn check_end(&mut self, payload: &[u8]) -> Result<(), TraceError> {
-        let mut pos = 0;
-        let n = get_varint(payload, &mut pos)?;
-        if n as usize != self.streams.len() {
-            return Err(TraceError::Corrupt(format!(
-                "end block lists {n} streams, file defined {}",
-                self.streams.len()
-            )));
-        }
-        for s in &self.streams {
-            let id = get_varint(payload, &mut pos)?;
-            let events = get_varint(payload, &mut pos)?;
-            let instrs = get_varint(payload, &mut pos)?;
-            if id != u64::from(s.meta.id) || events != s.events || instrs != s.instrs {
-                return Err(TraceError::Corrupt(format!(
-                    "end block totals disagree for stream {}: {events} events / {instrs} \
-                     instrs recorded, {} / {} decoded",
-                    s.meta.id, s.events, s.instrs
-                )));
-            }
-        }
-        if pos != payload.len() {
-            return Err(TraceError::Corrupt("trailing bytes in end block".into()));
-        }
-        // The End block must be the last thing in the file: appended
-        // garbage (or a second concatenated trace) is corruption, not
-        // something to silently ignore.
-        let mut probe = [0u8; 1];
-        loop {
-            match self.input.read(&mut probe) {
-                Ok(0) => break,
-                Ok(_) => {
-                    return Err(TraceError::Corrupt(
-                        "trailing data after the end block".into(),
-                    ))
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(TraceError::from(e)),
-            }
-        }
-        self.ended = true;
-        Ok(())
-    }
-
-    /// Reads a varint directly off the input stream (block lengths live
-    /// outside any buffered payload).
-    fn read_varint_stream(&mut self) -> Result<u64, TraceError> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let mut byte = [0u8; 1];
-            self.input.read_exact(&mut byte)?;
-            let b = byte[0];
-            if shift >= 64 || (shift == 63 && b & 0x7F > 1) {
-                return Err(TraceError::Corrupt("varint overflows u64".into()));
-            }
-            v |= u64::from(b & 0x7F) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
-}
-
-fn varint_len(v: u64) -> u64 {
-    (u64::from(64 - v.leading_zeros()).max(1)).div_ceil(7)
 }
 
 /// Per-stream summary produced by [`TraceInfo::scan`].
@@ -301,42 +120,38 @@ impl TraceInfo {
     /// Scans (fully decodes) `path`, validating every checksum.
     pub fn scan(path: &Path) -> Result<Self, TraceError> {
         let file_bytes = std::fs::metadata(path)?.len();
-        let mut reader = TraceReader::open(path)?;
+        let mut reader = BatchReader::open(path)?;
+        let mut batch = EventBatch::new();
         let mut streams: Vec<StreamInfo> = Vec::new();
-        while let Some((sid, rec)) = reader.next_record()? {
+        let row = |meta: &StreamMeta| StreamInfo {
+            meta: meta.clone(),
+            events: 0,
+            instructions: 0,
+            writes: 0,
+            line_span: None,
+        };
+        while let Some(sid) = reader.next_chunk(&mut batch)? {
             let sid = usize::from(sid);
             while streams.len() <= sid {
-                let meta = reader
-                    .stream(streams.len() as u16)
-                    .expect("decoded events imply a definition")
-                    .clone();
-                streams.push(StreamInfo {
-                    meta,
-                    events: 0,
-                    instructions: 0,
-                    writes: 0,
-                    line_span: None,
-                });
+                let meta = reader.stream(streams.len() as u16);
+                streams.push(row(meta.expect("decoded chunks imply a definition")));
             }
             let s = &mut streams[sid];
-            s.events += 1;
-            s.instructions += u64::from(rec.gap_instrs);
-            s.writes += u64::from(rec.is_write);
-            s.line_span = Some(match s.line_span {
-                None => (rec.line.0, rec.line.0),
-                Some((lo, hi)) => (lo.min(rec.line.0), hi.max(rec.line.0)),
-            });
+            s.events += batch.len() as u64;
+            s.instructions += batch.gaps.iter().map(|&g| u64::from(g)).sum::<u64>();
+            s.writes += batch.writes.iter().filter(|&&w| w).count() as u64;
+            let lo = batch.lines.iter().map(|l| l.0).min();
+            let hi = batch.lines.iter().map(|l| l.0).max();
+            if let (Some(lo), Some(hi)) = (lo, hi) {
+                s.line_span = Some(
+                    s.line_span
+                        .map_or((lo, hi), |(a, b)| (a.min(lo), b.max(hi))),
+                );
+            }
         }
         // Event-free streams still deserve a row.
-        for meta in reader.streams().skip(streams.len()) {
-            streams.push(StreamInfo {
-                meta: meta.clone(),
-                events: 0,
-                instructions: 0,
-                writes: 0,
-                line_span: None,
-            });
-        }
+        let defined: Vec<StreamInfo> = reader.streams().skip(streams.len()).map(row).collect();
+        streams.extend(defined);
         Ok(TraceInfo {
             file_bytes,
             chunks: reader.chunks_read(),
@@ -382,8 +197,12 @@ mod tests {
         buf
     }
 
+    fn reader(buf: &[u8]) -> Result<TraceReader, TraceError> {
+        TraceReader::new(Arc::new(TraceData::from_vec(buf.to_vec())))
+    }
+
     fn decode_all(buf: &[u8]) -> Result<Vec<(u32, u64, bool)>, TraceError> {
-        let mut r = TraceReader::new(buf)?;
+        let mut r = reader(buf)?;
         let mut out = Vec::new();
         while let Some((_, rec)) = r.next_record()? {
             out.push((rec.gap_instrs, rec.line.0, rec.is_write));
@@ -411,7 +230,7 @@ mod tests {
     #[test]
     fn bad_magic_is_an_error() {
         assert!(matches!(
-            TraceReader::new(&b"NOPE\x01\x00\x00\x00"[..]),
+            reader(b"NOPE\x01\x00\x00\x00"),
             Err(TraceError::BadMagic)
         ));
     }
@@ -420,7 +239,7 @@ mod tests {
     fn future_version_is_an_error() {
         let buf = [b'W', b'P', b'T', b'1', 9, 0, 0, 0];
         assert!(matches!(
-            TraceReader::new(&buf[..]),
+            reader(&buf),
             Err(TraceError::UnsupportedVersion(9))
         ));
     }
@@ -482,7 +301,7 @@ mod tests {
         }
         w.finish().unwrap();
         drop(w);
-        let mut r = TraceReader::new(&buf[..]).unwrap();
+        let mut r = reader(&buf).unwrap();
         let mut per_stream = [0u64; 2];
         let mut n = 0;
         while let Some((sid, rec)) = r.next_record().unwrap() {

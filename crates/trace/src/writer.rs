@@ -45,7 +45,8 @@ struct StreamState {
 ///
 /// ```
 /// use wp_mem::LineAddr;
-/// use wp_trace::{TraceReader, TraceWriter};
+/// use std::sync::Arc;
+/// use wp_trace::{TraceData, TraceReader, TraceWriter};
 ///
 /// let mut buf = Vec::new();
 /// let mut w = TraceWriter::new(&mut buf).unwrap();
@@ -56,7 +57,7 @@ struct StreamState {
 /// w.finish().unwrap();
 /// drop(w);
 ///
-/// let mut r = TraceReader::new(&buf[..]).unwrap();
+/// let mut r = TraceReader::new(Arc::new(TraceData::from_vec(buf))).unwrap();
 /// let (stream, first) = r.next_record().unwrap().unwrap();
 /// assert_eq!((stream, first.line), (s, LineAddr(1024)));
 /// ```

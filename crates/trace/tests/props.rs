@@ -44,8 +44,13 @@ fn encode(events: &[Event], chunk: usize) -> Vec<u8> {
     buf
 }
 
+fn data(buf: &[u8]) -> Arc<TraceData> {
+    Arc::new(TraceData::from_vec(buf.to_vec()))
+}
+
+/// Drains the record view.
 fn decode(buf: &[u8]) -> Result<Vec<Event>, TraceError> {
-    let mut r = TraceReader::new(buf)?;
+    let mut r = TraceReader::new(data(buf))?;
     let mut out = Vec::new();
     while let Some((_, rec)) = r.next_record()? {
         out.push((rec.gap_instrs, rec.line.0, rec.is_write));
@@ -53,10 +58,9 @@ fn decode(buf: &[u8]) -> Result<Vec<Event>, TraceError> {
     Ok(out)
 }
 
-/// Drains the batched (chunk-at-a-time, zero-copy) reader into the same
-/// flat event list the streaming [`decode`] produces.
+/// Drains the chunk view into the same flat event list.
 fn decode_batched(buf: &[u8]) -> Result<Vec<Event>, TraceError> {
-    let mut r = BatchReader::new(Arc::new(TraceData::from_vec(buf.to_vec())))?;
+    let mut r = BatchReader::new(data(buf))?;
     let mut batch = EventBatch::new();
     let mut out = Vec::new();
     while r.next_chunk(&mut batch)?.is_some() {
@@ -69,7 +73,7 @@ fn decode_batched(buf: &[u8]) -> Result<Vec<Event>, TraceError> {
 
 /// Same, through the prefetch-thread pipeline.
 fn decode_prefetched(buf: &[u8]) -> Result<Vec<Event>, TraceError> {
-    let reader = BatchReader::new(Arc::new(TraceData::from_vec(buf.to_vec())))?;
+    let reader = BatchReader::new(data(buf))?;
     let mut p = PrefetchBatches::start(reader)?;
     let mut batch = EventBatch::new();
     let mut out = Vec::new();
@@ -85,12 +89,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn round_trips_exactly(evs in events(300), chunk in 1usize..80) {
-        let buf = encode(&evs, chunk);
-        prop_assert_eq!(decode(&buf).expect("clean file decodes"), evs);
-    }
-
-    #[test]
     fn chunk_boundaries_are_invisible(evs in events(120)) {
         // The decoded stream must not depend on where chunks fall: byte
         // streams differ, events must not.
@@ -103,58 +101,15 @@ proptest! {
     }
 
     #[test]
-    fn batched_reader_matches_streaming(evs in events(300), chunk in 1usize..80) {
+    fn every_view_round_trips(evs in events(300), chunk in 1usize..80) {
         // Chunk sizes from 1 (every chunk single-event) to larger than
         // the stream (one odd-sized chunk) — the final chunk is almost
-        // always partial. Both batch paths must yield the exact event
-        // sequence the streaming reader does.
+        // always partial. The record, chunk and prefetch views must all
+        // yield exactly the events written.
         let buf = encode(&evs, chunk);
-        let streaming = decode(&buf).expect("clean file decodes");
-        prop_assert_eq!(&decode_batched(&buf).unwrap(), &streaming);
-        prop_assert_eq!(&decode_prefetched(&buf).unwrap(), &streaming);
-        prop_assert_eq!(streaming, evs);
-    }
-
-    #[test]
-    fn batched_truncation_errors_match_streaming(
-        evs in events(60),
-        chunk in 1usize..20,
-        frac in 0.0f64..1.0,
-    ) {
-        let buf = encode(&evs, chunk);
-        let cut = ((buf.len() as f64 * frac) as usize).min(buf.len() - 1);
-        let streaming = decode(&buf[..cut]).expect_err("prefix must not decode");
-        let batched = decode_batched(&buf[..cut]).expect_err("prefix must not decode");
-        prop_assert_eq!(streaming.to_string(), batched.to_string(), "cut at {}", cut);
-    }
-
-    #[test]
-    fn batched_bit_flip_behavior_matches_streaming(
-        evs in events(80),
-        chunk in 1usize..20,
-        pos_frac in 0.0f64..1.0,
-        bit in 0u32..8,
-    ) {
-        let clean = encode(&evs, chunk);
-        let mut dirty = clean.clone();
-        let pos = ((dirty.len() as f64 * pos_frac) as usize).min(dirty.len() - 1);
-        dirty[pos] ^= 1 << bit;
-        // Whatever the streaming reader does with the damage — reject it
-        // (same TraceError) or, for a flip in dead space, decode the same
-        // events — the batched reader must do identically.
-        match (decode(&dirty), decode_batched(&dirty)) {
-            (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "flip at byte {}", pos),
-            (Err(a), Err(b)) => {
-                prop_assert_eq!(a.to_string(), b.to_string(), "flip at byte {}", pos);
-            }
-            (a, b) => {
-                prop_assert!(
-                    false,
-                    "flip at byte {} diverged: streaming {:?} vs batched {:?}",
-                    pos, a, b
-                );
-            }
-        }
+        prop_assert_eq!(&decode(&buf).expect("clean file decodes"), &evs);
+        prop_assert_eq!(&decode_batched(&buf).unwrap(), &evs);
+        prop_assert_eq!(&decode_prefetched(&buf).unwrap(), &evs);
     }
 
     #[test]
@@ -165,6 +120,8 @@ proptest! {
         // than panic or claim clean completion.
         let cut = ((buf.len() as f64 * frac) as usize).min(buf.len() - 1);
         prop_assert!(decode(&buf[..cut]).is_err(), "prefix of {} bytes decoded cleanly", cut);
+        prop_assert!(decode_batched(&buf[..cut]).is_err(), "prefix of {} bytes decoded cleanly", cut);
+        prop_assert!(decode_prefetched(&buf[..cut]).is_err(), "prefix of {} bytes decoded cleanly", cut);
     }
 
     #[test]
@@ -188,12 +145,12 @@ proptest! {
         dirty[pos] ^= 1 << bit;
         // A flipped bit must either be caught (header check, CRC, or
         // structural validation) or — never — produce a "clean" decode
-        // with different events. CRC-32 guarantees detection for any
-        // single-bit flip within a payload; flips in the 9 header/length
-        // bytes are caught structurally.
-        match decode(&dirty) {
-            Err(_) => {}
-            Ok(got) => prop_assert_eq!(got, evs, "corruption at byte {} decoded differently", pos),
+        // with different events, in any view. CRC-32 guarantees detection
+        // for any single-bit flip within a payload; flips in the 9
+        // header/length bytes are caught structurally.
+        let views = [decode(&dirty), decode_batched(&dirty), decode_prefetched(&dirty)];
+        for got in views.into_iter().flatten() {
+            prop_assert_eq!(&got, &evs, "corruption at byte {} decoded differently", pos);
         }
     }
 
@@ -211,7 +168,7 @@ proptest! {
         }
         w.finish().unwrap();
         drop(w);
-        let mut r = TraceReader::new(&buf[..]).unwrap();
+        let mut r = TraceReader::new(data(&buf)).unwrap();
         let mut i = 0;
         while let Some((_, rec)) = r.next_record().unwrap() {
             let page = rec.line.0 / 64;

@@ -25,7 +25,7 @@ use wp_jigsaw::JigsawScheme;
 use wp_mem::{CallpointId, PageId, LINES_PER_PAGE};
 use wp_noc::CoreId;
 use wp_paws::{core_workloads, schedule, ParallelClassification, SchedPolicy, Schedule};
-use wp_sim::{ExecMode, LlcScheme, MultiCoreSim, RunSummary, SystemConfig, WorkloadBundle};
+use wp_sim::{LlcScheme, MultiCoreSim, RunSummary, SystemConfig, WorkloadBundle};
 use wp_trace::{TraceError, TraceInfo};
 use wp_whirltool::{cluster, profile, ProfilerConfig};
 use wp_workloads::parallel::{ParallelApp, ParallelSpec};
@@ -686,12 +686,6 @@ pub const MIX_WARMUP_INSTRS: u64 = 6_000_000;
 /// fixed-work), matching the Fig. 22 4-core configuration.
 pub const MIX_MEASURE_INSTRS: u64 = 8_000_000;
 
-/// The `WP_EXEC` environment override for the event delivery path
-/// (`per-event` or `batched`), if set and parseable.
-fn default_exec_mode() -> Option<ExecMode> {
-    std::env::var("WP_EXEC").ok()?.parse().ok()
-}
-
 /// Default RNG seed for the per-core trace streams of a mix.
 const MIX_SEED: u64 = 0xC0FE;
 
@@ -870,7 +864,6 @@ pub struct Experiment {
     sys: Option<SystemConfig>,
     seed: Option<u64>,
     capture_to: Option<PathBuf>,
-    exec: Option<ExecMode>,
     obs: Option<wp_obs::ObsConfig>,
     cancel: Option<CancelToken>,
 }
@@ -886,7 +879,6 @@ impl Experiment {
             sys: None,
             seed: None,
             capture_to: None,
-            exec: None,
             obs: None,
             cancel: None,
         }
@@ -1055,17 +1047,6 @@ impl Experiment {
     #[must_use]
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
-        self
-    }
-
-    /// Overrides the event delivery path (default: `WP_EXEC` if set and
-    /// parseable — `per-event` or `batched` — else [`ExecMode::default`]).
-    /// Both modes produce bit-identical [`RunSummary`]s; this knob exists
-    /// for the throughput benchmarks and determinism tests that compare
-    /// the two.
-    #[must_use]
-    pub fn exec_mode(mut self, exec: ExecMode) -> Self {
-        self.exec = Some(exec);
         self
     }
 
@@ -1249,10 +1230,6 @@ impl Experiment {
         let obs_cfg = self.obs;
         if let Some(o) = obs_cfg.clone() {
             cfg = cfg.observe(o);
-        }
-        let exec = self.exec.or_else(default_exec_mode);
-        if let Some(exec) = exec {
-            cfg = cfg.exec_mode(exec);
         }
         let mut sim = MultiCoreSim::with_config(cfg, scheme)?;
         for (core, bundle) in attachments {

@@ -8,9 +8,10 @@
 //! panic isolation at the daemon level, and a daemon-side socket drop
 //! surfacing as the typed retryable error class.
 //!
-//! Every test that arms the process-global fault layer holds
-//! [`wp_fault::test_guard`] for its whole body, so in-binary test
-//! threads never see each other's arms.
+//! Every test holds [`wp_fault::test_guard`] for its whole body — those
+//! that arm the process-global fault layer and those that expect a
+//! fault-free run alike — so in-binary test threads never see each
+//! other's arms.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -132,6 +133,7 @@ fn flip_one_bit(path: &Path) {
 
 #[test]
 fn corrupted_cache_heals_offline_with_byte_identical_output() {
+    let _guard = wp_fault::test_guard();
     let base = std::env::temp_dir().join(format!("wp-fault-rec-{}-offline", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let cache = base.join("cache");
@@ -162,6 +164,7 @@ fn corrupted_cache_heals_offline_with_byte_identical_output() {
 
 #[test]
 fn corrupted_cache_heals_through_the_daemon_and_its_warm_index() {
+    let _guard = wp_fault::test_guard();
     let daemon = Daemon::start("healcache", 2);
     let req = served_sweep_req();
     let baseline = daemon.client().run(&req).expect("warming served sweep");

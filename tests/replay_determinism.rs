@@ -61,41 +61,6 @@ fn every_fig10_scheme_replays_bit_identically() {
 }
 
 #[test]
-fn every_fig10_scheme_batched_replay_matches_per_event() {
-    // The batched (column-slice, zero-copy) delivery path must be
-    // observationally invisible: for every scheme, replaying the same
-    // capture per-event and batched yields bit-identical summaries.
-    use whirlpool_repro::harness::Experiment;
-    use wp_sim::ExecMode;
-    let path = temp("exec-mode");
-    Experiment::single(SchemeKind::SNucaLru, "delaunay")
-        .warmup(WARMUP)
-        .measure(MEASURE)
-        .capture_to(&path)
-        .run()
-        .expect("capture run");
-    for kind in SchemeKind::FIG10 {
-        let run = |mode| {
-            Experiment::replay(kind, &path)
-                .warmup(WARMUP)
-                .measure(MEASURE)
-                .exec_mode(mode)
-                .run()
-                .expect("replay run")
-        };
-        let per_event = run(ExecMode::PerEvent);
-        let batched = run(ExecMode::Batched);
-        assert_eq!(
-            per_event.to_json(),
-            batched.to_json(),
-            "{kind:?}: batched replay diverged from per-event"
-        );
-        assert!(per_event.cores[0].instructions >= MEASURE, "{kind:?} ran");
-    }
-    std::fs::remove_file(&path).unwrap();
-}
-
-#[test]
 fn replay_without_pools_strips_classification() {
     // A Whirlpool capture replayed with Classification::None must not
     // hand the recorded pools to the scheme: it degenerates to the
