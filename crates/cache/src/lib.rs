@@ -14,6 +14,20 @@
 //! * [`UtilityMonitor`] — the GMON model: a sampled stack-distance monitor
 //!   that yields per-interval [`wp_mrc::MissCurve`]s with EWMA ageing.
 //!
+//! # The batched NUCA access path
+//!
+//! A Jigsaw/Whirlpool access probes three hash-indexed structures: the
+//! VC's monitor stack (sampled lines only), then the LRU partition of the
+//! bank its VTB picks. Spread over 25 banks × every VC and one monitor
+//! per VC, each probe is a host cache miss. [`LruCache`] and the monitor
+//! stack are therefore both indexed by one [`wp_mrc::LineTable`], whose
+//! lookup starts at a slot computable before the access. The NUCA
+//! runtime's `access_batch` resolves a quantum's VCs up front and, while
+//! serving event `i`, hints event `i + 16`'s slots through
+//! [`UtilityMonitor::prefetch`] and [`PartitionedCache::prefetch`]; the
+//! S-NUCA banks do the same with [`SetAssocCache::prefetch`]. All of
+//! them bottom out in [`prefetch_read`], the crate's only `unsafe`.
+//!
 //! # Example
 //!
 //! ```

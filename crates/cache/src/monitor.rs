@@ -44,7 +44,15 @@ impl Default for MonitorConfig {
 /// at every reported capacity anyway, and the lines above depth `D` keep
 /// their exact distances, so the curves are bit-identical to those of an
 /// unbounded stack. Memory is `O(D)` per VC however large the VC's
-/// footprint (about 50 K sampled lines per VC on the 4-core chip).
+/// footprint. On the 4-core chip (`D` = 51,200 sampled lines at the NUCA
+/// runtime's 1-in-4 sampling) that is at most a 2 MB line index, the
+/// line of each sampled access since the last timestamp compaction (at
+/// most `4·D` of them, under 2 MB) and a 48 KB Fenwick tree.
+///
+/// The stack's line index is a [`wp_mrc::LineTable`];
+/// [`prefetch`](Self::prefetch) hints the slot an upcoming access will
+/// probe, as the NUCA runtime's batched access path does `16` events
+/// ahead.
 #[derive(Debug)]
 pub struct UtilityMonitor {
     config: MonitorConfig,
@@ -81,6 +89,16 @@ impl UtilityMonitor {
     pub fn record(&mut self, line: u64) {
         self.accesses += 1;
         self.stack.access(line);
+    }
+
+    /// Hints the host CPU to fetch the stack-index slot that recording
+    /// `line` will probe first. Only sampled lines touch the stack, so an
+    /// unsampled line hints nothing. Purely a performance hint.
+    #[inline]
+    pub fn prefetch(&self, line: u64) {
+        if let Some(slot) = self.stack.first_slot(line) {
+            crate::prefetch_read(slot);
+        }
     }
 
     /// Accesses observed since the last [`rollover`](Self::rollover).

@@ -96,6 +96,16 @@ impl PartitionedCache {
         }
     }
 
+    /// Hints the host CPU to fetch the index slot an access to `addr` in
+    /// partition `id` probes first (see [`LruCache::prefetch`]). Purely a
+    /// performance hint; an unconfigured partition hints nothing.
+    #[inline]
+    pub fn prefetch(&self, id: u32, addr: u64) {
+        if let Some(p) = self.part(id) {
+            p.prefetch(addr);
+        }
+    }
+
     /// Whether `addr` is resident in partition `id`.
     pub fn contains(&self, id: u32, addr: u64) -> bool {
         self.part(id).is_some_and(|p| p.contains(addr))

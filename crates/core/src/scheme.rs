@@ -2,7 +2,10 @@
 
 use wp_jigsaw::{NucaConfig, NucaRuntime};
 use wp_noc::CoreId;
-use wp_sim::{AccessContext, LlcResponse, LlcScheme, PoolDescriptor, SystemConfig, Uncore};
+use wp_sim::{
+    AccessContext, BatchClock, EventBatch, LlcResponse, LlcScheme, PoolDescriptor, SystemConfig,
+    Uncore,
+};
 
 /// Whirlpool: the shared NUCA runtime with per-pool VCs and bypassing.
 ///
@@ -52,6 +55,17 @@ impl LlcScheme for WhirlpoolScheme {
 
     fn access(&mut self, ctx: AccessContext, uncore: &mut Uncore) -> LlcResponse {
         self.0.access(ctx, uncore)
+    }
+
+    fn access_batch(
+        &mut self,
+        core: CoreId,
+        batch: &EventBatch,
+        clock: &mut BatchClock,
+        uncore: &mut Uncore,
+        out: &mut Vec<LlcResponse>,
+    ) {
+        self.0.access_batch(core, batch, clock, uncore, out);
     }
 
     fn reconfigure(&mut self, uncore: &mut Uncore) {

@@ -12,10 +12,11 @@ use std::collections::HashMap;
 use wp_mrc::FastMap;
 
 use wp_cache::{MonitorConfig, PartitionedCache};
-use wp_mem::{PageId, VcId};
+use wp_mem::{LineAddr, PageId, VcId};
 use wp_noc::CoreId;
 use wp_sim::{
-    AccessContext, LlcOutcome, LlcResponse, LlcScheme, PoolDescriptor, SystemConfig, Uncore,
+    AccessContext, BatchClock, EventBatch, LlcOutcome, LlcResponse, LlcScheme, PoolDescriptor,
+    SystemConfig, Uncore,
 };
 
 use crate::placement::{place_and_trade, PlacementInput};
@@ -86,7 +87,16 @@ pub struct NucaRuntime {
     /// old→new allocations and the curve signal that drove each sizing
     /// decision (exported through [`LlcScheme::reconfig_log`]).
     obs_log: Vec<wp_obs::ReconfigEvent>,
+    /// Per-batch VC-index scratch for [`LlcScheme::access_batch`], reused
+    /// so batched runs allocate nothing in steady state.
+    vc_scratch: Vec<u32>,
+    /// Accesses served through the batched path.
+    batched_accesses: u64,
 }
+
+/// How many events ahead [`LlcScheme::access_batch`] hints the monitor
+/// and bank-partition index slots of.
+const LOOKAHEAD: usize = 16;
 
 impl std::fmt::Debug for NucaRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -119,6 +129,8 @@ impl NucaRuntime {
             reconfigurations: 0,
             history: Vec::new(),
             obs_log: Vec::new(),
+            vc_scratch: Vec::new(),
+            batched_accesses: 0,
             config,
             sys,
         };
@@ -132,6 +144,13 @@ impl NucaRuntime {
     /// Number of reconfigurations performed.
     pub fn reconfigurations(&self) -> u64 {
         self.reconfigurations
+    }
+
+    /// Accesses served through [`LlcScheme::access_batch`]'s lookahead
+    /// path rather than one [`LlcScheme::access`] call at a time. A
+    /// wrapper scheme that drops the batch override shows 0 here.
+    pub fn batched_accesses(&self) -> u64 {
+        self.batched_accesses
     }
 
     /// The VC states (for instrumentation and figures).
@@ -222,6 +241,58 @@ impl NucaRuntime {
         let idx = self.thread_vc_of(core);
         self.pages.insert(page, (idx, core));
         idx
+    }
+
+    /// Serves one access whose VC is already resolved: the body of
+    /// [`LlcScheme::access`] after the page lookup.
+    #[inline]
+    fn serve(
+        &mut self,
+        core: CoreId,
+        line: LineAddr,
+        idx: u32,
+        uncore: &mut Uncore,
+    ) -> LlcResponse {
+        let vc = &mut self.vcs[idx as usize];
+        vc.note_access(core);
+        vc.monitor.record(line.0);
+        if vc.bypassed {
+            vc.bypasses += 1;
+            let latency = uncore.bypass_to_memory(core, line);
+            return LlcResponse {
+                latency,
+                outcome: LlcOutcome::Bypass,
+            };
+        }
+        let bank = vc.vtb.lookup(line);
+        match self.banks[bank.0 as usize].access(idx, line.0) {
+            wp_cache::AccessOutcome::Hit => {
+                self.vcs[idx as usize].hits += 1;
+                LlcResponse {
+                    latency: uncore.bank_hit(core, bank),
+                    outcome: LlcOutcome::Hit,
+                }
+            }
+            wp_cache::AccessOutcome::Miss { .. } => {
+                self.vcs[idx as usize].misses += 1;
+                LlcResponse {
+                    latency: uncore.bank_miss_to_memory(core, bank, line),
+                    outcome: LlcOutcome::Miss,
+                }
+            }
+        }
+    }
+
+    /// Hints the host CPU to fetch what serving `line` in VC `idx` will
+    /// probe first: the monitor's stack slot (sampled lines only) and the
+    /// bank partition's index slot. No state changes.
+    #[inline]
+    fn prefetch(&self, idx: u32, line: LineAddr) {
+        let vc = &self.vcs[idx as usize];
+        vc.monitor.prefetch(line.0);
+        if !vc.bypassed {
+            self.banks[vc.vtb.lookup(line).0 as usize].prefetch(idx, line.0);
+        }
     }
 
     /// Initial configuration before the first reconfiguration: capacity is
@@ -336,34 +407,48 @@ impl LlcScheme for NucaRuntime {
             self.bootstrap(uncore);
         }
         let idx = self.resolve_vc(ctx.core, ctx.line.page());
-        let vc = &mut self.vcs[idx as usize];
-        vc.note_access(ctx.core);
-        vc.monitor.record(ctx.line.0);
-        if vc.bypassed {
-            vc.bypasses += 1;
-            let latency = uncore.bypass_to_memory(ctx.core, ctx.line);
-            return LlcResponse {
-                latency,
-                outcome: LlcOutcome::Bypass,
-            };
+        self.serve(ctx.core, ctx.line, idx, uncore)
+    }
+
+    /// The per-event loop in two passes. The first resolves every event's
+    /// VC in order; only `resolve_vc` reads or writes the page map, and
+    /// nothing that serving an access changes feeds back into it, so the
+    /// resolutions are the per-event ones. The second serves the events
+    /// in order while hinting the monitor and bank-partition slots of
+    /// event `i + LOOKAHEAD`: the page → VC → VTB → bank chain is known
+    /// that far ahead, and each of those slots is otherwise a host cache
+    /// miss on the simulated access path.
+    fn access_batch(
+        &mut self,
+        core: CoreId,
+        batch: &EventBatch,
+        clock: &mut BatchClock,
+        uncore: &mut Uncore,
+        out: &mut Vec<LlcResponse>,
+    ) {
+        if batch.is_empty() {
+            return;
         }
-        let bank = vc.vtb.lookup(ctx.line);
-        match self.banks[bank.0 as usize].access(idx, ctx.line.0) {
-            wp_cache::AccessOutcome::Hit => {
-                self.vcs[idx as usize].hits += 1;
-                LlcResponse {
-                    latency: uncore.bank_hit(ctx.core, bank),
-                    outcome: LlcOutcome::Hit,
-                }
-            }
-            wp_cache::AccessOutcome::Miss { .. } => {
-                self.vcs[idx as usize].misses += 1;
-                LlcResponse {
-                    latency: uncore.bank_miss_to_memory(ctx.core, bank, ctx.line),
-                    outcome: LlcOutcome::Miss,
-                }
-            }
+        if !self.bootstrapped {
+            self.bootstrap(uncore);
         }
+        let mut vcs = std::mem::take(&mut self.vc_scratch);
+        vcs.clear();
+        vcs.extend(batch.lines.iter().map(|l| self.resolve_vc(core, l.page())));
+        for (&idx, &line) in vcs.iter().zip(&batch.lines).take(LOOKAHEAD) {
+            self.prefetch(idx, line);
+        }
+        for (i, (&idx, &line)) in vcs.iter().zip(&batch.lines).enumerate() {
+            if let Some(&ahead) = vcs.get(i + LOOKAHEAD) {
+                self.prefetch(ahead, batch.lines[i + LOOKAHEAD]);
+            }
+            clock.pre_access(batch.gaps[i], uncore);
+            let resp = self.serve(core, line, idx, uncore);
+            clock.post_access(resp.latency);
+            out.push(resp);
+        }
+        self.vc_scratch = vcs;
+        self.batched_accesses += batch.len() as u64;
     }
 
     fn reconfigure(&mut self, uncore: &mut Uncore) {
@@ -562,6 +647,17 @@ impl LlcScheme for JigsawScheme {
 
     fn access(&mut self, ctx: AccessContext, uncore: &mut Uncore) -> LlcResponse {
         self.0.access(ctx, uncore)
+    }
+
+    fn access_batch(
+        &mut self,
+        core: CoreId,
+        batch: &EventBatch,
+        clock: &mut BatchClock,
+        uncore: &mut Uncore,
+        out: &mut Vec<LlcResponse>,
+    ) {
+        self.0.access_batch(core, batch, clock, uncore, out);
     }
 
     fn reconfigure(&mut self, uncore: &mut Uncore) {

@@ -11,12 +11,14 @@ use wp_noc::BankId;
 
 /// Bucket count per VTB entry. 128 buckets give sub-1% share rounding on
 /// the 25-bank chip and match the small-hardware spirit of the real VTB.
+/// A power of two, so a lookup masks instead of dividing.
 const BUCKETS: usize = 128;
+const _: () = assert!(BUCKETS.is_power_of_two());
 
 /// One VC's address→bank mapping.
 #[derive(Debug, Clone)]
 pub struct Vtb {
-    buckets: Vec<BankId>,
+    buckets: [BankId; BUCKETS],
     /// Bypassed VCs skip the LLC entirely (Whirlpool, Sec. 3.2).
     bypass: bool,
 }
@@ -34,7 +36,8 @@ impl Vtb {
             !shares.is_empty() && total > 0,
             "VTB needs at least one non-zero share"
         );
-        let mut buckets = Vec::with_capacity(BUCKETS);
+        // Buckets past the last apportioned one go to the last bank.
+        let mut buckets = [shares.last().expect("non-empty").0; BUCKETS];
         // Largest-remainder apportionment keeps bucket counts proportional
         // and deterministic.
         let mut acc = 0u64;
@@ -42,13 +45,8 @@ impl Vtb {
         for &(bank, share) in shares {
             acc += share;
             let upto = ((acc as u128 * BUCKETS as u128) / total as u128) as usize;
-            for _ in assigned..upto {
-                buckets.push(bank);
-            }
+            buckets[assigned..upto].fill(bank);
             assigned = upto;
-        }
-        while buckets.len() < BUCKETS {
-            buckets.push(shares.last().expect("non-empty").0);
         }
         Self {
             buckets,
@@ -60,7 +58,7 @@ impl Vtb {
     /// `home` (where coherence checks land when the VC is not bypassed).
     pub fn degenerate(home: BankId) -> Self {
         Self {
-            buckets: vec![home; BUCKETS],
+            buckets: [home; BUCKETS],
             bypass: false,
         }
     }
@@ -136,12 +134,12 @@ impl Vtb {
         h ^= h >> 30;
         h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
         h ^= h >> 27;
-        self.buckets[(h % self.buckets.len() as u64) as usize]
+        self.buckets[h as usize & (BUCKETS - 1)]
     }
 
     /// The set of banks this VTB can return.
     pub fn banks(&self) -> Vec<BankId> {
-        let mut banks = self.buckets.clone();
+        let mut banks = self.buckets.to_vec();
         banks.sort();
         banks.dedup();
         banks
@@ -149,7 +147,7 @@ impl Vtb {
 
     /// Fraction of buckets pointing at `bank`.
     pub fn share_of(&self, bank: BankId) -> f64 {
-        self.buckets.iter().filter(|&&b| b == bank).count() as f64 / self.buckets.len() as f64
+        self.buckets.iter().filter(|&&b| b == bank).count() as f64 / BUCKETS as f64
     }
 }
 
@@ -221,7 +219,7 @@ mod tests {
     #[test]
     fn rebalance_is_minimal() {
         let mut vtb = Vtb::from_shares(&[(BankId(0), 100), (BankId(1), 100)]);
-        let before = vtb.buckets.clone();
+        let before = vtb.buckets;
         // Small shift: 50/50 -> 55/45 should move ~6/128 buckets.
         vtb.rebalance(&[(BankId(0), 110), (BankId(1), 90)]);
         let moved = before
@@ -245,7 +243,7 @@ mod tests {
     #[test]
     fn rebalance_identity_moves_nothing() {
         let mut vtb = Vtb::from_shares(&[(BankId(0), 5), (BankId(4), 3)]);
-        let before = vtb.buckets.clone();
+        let before = vtb.buckets;
         vtb.rebalance(&[(BankId(0), 5), (BankId(4), 3)]);
         assert_eq!(before, vtb.buckets);
     }
@@ -253,7 +251,7 @@ mod tests {
     #[test]
     fn rebalance_dropping_a_bank_moves_only_its_buckets() {
         let mut vtb = Vtb::from_shares(&[(BankId(0), 1), (BankId(1), 1), (BankId(2), 2)]);
-        let before = vtb.buckets.clone();
+        let before = vtb.buckets;
         vtb.rebalance(&[(BankId(0), 1), (BankId(2), 2)]);
         // Only former bank-1 buckets may have changed.
         for (a, b) in before.iter().zip(&vtb.buckets) {

@@ -7,6 +7,9 @@
 //!   cache capacity, plus the algebra defined on such curves.
 //! * [`StackDistanceHistogram`] and [`MattsonStack`] — exact LRU
 //!   stack-distance profiling, from which miss curves are derived.
+//! * [`LineTable`] — the open-addressed line index under the LRU stacks
+//!   here and the LRU partitions of `wp-cache`, with a prefetchable first
+//!   probe slot.
 //! * [`SampledStack`] — the hash-sampled, depth-bounded stack that models
 //!   Jigsaw/Whirlpool's GMON monitors: exact curves up to the capacity it
 //!   reports, in `O(D)` memory.
@@ -54,6 +57,7 @@ pub mod fxmap;
 mod histogram;
 mod hull;
 mod latency;
+mod linetable;
 mod mattson;
 mod partition;
 mod shards;
@@ -67,6 +71,7 @@ pub use histogram::{
 };
 pub use hull::{convex_hull, convex_hull_points, hull_to_points, HullPoint};
 pub use latency::{AccessLatencyModel, LatencyCurve, UniformLatency};
+pub use linetable::LineTable;
 pub use mattson::{MattsonStack, SampledStack};
 pub use partition::{
     partition_capacity, partition_capacity_hulled, partitioned_curve, PartitionOutcome,

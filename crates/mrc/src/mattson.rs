@@ -1,7 +1,7 @@
 //! Exact and sampled LRU stack-distance profiling (Mattson's algorithm).
 
-use crate::fxmap::FastMap;
 use crate::histogram::StackDistanceHistogram;
+use crate::linetable::LineTable;
 
 /// The set of live access timestamps (each holds at most one line), with
 /// `O(log n)` counts of the live timestamps at or before a given time.
@@ -129,14 +129,16 @@ impl Fenwick {
 /// Timestamps are compacted once the time axis exceeds
 /// [`SLACK`](Self::SLACK) times the live set, so memory stays
 /// proportional to the number of *live* lines rather than total accesses.
+/// The same bound keeps every timestamp below `max(2^16, SLACK · live)`,
+/// so a `u32` holds it and the line → timestamp index is a [`LineTable`].
 #[derive(Debug, Clone)]
 pub(crate) struct LruTimeline {
-    last_time: FastMap<u64, usize>,
+    last_time: LineTable,
     present: Fenwick,
     /// Reused compaction buffer of `(timestamp, line)` pairs, so
     /// steady-state compaction allocates nothing. After a compaction it
     /// lists the live lines from least to most recently used.
-    scratch: Vec<(usize, u64)>,
+    scratch: Vec<(u32, u64)>,
     time: usize,
     live: usize,
     reallocations: u64,
@@ -150,7 +152,7 @@ impl LruTimeline {
     /// An empty stack with a small initial time axis.
     pub(crate) fn new() -> Self {
         Self {
-            last_time: FastMap::default(),
+            last_time: LineTable::new(),
             present: Fenwick::with_capacity(1 << 12),
             scratch: Vec::new(),
             time: 0,
@@ -167,7 +169,7 @@ impl LruTimeline {
         // time axis never exceeds that bound while `live <= lines`.
         let time_cap = (Self::SLACK * lines).max(1 << 16);
         Self {
-            last_time: FastMap::with_capacity_and_hasher(lines, Default::default()),
+            last_time: LineTable::with_capacity(lines),
             present: Fenwick::with_capacity(time_cap),
             scratch: Vec::with_capacity(lines),
             time: 0,
@@ -187,9 +189,15 @@ impl LruTimeline {
     /// Distances count distinct lines including the accessed line itself.
     fn touch(&mut self, line: u64) -> Option<u64> {
         let t = self.time;
+        debug_assert!(
+            t < (1 << 16).max(Self::SLACK * self.live.max(1)),
+            "timestamp {t} escaped the compaction bound"
+        );
         self.reallocations += u64::from(self.present.grow_to(t + 1));
-        let dist = match self.last_time.insert(line, t) {
+        let stamp = u32::try_from(t).expect("under 2^30 live lines, timestamps fit a u32");
+        let dist = match self.last_time.insert(line, stamp) {
             Some(t0) => {
+                let t0 = t0 as usize;
                 // Every live line sits at a timestamp below `t`, so the
                 // lines touched strictly after `t0` are the live set minus
                 // those at or before `t0` (this line included).
@@ -210,8 +218,8 @@ impl LruTimeline {
     /// Forgets `line`: its next access is a cold miss and it no longer
     /// counts towards other lines' stack distances.
     pub(crate) fn remove(&mut self, line: u64) {
-        if let Some(t0) = self.last_time.remove(&line) {
-            self.present.clear(t0);
+        if let Some(t0) = self.last_time.remove(line) {
+            self.present.clear(t0 as usize);
             self.live -= 1;
         }
     }
@@ -237,11 +245,11 @@ impl LruTimeline {
         }
         self.scratch.clear();
         self.scratch
-            .extend(self.last_time.iter().map(|(&a, &t)| (t, a)));
+            .extend(self.last_time.iter().map(|(a, t)| (t, a)));
         self.scratch.sort_unstable();
         let n = self.scratch.len();
         for (rank, &(_, addr)) in self.scratch.iter().enumerate() {
-            self.last_time.insert(addr, rank);
+            self.last_time.insert(addr, rank as u32);
         }
         self.reallocations += u64::from(self.present.rebuild_ones(n));
         self.time = n;
@@ -403,7 +411,7 @@ impl SampledStack {
         }
     }
 
-    fn sampled(&self, line: u64) -> bool {
+    pub(crate) fn sampled(&self, line: u64) -> bool {
         if self.rate_log2 == 0 {
             return true;
         }
@@ -435,6 +443,15 @@ impl SampledStack {
             None if self.stack.live() > self.max_depth => self.forget_lru(),
             None => {}
         }
+    }
+
+    /// The table slot an access to `line` probes first, for a prefetch
+    /// hint (`wp_cache::prefetch_read`); `None` for a line this stack does
+    /// not sample, whose access reads no table at all.
+    #[inline]
+    pub fn first_slot(&self, line: u64) -> Option<&impl Sized> {
+        self.sampled(line)
+            .then(|| self.stack.last_time.first_slot(line))
     }
 
     /// Forgets the least recently used line. The cursor only moves

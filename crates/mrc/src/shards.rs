@@ -42,7 +42,7 @@ pub const SHARDS_MODULUS: u64 = 1 << 24;
 /// across runs and processes, and every profiler observing a line agrees
 /// on whether it is sampled.
 #[inline]
-fn spatial_hash(line: u64) -> u64 {
+pub(crate) fn spatial_hash(line: u64) -> u64 {
     let mut x = line.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -1,6 +1,6 @@
 //! Qualitative paper claims verified end to end on small, fast models:
 //! who wins, and in the right direction — the shape the reproduction
-//! must preserve (EXPERIMENTS.md records the full-scale numbers).
+//! must preserve.
 
 use std::collections::HashMap;
 
