@@ -452,44 +452,20 @@ impl SweepSpec {
                 // 2/3/4-pool variants) replay against the same stream.
                 let (w, m) = self.budgets_for(app);
                 let key = capture_key(app, w, m);
-                let path_str = store.path(&key).display().to_string();
                 let attempt = || -> Result<RunSummary, HarnessError> {
-                    // Corruption past the header panics mid-replay (the
-                    // `Workload` trait has no error channel), so the
-                    // attempt catches unwinds and types them — the heal
-                    // check below recognizes the ones naming this
-                    // capture's path.
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                        || -> Result<RunSummary, HarnessError> {
-                            let model = AppModel::new(registry::spec(app));
-                            let pools = descriptors_for(&model, app, *classification);
-                            let bundle = WorkloadBundle {
-                                trace: Box::new(TraceWorkload::open(&store.path(&key))?),
-                                pools,
-                                name: app.clone(),
-                            };
-                            self.with_cancel(
-                                Experiment::bundles(cell.scheme, vec![bundle])
-                                    .warmup(w)
-                                    .measure(m),
-                            )
-                            .run()
-                        },
-                    ))
-                    .unwrap_or_else(|payload| {
-                        Err(HarnessError::Panic(
-                            whirlpool_repro::harness::panic_message(payload),
-                        ))
-                    })
-                };
-                // Healable: a typed trace error (failed open/validate),
-                // or a replay panic that names this capture's file —
-                // any other panic (e.g. an injected worker fault) is
-                // not the cache's doing and must surface as-is.
-                let healable = |err: &HarnessError| match err {
-                    HarnessError::Trace(_) => true,
-                    HarnessError::Panic(msg) => msg.contains(&path_str),
-                    _ => false,
+                    let model = AppModel::new(registry::spec(app));
+                    let pools = descriptors_for(&model, app, *classification);
+                    let bundle = WorkloadBundle {
+                        trace: Box::new(TraceWorkload::open(&store.path(&key))?),
+                        pools,
+                        name: app.clone(),
+                    };
+                    self.with_cancel(
+                        Experiment::bundles(cell.scheme, vec![bundle])
+                            .warmup(w)
+                            .measure(m),
+                    )
+                    .run()
                 };
                 match attempt() {
                     // Self-healing: a cached capture that fails to open
@@ -497,8 +473,11 @@ impl SweepSpec {
                     // evicted and re-captured once, then the cell
                     // retries — the stream is deterministic, so the
                     // healed output is byte-identical to a clean-cache
-                    // run. A second failure surfaces as usual.
-                    Err(e) if healable(&e) => {
+                    // run. A second failure surfaces as usual. Replay
+                    // reports damage met mid-run as a typed trace error
+                    // too; any other error (a panicking worker, say) is
+                    // not the cache's doing and surfaces as-is.
+                    Err(e @ HarnessError::Trace(_)) => {
                         eprintln!(
                             "[sweep] cached capture '{key}' failed ({e}); \
                              evicting and re-capturing"

@@ -374,15 +374,17 @@ pub fn replay(rest: &[String], ctx: &OpCtx) -> Result<Vec<String>, String> {
     } else {
         Classification::Manual
     };
-    // One validating scan up front — every block's checksum is checked
-    // here, so mid-replay corruption cannot panic out of the simulator —
-    // which also enumerates the streams once (not once per scheme).
-    let info = TraceInfo::scan(path).map_err(|e| e.to_string())?;
+    // Each replay validates every chunk as it decodes it (see
+    // `Experiment::run`), so nothing scans the file first. A mix lists
+    // its streams once for all schemes, by a frame walk that decodes no
+    // chunk.
     let mix_streams: Option<Vec<u16>> = if args.flag("--mix") {
-        if info.streams.is_empty() {
+        let table =
+            wp_trace::stream_table(path).map_err(|e| TraceInfo::scan_error(path, e).to_string())?;
+        if table.is_empty() {
             return Err(format!("{file} defines no streams"));
         }
-        Some(info.streams.iter().map(|s| s.meta.id).collect())
+        Some(table.iter().map(|m| m.id).collect())
     } else {
         None
     };

@@ -240,6 +240,18 @@ impl<S: LlcScheme> MultiCoreSim<S> {
         Ok(true)
     }
 
+    /// Calls [`Workload::finish`] on every attached workload in core
+    /// order and returns the first error, so when several fail the lowest
+    /// core id wins. Call it once, after the run: a replayed trace that
+    /// hit damage mid-run ended its stream there, and this is where the
+    /// damage is reported.
+    pub fn finish_workloads(&mut self) -> Result<(), TraceError> {
+        self.runners
+            .iter_mut()
+            .flatten()
+            .try_for_each(|r| r.trace.finish())
+    }
+
     /// Attaches a workload to a core, registering its pools with the scheme.
     ///
     /// # Panics

@@ -10,7 +10,7 @@
 use std::path::{Path, PathBuf};
 
 use wp_mem::PoolId;
-use wp_trace::{BatchReader, EventBatch, PrefetchBatches};
+use wp_trace::{BatchReader, EventBatch, PrefetchBatches, TraceError};
 
 use crate::scheme::{PoolDescriptor, TraceEvent, Workload, WorkloadBundle};
 
@@ -22,15 +22,21 @@ use crate::scheme::{PoolDescriptor, TraceEvent, Workload, WorkloadBundle};
 /// the current chunk; [`Workload::next_event`] serves single events from
 /// the same cursor.
 ///
-/// The workload ends when the stream does. I/O or corruption mid-replay
-/// panics with the underlying [`TraceError`](wp_trace::TraceError) — a
-/// half-replayed trace would otherwise masquerade as a short but valid
-/// run. Use [`wp_trace::BatchReader`] directly for fallible consumption.
+/// The workload ends when the stream does. Replay has no separate
+/// validating pass: this stream's reader checks the CRC of every chunk it
+/// decodes and, at the `End` block, the stream's totals. An I/O error or
+/// damage met mid-replay ends the stream early and is kept;
+/// [`Workload::finish`] returns it after the run, so a half-replayed
+/// trace fails instead of passing for a short but valid run. `finish`
+/// also drains whatever tail the run's budgets left unread, so a replay
+/// cut short still validates its whole stream.
 pub struct TraceWorkload {
     prefetch: PrefetchBatches,
     /// The current decoded chunk of our stream, and the read cursor into it.
     chunk: EventBatch,
     chunk_pos: usize,
+    /// The first read error, which ended the stream.
+    error: Option<TraceError>,
     stream: u16,
     path: PathBuf,
 }
@@ -46,24 +52,26 @@ impl std::fmt::Debug for TraceWorkload {
 
 impl TraceWorkload {
     /// Opens stream 0 of `path` (the whole trace for single-app captures).
-    pub fn open(path: &Path) -> Result<Self, wp_trace::TraceError> {
+    pub fn open(path: &Path) -> Result<Self, TraceError> {
         Self::open_stream(path, 0)
     }
 
     /// Opens stream `stream` of `path` (per-core streams of a multi-core
     /// capture).
-    pub fn open_stream(path: &Path, stream: u16) -> Result<Self, wp_trace::TraceError> {
+    pub fn open_stream(path: &Path, stream: u16) -> Result<Self, TraceError> {
         Ok(Self {
             prefetch: PrefetchBatches::start(BatchReader::open_stream(path, stream)?)?,
             chunk: EventBatch::new(),
             chunk_pos: 0,
+            error: None,
             stream,
             path: path.to_path_buf(),
         })
     }
 
     /// Makes the cursor point at an unread event, decoding the next chunk
-    /// when the current one is used up; false at end of stream.
+    /// when the current one is used up; false at end of stream, and after
+    /// a read error, which is kept for [`Workload::finish`].
     ///
     /// Counted as [`wp_obs::Phase::Decode`] time — this is the *wait* for
     /// the decode thread, which is exactly the share of decode cost the
@@ -76,7 +84,11 @@ impl TraceWorkload {
         self.chunk_pos = 0;
         match self.prefetch.next_chunk(&mut self.chunk) {
             Ok(sid) => sid.is_some(),
-            Err(e) => panic!("replay of {} failed: {e}", self.path.display()),
+            // The reader is done after an error, so this is the first.
+            Err(e) => {
+                self.error = Some(e);
+                false
+            }
         }
     }
 }
@@ -105,6 +117,13 @@ impl Workload for TraceWorkload {
         }
         wp_obs::observe(wp_obs::HistKind::BatchFill, filled as u64);
         filled
+    }
+
+    fn finish(&mut self) -> Result<(), TraceError> {
+        while self.refill() {
+            self.chunk_pos = self.chunk.len();
+        }
+        self.error.take().map_or(Ok(()), Err)
     }
 }
 
@@ -136,28 +155,19 @@ pub(crate) fn pool_metas_of(pools: &[PoolDescriptor]) -> Vec<wp_trace::PoolMeta>
         .collect()
 }
 
-/// Reads the definition of stream `stream` without decoding past it.
-/// Stream definitions precede their chunks, so this usually touches only
-/// the head of the file.
-fn stream_meta(path: &Path, stream: u16) -> Result<wp_trace::StreamMeta, wp_trace::TraceError> {
-    let mut reader = BatchReader::open(path)?;
-    let mut batch = EventBatch::new();
-    loop {
-        if let Some(meta) = reader.stream(stream) {
-            return Ok(meta.clone());
-        }
-        if reader.next_chunk(&mut batch)?.is_none() {
-            return Err(wp_trace::TraceError::Corrupt(format!(
-                "stream {stream} is not defined in the trace"
-            )));
-        }
-    }
+/// Reads the definition of stream `stream` by a frame walk
+/// ([`wp_trace::stream_table`]), decoding no chunk.
+fn stream_meta(path: &Path, stream: u16) -> Result<wp_trace::StreamMeta, TraceError> {
+    wp_trace::stream_table(path)?
+        .into_iter()
+        .nth(usize::from(stream))
+        .ok_or_else(|| TraceError::Corrupt(format!("stream {stream} is not defined in the trace")))
 }
 
 /// The pool descriptors recorded in stream `stream` of `path` — the exact
 /// classification the captured run was given, so pools-consuming schemes
 /// (Whirlpool) replay identically.
-pub fn trace_pools(path: &Path, stream: u16) -> Result<Vec<PoolDescriptor>, wp_trace::TraceError> {
+pub fn trace_pools(path: &Path, stream: u16) -> Result<Vec<PoolDescriptor>, TraceError> {
     Ok(descriptors_of(&stream_meta(path, stream)?.pools))
 }
 
@@ -168,7 +178,7 @@ pub fn trace_bundle(
     path: &Path,
     stream: u16,
     with_pools: bool,
-) -> Result<WorkloadBundle, wp_trace::TraceError> {
+) -> Result<WorkloadBundle, TraceError> {
     let meta = stream_meta(path, stream)?;
     let pools = if with_pools {
         descriptors_of(&meta.pools)
@@ -237,6 +247,51 @@ mod tests {
         assert_eq!(b.pools[0].pages, vec![PageId(10), PageId(11)]);
         let stripped = trace_bundle(&path, 0, false).unwrap();
         assert!(stripped.pools.is_empty());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn damage_ends_the_stream_and_finish_reports_it_even_when_unread() {
+        // Three chunks of 100 events; a bit flipped in the last one.
+        let path = temp("damaged.wpt");
+        let mut w = TraceWriter::create(&path).unwrap().with_chunk_events(100);
+        let s = w.add_stream("demo", &[]).unwrap();
+        for i in 0..300u64 {
+            w.record(s, 50, LineAddr(640 + (i * 7919) % 4096), false)
+                .unwrap();
+        }
+        w.finish().unwrap();
+        drop(w);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = bytes.len() - 60;
+        bytes[at] ^= 0x20;
+        std::fs::write(&path, bytes).unwrap();
+
+        // Read to the damage: the stream ends there, with no panic.
+        let mut wl = TraceWorkload::open(&path).unwrap();
+        let mut n = 0;
+        while wl.next_event().is_some() {
+            n += 1;
+        }
+        assert_eq!(n, 200, "the two intact chunks replay");
+        assert!(wl.next_event().is_none(), "an ended stream stays ended");
+        let err = wl.finish().expect_err("the damage is kept");
+        assert!(matches!(err, TraceError::Checksum { .. }), "{err}");
+
+        // A run that stops after one event still validates the tail.
+        let mut wl = TraceWorkload::open(&path).unwrap();
+        assert!(wl.next_event().is_some());
+        assert!(wl.finish().is_err(), "finish drains to the damage");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn finish_passes_an_intact_stream() {
+        let path = temp("intact.wpt");
+        write_demo(&path);
+        let mut wl = TraceWorkload::open(&path).unwrap();
+        assert!(wl.next_event().is_some());
+        wl.finish().unwrap();
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -2,7 +2,7 @@
 
 use wp_mem::{LineAddr, PageId, PoolId};
 use wp_noc::CoreId;
-use wp_trace::EventBatch;
+use wp_trace::{EventBatch, TraceError};
 
 use crate::uncore::Uncore;
 
@@ -51,6 +51,17 @@ pub trait Workload: Send {
             }
         }
         batch.len() - start
+    }
+
+    /// Called once after the run, through
+    /// [`MultiCoreSim::finish_workloads`](crate::MultiCoreSim::finish_workloads):
+    /// reports a failure that ended the stream early. A stream that
+    /// cannot fail keeps the default, which does nothing.
+    /// [`TraceWorkload`](crate::TraceWorkload) returns the first read
+    /// error it met, after validating whatever part of its stream the run
+    /// left unread.
+    fn finish(&mut self) -> Result<(), TraceError> {
+        Ok(())
     }
 }
 

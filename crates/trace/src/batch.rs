@@ -205,6 +205,28 @@ struct BatchStream {
     skipped: bool,
 }
 
+/// Which chunks [`BatchReader::next_chunk`] decodes; it frame-walks past
+/// the rest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Follow {
+    /// Every chunk.
+    All,
+    /// One stream's chunks ([`BatchReader::follow`]).
+    One(u16),
+    /// No chunk at all ([`stream_table`]).
+    Nothing,
+}
+
+impl Follow {
+    fn decodes(self, stream: u64) -> bool {
+        match self {
+            Follow::All => true,
+            Follow::One(f) => stream == u64::from(f),
+            Follow::Nothing => false,
+        }
+    }
+}
+
 /// Chunk-at-a-time decoder over an in-memory `.wpt` image: the crate's
 /// one block parser.
 ///
@@ -221,7 +243,7 @@ pub struct BatchReader {
     scratch: DecodeScratch,
     ended: bool,
     chunks: u64,
-    follow: Option<u16>,
+    follow: Follow,
 }
 
 impl BatchReader {
@@ -258,7 +280,7 @@ impl BatchReader {
             scratch: DecodeScratch::default(),
             ended: false,
             chunks: 0,
-            follow: None,
+            follow: Follow::All,
         })
     }
 
@@ -269,11 +291,15 @@ impl BatchReader {
     /// stream's chunks, the stream definitions, the end block, and the
     /// block framing are still validated exactly as in an unfiltered
     /// read; skipped streams are exempt from the end-block totals check.
-    /// An all-streams replay therefore still validates every chunk —
-    /// each core's reader covers its own stream.
+    ///
+    /// Replay relies on this split for its validation: there is no
+    /// separate whole-file scan, so an all-streams replay checks every
+    /// chunk and every stream's `End` totals exactly once, each in the
+    /// reader of the core that replays the stream (see
+    /// `wp_sim::TraceWorkload`).
     #[must_use]
     pub fn follow(mut self, stream: u16) -> Self {
-        self.follow = Some(stream);
+        self.follow = Follow::One(stream);
         self
     }
 
@@ -330,17 +356,15 @@ impl BatchReader {
             // CRC: their payloads are never consumed here, and their
             // owning stream's reader validates them. A chunk naming an
             // undefined stream is corrupt whether or not it is followed.
-            if tag == TAG_CHUNK {
-                if let Some(f) = self.follow {
-                    let (stream, _) = chunk_stream_id(payload)?;
-                    if stream != u64::from(f) {
-                        self.streams
-                            .get_mut(stream as usize)
-                            .ok_or_else(|| undefined_stream(stream))?
-                            .skipped = true;
-                        wp_obs::add(wp_obs::Counter::FollowChunksSkipped, 1);
-                        continue;
-                    }
+            if tag == TAG_CHUNK && self.follow != Follow::All {
+                let (stream, _) = chunk_stream_id(payload)?;
+                if !self.follow.decodes(stream) {
+                    self.streams
+                        .get_mut(stream as usize)
+                        .ok_or_else(|| undefined_stream(stream))?
+                        .skipped = true;
+                    wp_obs::add(wp_obs::Counter::FollowChunksSkipped, 1);
+                    continue;
                 }
             }
             let flipped = (tag == TAG_CHUNK && !payload.is_empty())
@@ -434,6 +458,21 @@ impl BatchReader {
         self.ended = true;
         Ok(())
     }
+}
+
+/// The stream table of `path`, read by a frame walk: it checks the
+/// header, the block framing, the CRCs of the stream definitions and the
+/// `End` block, the `End` block's stream count, and that nothing follows
+/// it, but steps over every chunk payload undecoded. This is how a
+/// whole-capture replay enumerates its streams without the full decode
+/// of [`TraceInfo::scan`](crate::TraceInfo::scan); the replay's own
+/// per-stream readers validate the chunks.
+pub fn stream_table(path: &Path) -> Result<Vec<StreamMeta>, TraceError> {
+    let mut reader = BatchReader::open(path)?;
+    reader.follow = Follow::Nothing;
+    // With nothing followed, one call walks straight to the End block.
+    reader.next_chunk(&mut EventBatch::new())?;
+    Ok(reader.streams.into_iter().map(|s| s.meta).collect())
 }
 
 fn undefined_stream(stream: u64) -> TraceError {
@@ -586,6 +625,7 @@ impl PrefetchBatches {
             }
             Ok(Err(e)) => {
                 self.done = true;
+                batch.clear();
                 Err(e)
             }
             // The thread only exits after sending a terminal message, so a
@@ -593,6 +633,7 @@ impl PrefetchBatches {
             // the payload instead of reporting a generic death.
             Err(_) => {
                 self.done = true;
+                batch.clear();
                 Err(self.thread_died())
             }
         }
@@ -878,6 +919,45 @@ mod tests {
                 "follow {follow:?}"
             );
         }
+    }
+
+    #[test]
+    fn stream_table_walks_without_decoding_and_checks_the_frame() {
+        let buf = two_stream_trace();
+        let path = std::env::temp_dir().join(format!("wp-batch-table-{}.wpt", std::process::id()));
+        let table = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            stream_table(&path)
+        };
+        let names: Vec<String> = table(&buf).unwrap().into_iter().map(|m| m.name).collect();
+        assert_eq!(names, ["a", "b"]);
+        // A flipped chunk body is stepped over; the chunks are the
+        // replaying readers' to validate.
+        let chunk = chunk_payload(&buf, 1);
+        let mut bad = buf.clone();
+        bad[chunk.start + chunk.len() / 2] ^= 0x04;
+        assert_eq!(table(&bad).unwrap().len(), 2);
+        // The definitions, the End block, truncation and trailing bytes
+        // are the walk's own to reject.
+        let all = blocks(&buf);
+        for tag in [TAG_STREAM_DEF, TAG_END] {
+            let (_, _, payload) = all.iter().find(|(t, _, _)| *t == tag).unwrap();
+            let mut bad = buf.clone();
+            bad[payload.start] ^= 0x01;
+            assert!(
+                matches!(table(&bad), Err(TraceError::Checksum { .. })),
+                "tag {tag}"
+            );
+        }
+        assert!(matches!(
+            table(&buf[..buf.len() - 2]),
+            Err(TraceError::Truncated)
+        ));
+        assert!(matches!(
+            table(&[&buf[..], b"x"].concat()),
+            Err(TraceError::Corrupt(_))
+        ));
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

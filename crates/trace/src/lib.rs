@@ -44,9 +44,10 @@
 //! * the **prefetching view**, [`PrefetchBatches`] — the same chunks
 //!   decoded on a lookahead thread, the simulator's replay path.
 //!
-//! [`TraceInfo::scan`] summarizes a file by walking its chunks. Because
-//! every consumer runs the same parser, they all accept and reject
-//! exactly the same inputs.
+//! [`TraceInfo::scan`] summarizes a file by decoding all its chunks;
+//! [`stream_table`] lists its streams by a frame walk that decodes none.
+//! Because every consumer runs the same parser, they all accept and
+//! reject exactly the same inputs.
 //
 // `unsafe` is denied rather than forbidden: the single exception is the
 // FFI mmap in `mmap.rs`, which carries its own scoped `allow`.
@@ -62,7 +63,7 @@ mod reader;
 mod varint;
 mod writer;
 
-pub use batch::{BatchReader, EventBatch, PrefetchBatches};
+pub use batch::{stream_table, BatchReader, EventBatch, PrefetchBatches};
 pub use meta::{PoolMeta, StreamMeta, TraceRecord};
 pub use mmap::TraceData;
 pub use reader::{StreamInfo, TraceInfo, TraceReader};

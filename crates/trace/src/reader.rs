@@ -159,6 +159,19 @@ impl TraceInfo {
         })
     }
 
+    /// The error a full [`scan`](Self::scan) of `path` reports, or
+    /// `fallback` when the scan passes.
+    ///
+    /// Replays validate as they decode, so the error that stops one
+    /// depends on which stream's reader met the damage first. Calling
+    /// this on a replay's error path, and only there, reports a damaged
+    /// file with the same text `trace_tool info` gives. A fault that
+    /// does not repeat (an injected one, say) leaves the file clean, and
+    /// the replay's own error stands.
+    pub fn scan_error(path: &Path, fallback: TraceError) -> TraceError {
+        Self::scan(path).err().unwrap_or(fallback)
+    }
+
     /// Total events across streams.
     pub fn total_events(&self) -> u64 {
         self.streams.iter().map(|s| s.events).sum()

@@ -12,7 +12,7 @@
 //! [`wp_trace::TraceError`].
 
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -26,7 +26,7 @@ use wp_mem::{CallpointId, PageId, LINES_PER_PAGE};
 use wp_noc::CoreId;
 use wp_paws::{core_workloads, schedule, ParallelClassification, SchedPolicy, Schedule};
 use wp_sim::{LlcScheme, MultiCoreSim, RunSummary, SystemConfig, WorkloadBundle};
-use wp_trace::{TraceError, TraceInfo};
+use wp_trace::{BatchReader, EventBatch, TraceError, TraceInfo};
 use wp_whirltool::{cluster, profile, ProfilerConfig};
 use wp_workloads::parallel::{ParallelApp, ParallelSpec};
 use wp_workloads::registry;
@@ -706,10 +706,8 @@ pub enum StreamSelect {
     /// One stream, attached to core 0.
     One(u16),
     /// Every stream of the capture, each to its own core — the way to
-    /// replay a whole mix or parallel capture. Enumerating the streams
-    /// costs one full [`TraceInfo::scan`]; callers replaying the same
-    /// file repeatedly can scan once themselves and pass
-    /// [`StreamSelect::Set`].
+    /// replay a whole mix or parallel capture. The streams are listed by
+    /// [`wp_trace::stream_table`], a frame walk that decodes no chunk.
     All,
     /// An explicit stream list, attached to cores 0..n in order.
     Set(Vec<u16>),
@@ -957,8 +955,8 @@ impl Experiment {
     }
 
     /// Attaches an explicit stream list of a replay to cores 0..n in
-    /// order — [`all_streams`](Self::all_streams) without its per-run
-    /// stream-enumeration scan, for callers that already know the ids.
+    /// order. Streams left off the list are still validated after the
+    /// run (see [`run`](Self::run)).
     ///
     /// # Panics
     ///
@@ -1082,11 +1080,17 @@ impl Experiment {
     ///
     /// Any [`HarnessError`]: unknown app names, over-subscribed
     /// floorplans, colliding trace address spaces, missing/corrupt trace
-    /// files, capture I/O. Trace files are validated as far as replay
-    /// opens them (header, stream definitions; mixes scan the whole
-    /// file); corruption deeper in the body surfaces when the replay
-    /// reaches it (see [`wp_sim::TraceWorkload`]) — pre-validate with
-    /// [`TraceInfo::scan`] where that matters, as `trace_tool` does.
+    /// files, capture I/O.
+    ///
+    /// A replay validates its capture in the pass that simulates it, with
+    /// no scan first. Opening it walks the block framing, stream
+    /// definitions and `End` block ([`wp_trace::stream_table`]). Each
+    /// replayed stream's reader then checks every chunk it decodes and
+    /// that stream's `End` totals, and drains whatever tail the budgets
+    /// left unread ([`wp_sim::TraceWorkload`]). Streams no core replays
+    /// are decoded after the run. So a damaged capture always fails,
+    /// however short the run. Its error is the one [`TraceInfo::scan`]
+    /// reports for the file; the scan runs on this error path only.
     pub fn run(self) -> Result<RunSummary, HarnessError> {
         self.run_full().map(|r| r.summary)
     }
@@ -1116,6 +1120,20 @@ impl Experiment {
         self,
         scheme: S,
     ) -> Result<(ExperimentRun, S), HarnessError> {
+        let replayed = match &self.placement {
+            Placement::Replay { trace, .. } => Some(trace.clone()),
+            _ => None,
+        };
+        // A failed replay reports the damage as a full scan words it.
+        self.run_attached(scheme).map_err(|e| match (e, replayed) {
+            (HarnessError::Trace(e), Some(path)) => {
+                HarnessError::Trace(TraceInfo::scan_error(&path, e))
+            }
+            (e, _) => e,
+        })
+    }
+
+    fn run_attached<S: LlcScheme>(self, scheme: S) -> Result<(ExperimentRun, S), HarnessError> {
         let sys = self.system_config();
         let (warmup, measure) = self.budgets();
         let classification = self
@@ -1127,12 +1145,16 @@ impl Experiment {
             tok.check()?;
         }
         let mut sched = None;
+        // A partial replay's capture and the streams no core replays,
+        // validated after the run.
+        let mut unattached: Option<(PathBuf, Vec<u16>)> = None;
 
-        // Build the per-core attachments. This is where trace scans,
-        // capture replays, and (for WhirlTool classifications) profiling
-        // happen, so it is the Capture phase of the run's timing
-        // breakdown (Profile/Classify nest inside it and also count
-        // toward their own phases).
+        // Build the per-core attachments. This is where trace stream
+        // tables are read, mix traces scanned, capture replays opened,
+        // and (for WhirlTool classifications) profiling happens, so it is
+        // the Capture phase of the run's timing breakdown
+        // (Profile/Classify nest inside it and also count toward their
+        // own phases).
         let _capture = wp_obs::span(wp_obs::Phase::Capture);
         let attachments: Vec<(CoreId, WorkloadBundle)> = match self.placement {
             Placement::Single(app) => {
@@ -1170,20 +1192,30 @@ impl Experiment {
             }
             Placement::Replay { trace, select } => {
                 let with_pools = !matches!(classification, Classification::None);
+                let table: Vec<u16> = wp_trace::stream_table(&trace)?
+                    .iter()
+                    .map(|m| m.id)
+                    .collect();
                 let streams: Vec<u16> = match select {
                     StreamSelect::One(k) => vec![k],
                     StreamSelect::Set(ids) => ids,
                     StreamSelect::All => {
-                        let info = TraceInfo::scan(&trace)?;
-                        if info.streams.is_empty() {
+                        if table.is_empty() {
                             return Err(HarnessError::Trace(TraceError::Corrupt(format!(
                                 "{} defines no streams",
                                 trace.display()
                             ))));
                         }
-                        info.streams.iter().map(|s| s.meta.id).collect()
+                        table.clone()
                     }
                 };
+                let rest: Vec<u16> = table
+                    .into_iter()
+                    .filter(|id| !streams.contains(id))
+                    .collect();
+                if !rest.is_empty() {
+                    unattached = Some((trace.clone(), rest));
+                }
                 if streams.len() > cores {
                     return Err(HarnessError::TooManyWorkloads {
                         workloads: streams.len(),
@@ -1236,7 +1268,11 @@ impl Experiment {
             sim.attach(core, bundle);
         }
         let summary = sim.run_with_warmup(warmup, measure);
+        sim.finish_workloads()?;
         sim.finish_capture()?;
+        if let Some((path, ids)) = &unattached {
+            validate_unattached(path, ids)?;
+        }
         let timeline = if obs_cfg.is_some() {
             sim.take_timeline()
         } else {
@@ -1279,6 +1315,20 @@ impl Experiment {
     }
 }
 
+/// Decodes the streams `ids` of `trace` that a partial replay attached to
+/// no core. Each replayed stream is validated by its own reader, so this
+/// makes a one-stream replay of a mix capture check every chunk and every
+/// `End` total, as a whole-capture replay does, and still decode each
+/// chunk only once.
+fn validate_unattached(trace: &Path, ids: &[u16]) -> Result<(), TraceError> {
+    let mut batch = EventBatch::new();
+    for &id in ids {
+        let mut reader = BatchReader::open_stream(trace, id)?;
+        while reader.next_chunk(&mut batch)?.is_some() {}
+    }
+    Ok(())
+}
+
 /// Builds core `core`'s workload bundle for a multi-program mix: a
 /// registry model instantiated in that core's [disjoint address
 /// space](mix_base_page), or a `trace:<path>` recording (which plays back
@@ -1310,8 +1360,9 @@ fn mix_bundle(
 ///
 /// # Errors
 ///
-/// A trace file that fails its validating scan (truncation, bit flips)
-/// is reported here, at build time, rather than panicking mid-replay.
+/// A trace file that fails the scan (truncation, bit flips) is reported
+/// here, at build time, before anything simulates. The scan is the price
+/// of the exact line span, which only a full decode yields.
 fn mix_page_span(
     app: &str,
     core: usize,
