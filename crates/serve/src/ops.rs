@@ -27,7 +27,7 @@ use wp_mrc::{
     ShardsConfig, StreamProfile,
 };
 use wp_paws::SchedPolicy;
-use wp_trace::TraceInfo;
+use wp_trace::{BatchReader, EventBatch, TraceError, TraceInfo};
 
 use crate::protocol::{ExpOp, Request};
 use crate::store::ServeStore;
@@ -374,18 +374,23 @@ pub fn replay(rest: &[String], ctx: &OpCtx) -> Result<Vec<String>, String> {
     } else {
         Classification::Manual
     };
-    // Each replay validates every chunk as it decodes it (see
-    // `Experiment::run`), so nothing scans the file first. A mix lists
-    // its streams once for all schemes, by a frame walk that decodes no
-    // chunk.
+    // Each replay validates the chunks of the streams it replays as it
+    // decodes them (see `Experiment::run`), so nothing scans the file
+    // first. The stream table is read once for all schemes, by a frame
+    // walk that decodes no chunk. A damaged file reports the scan's error.
+    let scan_error = |e| TraceInfo::scan_error(path, e).to_string();
+    let table = wp_trace::stream_table(path).map_err(scan_error)?;
     let mix_streams: Option<Vec<u16>> = if args.flag("--mix") {
-        let table =
-            wp_trace::stream_table(path).map_err(|e| TraceInfo::scan_error(path, e).to_string())?;
         if table.is_empty() {
             return Err(format!("{file} defines no streams"));
         }
         Some(table.iter().map(|m| m.id).collect())
     } else {
+        // One stream replays; the others are decoded here, once, so a
+        // damaged chunk anywhere still fails the command.
+        let replayed = stream.unwrap_or(0);
+        let rest = table.iter().filter(|m| u64::from(m.id) != replayed);
+        check_streams(path, rest.map(|m| m.id)).map_err(scan_error)?;
         None
     };
     let mut lines = Vec::with_capacity(kinds.len());
@@ -403,6 +408,17 @@ pub fn replay(rest: &[String], ctx: &OpCtx) -> Result<Vec<String>, String> {
         lines.push(summary.to_json());
     }
     Ok(lines)
+}
+
+/// Decodes streams `ids` of `path` to their `End` totals, checking every
+/// chunk of theirs.
+fn check_streams(path: &Path, ids: impl Iterator<Item = u16>) -> Result<(), TraceError> {
+    let mut batch = EventBatch::new();
+    for id in ids {
+        let mut reader = BatchReader::open_stream(path, id)?;
+        while reader.next_chunk(&mut batch)?.is_some() {}
+    }
+    Ok(())
 }
 
 /// `profile <file>`: miss curves straight from a recording — exact

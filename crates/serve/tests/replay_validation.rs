@@ -1,11 +1,11 @@
 //! Replay validates a capture in the same pass that simulates it: no
 //! whole-file scan runs first. This is the corruption matrix for that
 //! path over a 4-stream mix capture. Every damaged file must fail each
-//! replay surface (`Experiment::replay` of all streams and of stream 0,
-//! `ops::replay --mix`, and the `trace_tool replay` process with and
-//! without `--mix`) with exactly the error text of `TraceInfo::scan`,
-//! and nothing may panic on the way. The panic hook is process-wide, so
-//! this file holds a single test.
+//! replay surface (`Experiment::replay` of all streams, `ops::replay`
+//! with and without `--mix`, and the `trace_tool replay` process with
+//! and without `--mix`) with exactly the error text of
+//! `TraceInfo::scan`, and nothing may panic on the way. The panic hook
+//! is process-wide, so this file holds a single test.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -171,24 +171,22 @@ fn assert_replays_fail_like_the_scan(case: &str, path: &Path, budget: &[&str]) {
         .to_string();
     let file = path.to_str().unwrap();
 
-    for all in [true, false] {
-        let mut exp =
-            Experiment::replay(SchemeKind::SNucaLru, path).classification(Classification::None);
-        if all {
-            exp = exp.all_streams();
-        }
-        if let ["--measure", n] = budget {
-            exp = exp.measure(n.parse().unwrap());
-        }
-        let got = exp.run().expect_err(case).to_string();
-        assert_eq!(got, want, "{case}: Experiment::replay, all streams {all}");
+    let mut exp = Experiment::replay(SchemeKind::SNucaLru, path)
+        .classification(Classification::None)
+        .all_streams();
+    if let ["--measure", n] = budget {
+        exp = exp.measure(n.parse().unwrap());
     }
+    let got = exp.run().expect_err(case).to_string();
+    assert_eq!(got, want, "{case}: Experiment::replay, all streams");
 
+    // Stream 0 alone: the other streams are checked before the schemes run.
     let mix = [&["replay", file, "--mix", "--scheme", "LRU"], budget].concat();
-    let got = ops::replay(&strs(&mix[1..]), &OpCtx::offline()).expect_err(case);
-    assert_eq!(got, want, "{case}: ops::replay --mix");
-
     let one = [&["replay", file, "--scheme", "LRU"], budget].concat();
+    for argv in [&mix, &one] {
+        let got = ops::replay(&strs(&argv[1..]), &OpCtx::offline()).expect_err(case);
+        assert_eq!(got, want, "{case}: ops::{argv:?}");
+    }
     for argv in [mix, one] {
         let out = Command::new(env!("CARGO_BIN_EXE_trace_tool"))
             .args(&argv)

@@ -35,7 +35,7 @@ pub use driver::{CoreRunner, MultiCoreSim, RunSummary, SimConfig};
 pub use energy::{EnergyBreakdown, EnergyMeter, EnergyParams};
 pub use hierarchy::{PrivateHierarchy, PrivateLookup};
 pub use memory::MemoryChannels;
-pub use replay::{trace_bundle, trace_pools, TraceWorkload};
+pub use replay::{stream_bundle, trace_bundle, trace_pools, TraceWorkload};
 pub use scheme::{
     AccessContext, BatchClock, LlcOutcome, LlcResponse, LlcScheme, PoolDescriptor, TraceEvent,
     Workload, WorkloadBundle,

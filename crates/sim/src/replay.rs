@@ -155,10 +155,10 @@ pub(crate) fn pool_metas_of(pools: &[PoolDescriptor]) -> Vec<wp_trace::PoolMeta>
         .collect()
 }
 
-/// Reads the definition of stream `stream` by a frame walk
-/// ([`wp_trace::stream_table`]), decoding no chunk.
+/// Reads the definition of stream `stream` by a frame walk that stops
+/// there ([`wp_trace::stream_defs`]), decoding no chunk.
 fn stream_meta(path: &Path, stream: u16) -> Result<wp_trace::StreamMeta, TraceError> {
-    wp_trace::stream_table(path)?
+    wp_trace::stream_defs(path, stream)?
         .into_iter()
         .nth(usize::from(stream))
         .ok_or_else(|| TraceError::Corrupt(format!("stream {stream} is not defined in the trace")))
@@ -179,16 +179,27 @@ pub fn trace_bundle(
     stream: u16,
     with_pools: bool,
 ) -> Result<WorkloadBundle, TraceError> {
-    let meta = stream_meta(path, stream)?;
+    stream_bundle(path, &stream_meta(path, stream)?, with_pools)
+}
+
+/// [`trace_bundle`] for a stream whose definition the caller already
+/// holds (from [`wp_trace::stream_table`] or [`wp_trace::stream_defs`]),
+/// so building a whole mix's bundles walks the file once rather than once
+/// per stream.
+pub fn stream_bundle(
+    path: &Path,
+    meta: &wp_trace::StreamMeta,
+    with_pools: bool,
+) -> Result<WorkloadBundle, TraceError> {
     let pools = if with_pools {
         descriptors_of(&meta.pools)
     } else {
         Vec::new()
     };
     Ok(WorkloadBundle {
-        trace: Box::new(TraceWorkload::open_stream(path, stream)?),
+        trace: Box::new(TraceWorkload::open_stream(path, meta.id)?),
         pools,
-        name: meta.name,
+        name: meta.name.clone(),
     })
 }
 

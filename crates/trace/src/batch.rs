@@ -213,8 +213,9 @@ enum Follow {
     All,
     /// One stream's chunks ([`BatchReader::follow`]).
     One(u16),
-    /// No chunk at all ([`stream_table`]).
-    Nothing,
+    /// No chunk at all ([`stream_table`]); with `Some(id)`, the walk
+    /// stops once stream `id` is defined ([`stream_defs`]).
+    Nothing(Option<u16>),
 }
 
 impl Follow {
@@ -222,7 +223,7 @@ impl Follow {
         match self {
             Follow::All => true,
             Follow::One(f) => stream == u64::from(f),
-            Follow::Nothing => false,
+            Follow::Nothing(_) => false,
         }
     }
 }
@@ -386,12 +387,16 @@ impl BatchReader {
                             self.streams.len()
                         )));
                     }
+                    let id = meta.id;
                     self.streams.push(BatchStream {
                         meta,
                         events: 0,
                         instrs: 0,
                         skipped: false,
                     });
+                    if self.follow == Follow::Nothing(Some(id)) {
+                        return Ok(None);
+                    }
                 }
                 TAG_CHUNK => {
                     let (stream, body) = chunk_stream_id(payload)?;
@@ -468,9 +473,24 @@ impl BatchReader {
 /// of [`TraceInfo::scan`](crate::TraceInfo::scan); the replay's own
 /// per-stream readers validate the chunks.
 pub fn stream_table(path: &Path) -> Result<Vec<StreamMeta>, TraceError> {
+    walk_defs(path, None)
+}
+
+/// The definitions of streams `0..=last` of `path` (fewer if the file
+/// defines fewer), by the frame walk of [`stream_table`] cut short once
+/// stream `last` is defined. A definition precedes its stream's chunks,
+/// so this usually reads only the head of the file: it is how a replay of
+/// some of a capture's streams finds their definitions, leaving the rest
+/// of the file to the streams' own readers.
+pub fn stream_defs(path: &Path, last: u16) -> Result<Vec<StreamMeta>, TraceError> {
+    walk_defs(path, Some(last))
+}
+
+fn walk_defs(path: &Path, last: Option<u16>) -> Result<Vec<StreamMeta>, TraceError> {
     let mut reader = BatchReader::open(path)?;
-    reader.follow = Follow::Nothing;
-    // With nothing followed, one call walks straight to the End block.
+    reader.follow = Follow::Nothing(last);
+    // With nothing followed, one call walks to the End block, or to the
+    // definition of stream `last`.
     reader.next_chunk(&mut EventBatch::new())?;
     Ok(reader.streams.into_iter().map(|s| s.meta).collect())
 }
@@ -957,6 +977,19 @@ mod tests {
             table(&[&buf[..], b"x"].concat()),
             Err(TraceError::Corrupt(_))
         ));
+
+        // stream_defs stops at the definition asked for, so a body cut
+        // short after the definitions is not its to see.
+        let defs = |bytes: &[u8], last: u16| {
+            std::fs::write(&path, bytes).unwrap();
+            stream_defs(&path, last)
+        };
+        let head = &buf[..chunk.start];
+        assert_eq!(defs(head, 0).unwrap().len(), 1);
+        assert_eq!(defs(head, 1).unwrap().len(), 2);
+        // Past the last definition it walks the whole file.
+        assert_eq!(defs(&buf, 5).unwrap().len(), 2);
+        assert!(matches!(defs(head, 5), Err(TraceError::Truncated)));
         std::fs::remove_file(&path).unwrap();
     }
 

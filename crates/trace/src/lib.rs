@@ -45,7 +45,8 @@
 //!   decoded on a lookahead thread, the simulator's replay path.
 //!
 //! [`TraceInfo::scan`] summarizes a file by decoding all its chunks;
-//! [`stream_table`] lists its streams by a frame walk that decodes none.
+//! [`stream_table`] lists its streams by a frame walk that decodes none
+//! ([`stream_defs`] stops it at a given stream's definition).
 //! Because every consumer runs the same parser, they all accept and
 //! reject exactly the same inputs.
 //
@@ -63,7 +64,7 @@ mod reader;
 mod varint;
 mod writer;
 
-pub use batch::{stream_table, BatchReader, EventBatch, PrefetchBatches};
+pub use batch::{stream_defs, stream_table, BatchReader, EventBatch, PrefetchBatches};
 pub use meta::{PoolMeta, StreamMeta, TraceRecord};
 pub use mmap::TraceData;
 pub use reader::{StreamInfo, TraceInfo, TraceReader};

@@ -12,7 +12,7 @@
 //! [`wp_trace::TraceError`].
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -26,7 +26,7 @@ use wp_mem::{CallpointId, PageId, LINES_PER_PAGE};
 use wp_noc::CoreId;
 use wp_paws::{core_workloads, schedule, ParallelClassification, SchedPolicy, Schedule};
 use wp_sim::{LlcScheme, MultiCoreSim, RunSummary, SystemConfig, WorkloadBundle};
-use wp_trace::{BatchReader, EventBatch, TraceError, TraceInfo};
+use wp_trace::{TraceError, TraceInfo};
 use wp_whirltool::{cluster, profile, ProfilerConfig};
 use wp_workloads::parallel::{ParallelApp, ParallelSpec};
 use wp_workloads::registry;
@@ -955,8 +955,8 @@ impl Experiment {
     }
 
     /// Attaches an explicit stream list of a replay to cores 0..n in
-    /// order. Streams left off the list are still validated after the
-    /// run (see [`run`](Self::run)).
+    /// order. Chunks of streams left off the list are stepped over, not
+    /// checked (see [`run`](Self::run)).
     ///
     /// # Panics
     ///
@@ -1083,14 +1083,19 @@ impl Experiment {
     /// files, capture I/O.
     ///
     /// A replay validates its capture in the pass that simulates it, with
-    /// no scan first. Opening it walks the block framing, stream
-    /// definitions and `End` block ([`wp_trace::stream_table`]). Each
-    /// replayed stream's reader then checks every chunk it decodes and
-    /// that stream's `End` totals, and drains whatever tail the budgets
-    /// left unread ([`wp_sim::TraceWorkload`]). Streams no core replays
-    /// are decoded after the run. So a damaged capture always fails,
-    /// however short the run. Its error is the one [`TraceInfo::scan`]
-    /// reports for the file; the scan runs on this error path only.
+    /// no scan first. Opening it reads the stream definitions by a frame
+    /// walk that decodes no chunk ([`wp_trace::stream_table`] for
+    /// [`all_streams`](Self::all_streams), which also checks the `End`
+    /// block; [`wp_trace::stream_defs`] otherwise). Each replayed stream's
+    /// reader then checks the block framing, every chunk of its stream
+    /// and that stream's `End` totals, and drains whatever tail the
+    /// budgets left unread ([`wp_sim::TraceWorkload`]). So a damaged
+    /// stream fails its replay however short the run. A partial replay
+    /// ([`stream`](Self::stream), [`streams`](Self::streams)) does not
+    /// check the chunks of the streams it leaves out; `trace_tool
+    /// replay` decodes those once per invocation, before its schemes run.
+    /// A failed replay's error is the one [`TraceInfo::scan`] reports for
+    /// the file; the scan runs on this error path only.
     pub fn run(self) -> Result<RunSummary, HarnessError> {
         self.run_full().map(|r| r.summary)
     }
@@ -1145,9 +1150,6 @@ impl Experiment {
             tok.check()?;
         }
         let mut sched = None;
-        // A partial replay's capture and the streams no core replays,
-        // validated after the run.
-        let mut unattached: Option<(PathBuf, Vec<u16>)> = None;
 
         // Build the per-core attachments. This is where trace stream
         // tables are read, mix traces scanned, capture replays opened,
@@ -1192,41 +1194,43 @@ impl Experiment {
             }
             Placement::Replay { trace, select } => {
                 let with_pools = !matches!(classification, Classification::None);
-                let table: Vec<u16> = wp_trace::stream_table(&trace)?
-                    .iter()
-                    .map(|m| m.id)
-                    .collect();
-                let streams: Vec<u16> = match select {
-                    StreamSelect::One(k) => vec![k],
-                    StreamSelect::Set(ids) => ids,
+                // Each bundle is built from its stream's definition, read
+                // by one frame walk: over the whole file for all streams,
+                // else only up to the last replayed stream's definition.
+                let (streams, mut table) = match select {
+                    StreamSelect::One(k) => (vec![k], Vec::new()),
+                    StreamSelect::Set(ids) => (ids, Vec::new()),
                     StreamSelect::All => {
+                        let table = wp_trace::stream_table(&trace)?;
                         if table.is_empty() {
                             return Err(HarnessError::Trace(TraceError::Corrupt(format!(
                                 "{} defines no streams",
                                 trace.display()
                             ))));
                         }
-                        table.clone()
+                        (table.iter().map(|m| m.id).collect::<Vec<u16>>(), table)
                     }
                 };
-                let rest: Vec<u16> = table
-                    .into_iter()
-                    .filter(|id| !streams.contains(id))
-                    .collect();
-                if !rest.is_empty() {
-                    unattached = Some((trace.clone(), rest));
-                }
                 if streams.len() > cores {
                     return Err(HarnessError::TooManyWorkloads {
                         workloads: streams.len(),
                         cores,
                     });
                 }
+                // (`table` is only empty here when not all streams replay.)
+                if table.is_empty() {
+                    if let Some(&last) = streams.iter().max() {
+                        table = wp_trace::stream_defs(&trace, last)?;
+                    }
+                }
                 let mut out = Vec::with_capacity(streams.len());
                 for (c, sid) in streams.into_iter().enumerate() {
+                    let meta = table.iter().find(|m| m.id == sid).ok_or_else(|| {
+                        TraceError::Corrupt(format!("stream {sid} is not defined in the trace"))
+                    })?;
                     out.push((
                         CoreId(c as u16),
-                        wp_sim::trace_bundle(&trace, sid, with_pools)?,
+                        wp_sim::stream_bundle(&trace, meta, with_pools)?,
                     ));
                 }
                 out
@@ -1270,9 +1274,6 @@ impl Experiment {
         let summary = sim.run_with_warmup(warmup, measure);
         sim.finish_workloads()?;
         sim.finish_capture()?;
-        if let Some((path, ids)) = &unattached {
-            validate_unattached(path, ids)?;
-        }
         let timeline = if obs_cfg.is_some() {
             sim.take_timeline()
         } else {
@@ -1313,20 +1314,6 @@ impl Experiment {
             scheme,
         ))
     }
-}
-
-/// Decodes the streams `ids` of `trace` that a partial replay attached to
-/// no core. Each replayed stream is validated by its own reader, so this
-/// makes a one-stream replay of a mix capture check every chunk and every
-/// `End` total, as a whole-capture replay does, and still decode each
-/// chunk only once.
-fn validate_unattached(trace: &Path, ids: &[u16]) -> Result<(), TraceError> {
-    let mut batch = EventBatch::new();
-    for &id in ids {
-        let mut reader = BatchReader::open_stream(trace, id)?;
-        while reader.next_chunk(&mut batch)?.is_some() {}
-    }
-    Ok(())
 }
 
 /// Builds core `core`'s workload bundle for a multi-program mix: a
