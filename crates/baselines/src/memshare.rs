@@ -21,7 +21,8 @@ use wp_mem::LineAddr;
 use wp_mrc::MissCurve;
 use wp_noc::{BankId, CoreId};
 use wp_sim::{
-    AccessContext, LlcOutcome, LlcResponse, LlcScheme, PoolDescriptor, SystemConfig, Uncore,
+    AccessContext, EventBatch, LlcOutcome, LlcResponse, LlcScheme, PoolDescriptor, SystemConfig,
+    Uncore,
 };
 
 /// Per-core bookkeeping: cumulative demand plus the last blended curve.
@@ -209,6 +210,14 @@ impl LlcScheme for MemshareScheme {
                 }
             }
         }
+    }
+
+    /// The monitor's stack slot (sampled lines only) and the partition's
+    /// index slot that serving event `i` probes first.
+    fn prefetch(&self, core: CoreId, batch: &EventBatch, i: usize) {
+        let line = batch.lines[i].0;
+        self.monitors[usize::from(core.0)].prefetch(line);
+        self.parts.prefetch(u32::from(core.0), line);
     }
 
     fn reconfigure(&mut self, uncore: &mut Uncore) {

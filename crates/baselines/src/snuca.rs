@@ -9,8 +9,8 @@ use wp_cache::{AccessOutcome, DrripPolicy, LruPolicy, ReplacementPolicy, SetAsso
 use wp_mem::LineAddr;
 use wp_noc::{BankId, CoreId};
 use wp_sim::{
-    AccessContext, BatchClock, EventBatch, LlcOutcome, LlcResponse, LlcScheme, PoolDescriptor,
-    SystemConfig, Uncore,
+    AccessContext, EventBatch, LlcOutcome, LlcResponse, LlcScheme, PoolDescriptor, SystemConfig,
+    Uncore,
 };
 
 /// Replacement policy choice for the S-NUCA banks.
@@ -48,8 +48,8 @@ pub struct SNucaScheme {
     banks: Vec<BankCache>,
     num_banks: u64,
     label: String,
-    /// Per-batch bank-id scratch for [`LlcScheme::access_batch`]; reused
-    /// so batched runs allocate nothing in steady state.
+    /// The current quantum's bank ids, filled by [`LlcScheme::prepare`];
+    /// reused so batched runs allocate nothing in steady state.
     bank_scratch: Vec<u16>,
 }
 
@@ -98,12 +98,40 @@ impl SNucaScheme {
 
     /// The bank a line hashes to (even interleave over a mixed hash).
     pub fn bank_of(&self, line: LineAddr) -> BankId {
-        let mut h = line.0;
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xD6E8_FEB8_6659_FD93);
-        h ^= h >> 33;
-        BankId((h % self.num_banks) as u16)
+        bank_hash(line, self.num_banks)
     }
+
+    /// Serves `line` in `bank`: the body of [`LlcScheme::access`] once the
+    /// bank is known.
+    #[inline]
+    fn serve_in(
+        &mut self,
+        bank: BankId,
+        core: CoreId,
+        line: LineAddr,
+        uncore: &mut Uncore,
+    ) -> LlcResponse {
+        match self.banks[usize::from(bank.0)].access(line.0) {
+            AccessOutcome::Hit => LlcResponse {
+                latency: uncore.bank_hit(core, bank),
+                outcome: LlcOutcome::Hit,
+            },
+            AccessOutcome::Miss { .. } => LlcResponse {
+                latency: uncore.bank_miss_to_memory(core, bank, line),
+                outcome: LlcOutcome::Miss,
+            },
+        }
+    }
+}
+
+/// Even interleave of lines over `num_banks` through a mixed hash.
+#[inline]
+fn bank_hash(line: LineAddr, num_banks: u64) -> BankId {
+    let mut h = line.0;
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+    h ^= h >> 33;
+    BankId((h % num_banks) as u16)
 }
 
 impl LlcScheme for SNucaScheme {
@@ -114,62 +142,33 @@ impl LlcScheme for SNucaScheme {
     fn attach_core(&mut self, _core: CoreId, _pools: &[PoolDescriptor]) {}
 
     fn access(&mut self, ctx: AccessContext, uncore: &mut Uncore) -> LlcResponse {
-        let bank = self.bank_of(ctx.line);
-        match self.banks[bank.0 as usize].access(ctx.line.0) {
-            AccessOutcome::Hit => LlcResponse {
-                latency: uncore.bank_hit(ctx.core, bank),
-                outcome: LlcOutcome::Hit,
-            },
-            AccessOutcome::Miss { .. } => LlcResponse {
-                latency: uncore.bank_miss_to_memory(ctx.core, bank, ctx.line),
-                outcome: LlcOutcome::Miss,
-            },
-        }
+        self.serve_in(self.bank_of(ctx.line), ctx.core, ctx.line, uncore)
     }
 
-    fn access_batch(
+    /// Hashes the quantum's bank ids once, in a tight monomorphic loop,
+    /// instead of once per prefetch plus once per access.
+    fn prepare(&mut self, _core: CoreId, batch: &EventBatch, _uncore: &mut Uncore) {
+        let num_banks = self.num_banks;
+        self.bank_scratch.clear();
+        self.bank_scratch
+            .extend(batch.lines.iter().map(|&l| bank_hash(l, num_banks).0));
+    }
+
+    /// The bank set event `i` will probe: the tag arrays are tens of MB
+    /// and hash-scattered, the whole reason simulated accesses are
+    /// host-latency-bound.
+    fn prefetch(&self, _core: CoreId, batch: &EventBatch, i: usize) {
+        self.banks[usize::from(self.bank_scratch[i])].prefetch(batch.lines[i].0);
+    }
+
+    fn serve(
         &mut self,
         core: CoreId,
         batch: &EventBatch,
-        clock: &mut BatchClock,
+        i: usize,
         uncore: &mut Uncore,
-        out: &mut Vec<LlcResponse>,
-    ) {
-        // Identical to the default per-event loop, plus a pure software
-        // prefetch of the bank set that event `i + LOOKAHEAD` will probe
-        // — the tag arrays are tens of MB, hash-scattered, and the whole
-        // reason simulated accesses are host-latency-bound. Bank ids are
-        // hashed once for the whole batch (a tight monomorphic loop)
-        // instead of once per prefetch plus once per access.
-        const LOOKAHEAD: usize = 32;
-        let mut banks_of = std::mem::take(&mut self.bank_scratch);
-        banks_of.clear();
-        banks_of.extend(batch.lines.iter().map(|&l| self.bank_of(l).0));
-        for (&b, &line) in banks_of.iter().zip(&batch.lines).take(LOOKAHEAD) {
-            self.banks[usize::from(b)].prefetch(line.0);
-        }
-        for i in 0..batch.len() {
-            if let Some(&b) = banks_of.get(i + LOOKAHEAD) {
-                self.banks[usize::from(b)].prefetch(batch.lines[i + LOOKAHEAD].0);
-            }
-            clock.pre_access(batch.gaps[i], uncore);
-            let bank = BankId(banks_of[i]);
-            let line = batch.lines[i];
-            // The body of `access`, with the bank hash already done.
-            let resp = match self.banks[usize::from(bank.0)].access(line.0) {
-                AccessOutcome::Hit => LlcResponse {
-                    latency: uncore.bank_hit(core, bank),
-                    outcome: LlcOutcome::Hit,
-                },
-                AccessOutcome::Miss { .. } => LlcResponse {
-                    latency: uncore.bank_miss_to_memory(core, bank, line),
-                    outcome: LlcOutcome::Miss,
-                },
-            };
-            clock.post_access(resp.latency);
-            out.push(resp);
-        }
-        self.bank_scratch = banks_of;
+    ) -> LlcResponse {
+        self.serve_in(BankId(self.bank_scratch[i]), core, batch.lines[i], uncore)
     }
 
     fn reconfigure(&mut self, _uncore: &mut Uncore) {}

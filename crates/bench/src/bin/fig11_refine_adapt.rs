@@ -1,17 +1,22 @@
 //! Fig. 11: refine's irregular phase changes and how Whirlpool adapts its
 //! allocations over time (the Fig. 11a allocation trace).
 
-use whirlpool::WhirlpoolScheme;
 use whirlpool_repro::harness::*;
 use wp_bench::measure_budget;
+use wp_jigsaw::{NucaConfig, NucaRuntime};
 
 fn main() {
     let sys = four_core_config();
+    let whirlpool = NucaRuntime::new(
+        sys.clone(),
+        NucaConfig::for_system(&sys, true, true),
+        SchemeKind::Whirlpool.label(),
+    );
     let (run, scheme) = Experiment::single(SchemeKind::Whirlpool, "refine")
         .classification(Classification::Manual)
         .measure(measure_budget("refine"))
         .system(sys.clone())
-        .run_with_scheme(WhirlpoolScheme::new(sys.clone()))
+        .run_with_scheme(whirlpool)
         .unwrap_or_else(|e| panic!("refine under Whirlpool failed: {e}"));
     let out = run.summary;
 
@@ -23,7 +28,7 @@ fn main() {
         "{:>9} {:>10} {:>10} {:>10} {:>8}",
         "cycle(M)", "vertices", "triangles", "misc", "thread"
     );
-    let hist = scheme.runtime().reconfig_history();
+    let hist = scheme.reconfig_history();
     for (cyc, allocs) in hist {
         let find = |name: &str| {
             allocs

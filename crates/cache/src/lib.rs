@@ -22,10 +22,11 @@
 //! per VC, each probe is a host cache miss. [`LruCache`] and the monitor
 //! stack are therefore both indexed by one [`wp_mrc::LineTable`], whose
 //! lookup starts at a slot computable before the access. The NUCA
-//! runtime's `access_batch` resolves a quantum's VCs up front and, while
-//! serving event `i`, hints event `i + 16`'s slots through
-//! [`UtilityMonitor::prefetch`] and [`PartitionedCache::prefetch`]; the
-//! S-NUCA banks do the same with [`SetAssocCache::prefetch`]. All of
+//! runtime resolves a quantum's VCs up front and, while the simulator's
+//! access loop serves event `i`, hints event `i + 16`'s slots through
+//! [`UtilityMonitor::prefetch`] and [`PartitionedCache::prefetch`], as
+//! Memshare does for its one partitioned cache; the S-NUCA banks do the
+//! same with [`SetAssocCache::prefetch`]. All of
 //! them bottom out in [`prefetch_read`], the crate's only `unsafe`.
 //!
 //! # Example

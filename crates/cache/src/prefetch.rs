@@ -4,11 +4,11 @@
 //! hash-scattered order, so simulating one LLC access is latency-bound on
 //! the *host's* cache hierarchy. A scheme that can see a batch of upcoming
 //! events hides that latency by hinting the tag lines of event `i + k`
-//! while serving event `i` — see `LlcScheme::access_batch` in `wp-sim`.
-//! S-NUCA hints its set-associative banks' tag sets
+//! while serving event `i` — see the `LlcScheme::prefetch` hook in
+//! `wp-sim`. S-NUCA hints its set-associative banks' tag sets
 //! ([`SetAssocCache::prefetch`](crate::SetAssocCache::prefetch)); the
-//! Jigsaw/Whirlpool runtime hints each upcoming access's monitor-stack
-//! slot and bank-partition index slot
+//! Jigsaw/Whirlpool runtime and Memshare hint each upcoming access's
+//! monitor-stack slot and partition index slot
 //! ([`UtilityMonitor::prefetch`](crate::UtilityMonitor::prefetch),
 //! [`PartitionedCache::prefetch`](crate::PartitionedCache::prefetch)),
 //! both first probe slots of a [`wp_mrc::LineTable`].

@@ -226,11 +226,6 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
-
-    /// Resets statistics (contents are preserved).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
 }
 
 #[cfg(test)]

@@ -62,12 +62,6 @@ impl PoolAllocator {
         self.heap.pool_malloc(size, pool, cp)
     }
 
-    /// `pool_malloc` recording an explicit callpoint (used by WhirlTool's
-    /// runtime, which knows the real allocation site).
-    pub fn pool_malloc_at(&mut self, size: u64, pool: PoolId, callpoint: CallpointId) -> VirtAddr {
-        self.heap.pool_malloc(size, pool, callpoint)
-    }
-
     /// `pool_calloc(count, elem_size, pool)`.
     pub fn pool_calloc(&mut self, count: u64, elem_size: u64, pool: PoolId) -> VirtAddr {
         let cp = self.fresh_callpoint();
@@ -84,11 +78,6 @@ impl PoolAllocator {
     pub fn malloc(&mut self, size: u64) -> VirtAddr {
         let cp = self.fresh_callpoint();
         self.heap.malloc(size, cp)
-    }
-
-    /// Plain `malloc` with an explicit callpoint.
-    pub fn malloc_at(&mut self, size: u64, callpoint: CallpointId) -> VirtAddr {
-        self.heap.malloc(size, callpoint)
     }
 
     /// `free(ptr)`.

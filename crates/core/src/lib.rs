@@ -17,16 +17,24 @@
 //! * [`VcRegistry`] — the Sec. 3.2 system-call layer: `sys_vc_alloc`,
 //!   `sys_vc_free`, `sys_vc_tag`, and tagged `sys_mmap`, with the safety
 //!   checks the paper requires (a process may only tag its own VCs).
-//! * [`WhirlpoolScheme`] — the LLC scheme: the shared [`wp_jigsaw`] runtime
-//!   with per-pool VCs and VC bypassing enabled.
 //! * [`manual`] — the Table 2 manual classifications (pools, data
 //!   structures, and lines-of-code changed for the 12 hand-ported apps).
+//!
+//! The LLC scheme itself has no type here. "Whirlpool extends Jigsaw to
+//! support static classification of data into pools by building VCs for
+//! each pool. We make small modifications to Jigsaw … but do not modify
+//! its core hardware mechanisms or software reconfiguration runtime"
+//! (Sec. 2.4), so Whirlpool is the
+//! shared [`wp_jigsaw::NucaRuntime`] configured with
+//! [`per_pool_vcs`](wp_jigsaw::NucaConfig::per_pool_vcs) and VC bypassing
+//! on.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use whirlpool::{PoolAllocator, WhirlpoolScheme};
-//! use wp_sim::SystemConfig;
+//! use whirlpool::PoolAllocator;
+//! use wp_jigsaw::{NucaConfig, NucaRuntime};
+//! use wp_sim::{LlcScheme, SystemConfig};
 //!
 //! // Classify data into pools with the allocator...
 //! let mut alloc = PoolAllocator::new();
@@ -35,18 +43,21 @@
 //! let pools = alloc.descriptors();
 //! assert_eq!(pools.len(), 1);
 //!
-//! // ...and hand the classification to the Whirlpool-managed LLC.
-//! let scheme = WhirlpoolScheme::new(SystemConfig::four_core());
-//! assert_eq!(wp_sim::LlcScheme::name(&scheme), "Whirlpool");
+//! // ...and hand the classification to the Whirlpool-managed LLC: the
+//! // NUCA runtime with a VC per pool, plus bypassing.
+//! let sys = SystemConfig::four_core();
+//! let mut scheme = NucaRuntime::new(sys.clone(), NucaConfig::for_system(&sys, true, true), "Whirlpool");
+//! scheme.attach_core(wp_noc::CoreId(0), &pools);
+//! assert_eq!(scheme.vcs().len(), 3); // process + thread + "points"
 //! ```
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod api;
 pub mod manual;
+#[cfg(test)]
 mod scheme;
 mod syscalls;
 
 pub use api::PoolAllocator;
-pub use scheme::WhirlpoolScheme;
 pub use syscalls::{SysError, VcRegistry};

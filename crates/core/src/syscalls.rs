@@ -132,11 +132,6 @@ impl VcRegistry {
         &self.page_table
     }
 
-    /// Number of live user VCs.
-    pub fn live_vcs(&self) -> usize {
-        self.owners.len()
-    }
-
     fn check_owner(&self, process: ProcessId, vc: VcId) -> Result<(), SysError> {
         match self.owners.get(&vc) {
             None => Err(SysError::NoSuchVc),

@@ -9,16 +9,28 @@
 //! and re-places them with the *trading* placement algorithm driven by
 //! access intensity (APKI per MB).
 //!
-//! The same machinery, parameterized, *is* Whirlpool: the `whirlpool` crate
-//! enables per-pool VCs and bypassing on top of this [`NucaRuntime`]. That
-//! mirrors the paper: "Whirlpool chooses VC sizes identically to Jigsaw,
-//! with the only difference being that each memory pool gets its own VC."
+//! The same machinery, parameterized, *is* Whirlpool: [`NucaRuntime`] with
+//! [`NucaConfig::per_pool_vcs`] on gives each pool of the workload's
+//! static classification its own VC. That mirrors the paper: "Whirlpool
+//! chooses VC sizes identically to Jigsaw, with the only difference being
+//! that each memory pool gets its own VC."
 //!
 //! Entry points:
-//! * [`JigsawScheme`] — the baseline scheme (thread/process VCs only) that
-//!   plugs into [`wp_sim::MultiCoreSim`].
-//! * [`NucaRuntime`] / [`NucaConfig`] — the parameterized runtime reused by
-//!   Whirlpool.
+//! * [`NucaRuntime`] / [`NucaConfig`] — the runtime, which plugs into
+//!   [`wp_sim::MultiCoreSim`] as either scheme:
+//!
+//! ```
+//! use wp_jigsaw::{NucaConfig, NucaRuntime};
+//! use wp_sim::{LlcScheme, SystemConfig};
+//!
+//! let sys = SystemConfig::four_core();
+//! // Jigsaw: thread/process VCs only, with the bypass extension.
+//! let jigsaw = NucaRuntime::new(sys.clone(), NucaConfig::for_system(&sys, false, true), "Jigsaw");
+//! // Whirlpool: the same runtime with a VC per pool.
+//! let whirlpool =
+//!     NucaRuntime::new(sys.clone(), NucaConfig::for_system(&sys, true, true), "Whirlpool");
+//! assert_eq!((jigsaw.name(), whirlpool.name()), ("Jigsaw".into(), "Whirlpool".into()));
+//! ```
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -29,7 +41,7 @@ mod vc;
 mod vtb;
 
 pub use placement::{place_and_trade, PlacementInput, PlacementResult};
-pub use runtime::{JigsawScheme, NucaConfig, NucaRuntime};
+pub use runtime::{NucaConfig, NucaRuntime};
 pub use sizing::{size_vcs, SizingInput, SizingOutcome};
 pub use vc::{VcKind, VcState};
 pub use vtb::Vtb;

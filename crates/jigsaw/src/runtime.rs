@@ -15,8 +15,8 @@ use wp_cache::{MonitorConfig, PartitionedCache};
 use wp_mem::{LineAddr, PageId, VcId};
 use wp_noc::CoreId;
 use wp_sim::{
-    AccessContext, BatchClock, EventBatch, LlcOutcome, LlcResponse, LlcScheme, PoolDescriptor,
-    SystemConfig, Uncore,
+    AccessContext, EventBatch, LlcOutcome, LlcResponse, LlcScheme, PoolDescriptor, SystemConfig,
+    Uncore,
 };
 
 use crate::placement::{place_and_trade, PlacementInput};
@@ -61,7 +61,9 @@ impl NucaConfig {
 /// `(label, granules, bypassed)` for every live VC (Fig. 11a).
 pub type VcAllocations = Vec<(String, usize, bool)>;
 
-/// The shared Jigsaw/Whirlpool runtime. Implements [`LlcScheme`].
+/// The shared Jigsaw/Whirlpool runtime. Implements [`LlcScheme`], as
+/// Jigsaw or as Whirlpool depending on [`NucaConfig::per_pool_vcs`]; the
+/// paper's bypass ablations turn [`NucaConfig::bypass_enabled`] off.
 pub struct NucaRuntime {
     sys: SystemConfig,
     config: NucaConfig,
@@ -87,16 +89,11 @@ pub struct NucaRuntime {
     /// old→new allocations and the curve signal that drove each sizing
     /// decision (exported through [`LlcScheme::reconfig_log`]).
     obs_log: Vec<wp_obs::ReconfigEvent>,
-    /// Per-batch VC-index scratch for [`LlcScheme::access_batch`], reused
-    /// so batched runs allocate nothing in steady state.
+    /// The current quantum's VC indices, filled by
+    /// [`LlcScheme::prepare`]; reused so batched runs allocate nothing in
+    /// steady state.
     vc_scratch: Vec<u32>,
-    /// Accesses served through the batched path.
-    batched_accesses: u64,
 }
-
-/// How many events ahead [`LlcScheme::access_batch`] hints the monitor
-/// and bank-partition index slots of.
-const LOOKAHEAD: usize = 16;
 
 impl std::fmt::Debug for NucaRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -130,7 +127,6 @@ impl NucaRuntime {
             history: Vec::new(),
             obs_log: Vec::new(),
             vc_scratch: Vec::new(),
-            batched_accesses: 0,
             config,
             sys,
         };
@@ -144,13 +140,6 @@ impl NucaRuntime {
     /// Number of reconfigurations performed.
     pub fn reconfigurations(&self) -> u64 {
         self.reconfigurations
-    }
-
-    /// Accesses served through [`LlcScheme::access_batch`]'s lookahead
-    /// path rather than one [`LlcScheme::access`] call at a time. A
-    /// wrapper scheme that drops the batch override shows 0 here.
-    pub fn batched_accesses(&self) -> u64 {
-        self.batched_accesses
     }
 
     /// The VC states (for instrumentation and figures).
@@ -246,7 +235,7 @@ impl NucaRuntime {
     /// Serves one access whose VC is already resolved: the body of
     /// [`LlcScheme::access`] after the page lookup.
     #[inline]
-    fn serve(
+    fn serve_vc(
         &mut self,
         core: CoreId,
         line: LineAddr,
@@ -280,18 +269,6 @@ impl NucaRuntime {
                     outcome: LlcOutcome::Miss,
                 }
             }
-        }
-    }
-
-    /// Hints the host CPU to fetch what serving `line` in VC `idx` will
-    /// probe first: the monitor's stack slot (sampled lines only) and the
-    /// bank partition's index slot. No state changes.
-    #[inline]
-    fn prefetch(&self, idx: u32, line: LineAddr) {
-        let vc = &self.vcs[idx as usize];
-        vc.monitor.prefetch(line.0);
-        if !vc.bypassed {
-            self.banks[vc.vtb.lookup(line).0 as usize].prefetch(idx, line.0);
         }
     }
 
@@ -407,48 +384,44 @@ impl LlcScheme for NucaRuntime {
             self.bootstrap(uncore);
         }
         let idx = self.resolve_vc(ctx.core, ctx.line.page());
-        self.serve(ctx.core, ctx.line, idx, uncore)
+        self.serve_vc(ctx.core, ctx.line, idx, uncore)
     }
 
-    /// The per-event loop in two passes. The first resolves every event's
-    /// VC in order; only `resolve_vc` reads or writes the page map, and
-    /// nothing that serving an access changes feeds back into it, so the
-    /// resolutions are the per-event ones. The second serves the events
-    /// in order while hinting the monitor and bank-partition slots of
-    /// event `i + LOOKAHEAD`: the page → VC → VTB → bank chain is known
-    /// that far ahead, and each of those slots is otherwise a host cache
-    /// miss on the simulated access path.
-    fn access_batch(
-        &mut self,
-        core: CoreId,
-        batch: &EventBatch,
-        clock: &mut BatchClock,
-        uncore: &mut Uncore,
-        out: &mut Vec<LlcResponse>,
-    ) {
-        if batch.is_empty() {
-            return;
-        }
+    /// Resolves every event's VC in order. Only `resolve_vc` reads or
+    /// writes the page map, and nothing that serving an access changes
+    /// feeds back into it, so the resolutions are the per-event ones —
+    /// and the page → VC → VTB → bank chain is known a whole quantum
+    /// ahead.
+    fn prepare(&mut self, core: CoreId, batch: &EventBatch, uncore: &mut Uncore) {
         if !self.bootstrapped {
             self.bootstrap(uncore);
         }
         let mut vcs = std::mem::take(&mut self.vc_scratch);
         vcs.clear();
         vcs.extend(batch.lines.iter().map(|l| self.resolve_vc(core, l.page())));
-        for (&idx, &line) in vcs.iter().zip(&batch.lines).take(LOOKAHEAD) {
-            self.prefetch(idx, line);
-        }
-        for (i, (&idx, &line)) in vcs.iter().zip(&batch.lines).enumerate() {
-            if let Some(&ahead) = vcs.get(i + LOOKAHEAD) {
-                self.prefetch(ahead, batch.lines[i + LOOKAHEAD]);
-            }
-            clock.pre_access(batch.gaps[i], uncore);
-            let resp = self.serve(core, line, idx, uncore);
-            clock.post_access(resp.latency);
-            out.push(resp);
-        }
         self.vc_scratch = vcs;
-        self.batched_accesses += batch.len() as u64;
+    }
+
+    /// The monitor's stack slot (sampled lines only) and the bank
+    /// partition's index slot that serving event `i` probes first: each
+    /// is otherwise a host cache miss on the simulated access path.
+    fn prefetch(&self, _core: CoreId, batch: &EventBatch, i: usize) {
+        let (idx, line) = (self.vc_scratch[i], batch.lines[i]);
+        let vc = &self.vcs[idx as usize];
+        vc.monitor.prefetch(line.0);
+        if !vc.bypassed {
+            self.banks[vc.vtb.lookup(line).0 as usize].prefetch(idx, line.0);
+        }
+    }
+
+    fn serve(
+        &mut self,
+        core: CoreId,
+        batch: &EventBatch,
+        i: usize,
+        uncore: &mut Uncore,
+    ) -> LlcResponse {
+        self.serve_vc(core, batch.lines[i], self.vc_scratch[i], uncore)
     }
 
     fn reconfigure(&mut self, uncore: &mut Uncore) {
@@ -613,70 +586,6 @@ impl LlcScheme for NucaRuntime {
     }
 }
 
-/// The baseline Jigsaw scheme: [`NucaRuntime`] without per-pool VCs.
-#[derive(Debug)]
-pub struct JigsawScheme(NucaRuntime);
-
-impl JigsawScheme {
-    /// Jigsaw with the bypass extension (the paper's default comparison).
-    pub fn new(sys: SystemConfig) -> Self {
-        let cfg = NucaConfig::for_system(&sys, false, true);
-        Self(NucaRuntime::new(sys, cfg, "Jigsaw"))
-    }
-
-    /// Jigsaw without bypassing (the Fig. 21/22 ablation).
-    pub fn without_bypass(sys: SystemConfig) -> Self {
-        let cfg = NucaConfig::for_system(&sys, false, false);
-        Self(NucaRuntime::new(sys, cfg, "Jigsaw-NoBypass"))
-    }
-
-    /// The inner runtime (instrumentation).
-    pub fn runtime(&self) -> &NucaRuntime {
-        &self.0
-    }
-}
-
-impl LlcScheme for JigsawScheme {
-    fn name(&self) -> String {
-        self.0.name()
-    }
-
-    fn attach_core(&mut self, core: CoreId, pools: &[PoolDescriptor]) {
-        self.0.attach_core(core, pools);
-    }
-
-    fn access(&mut self, ctx: AccessContext, uncore: &mut Uncore) -> LlcResponse {
-        self.0.access(ctx, uncore)
-    }
-
-    fn access_batch(
-        &mut self,
-        core: CoreId,
-        batch: &EventBatch,
-        clock: &mut BatchClock,
-        uncore: &mut Uncore,
-        out: &mut Vec<LlcResponse>,
-    ) {
-        self.0.access_batch(core, batch, clock, uncore, out);
-    }
-
-    fn reconfigure(&mut self, uncore: &mut Uncore) {
-        self.0.reconfigure(uncore);
-    }
-
-    fn bank_occupancy(&self) -> Vec<(usize, String, f64)> {
-        self.0.bank_occupancy()
-    }
-
-    fn pool_occupancy(&self) -> Vec<wp_obs::PoolOcc> {
-        self.0.pool_occupancy()
-    }
-
-    fn reconfig_log(&self) -> Vec<wp_obs::ReconfigEvent> {
-        self.0.reconfig_log()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -741,7 +650,7 @@ mod tests {
 
     #[test]
     fn jigsaw_ignores_pools() {
-        let mut j = JigsawScheme::new(sys());
+        let mut j = NucaRuntime::new(sys(), NucaConfig::for_system(&sys(), false, true), "J");
         let pool = PoolDescriptor {
             name: "p".into(),
             pool: Some(wp_mem::PoolId(1)),
@@ -750,7 +659,7 @@ mod tests {
         };
         j.attach_core(CoreId(0), &[pool]);
         // Only process VC + thread VC exist.
-        assert_eq!(j.runtime().vcs().len(), 2);
+        assert_eq!(j.vcs().len(), 2);
     }
 
     #[test]

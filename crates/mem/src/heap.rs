@@ -218,11 +218,6 @@ impl Heap {
         self.page_owner.get(&addr.page()).copied().flatten()
     }
 
-    /// The pool owning `page`, if the page was ever handed out.
-    pub fn owner_of_page(&self, page: PageId) -> Option<Option<PoolId>> {
-        self.page_owner.get(&page).copied()
-    }
-
     /// Pages owned by `pool` (in allocation order).
     pub fn pages_of_pool(&self, pool: PoolId) -> &[PageId] {
         self.pools

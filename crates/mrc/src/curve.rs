@@ -101,12 +101,6 @@ impl MissCurve {
         self.points[idx]
     }
 
-    /// MPKI at a byte capacity (rounded down to whole granules).
-    pub fn mpki_at_bytes(&self, bytes: u64) -> f64 {
-        let granules = bytes / (self.granule_lines * crate::LINE_BYTES);
-        self.mpki_at(granules as usize)
-    }
-
     /// The raw points slice.
     pub fn points(&self) -> &[f64] {
         &self.points
@@ -125,11 +119,6 @@ impl MissCurve {
     /// Lines per capacity granule.
     pub fn granule_lines(&self) -> u64 {
         self.granule_lines
-    }
-
-    /// Bytes per capacity granule.
-    pub fn granule_bytes(&self) -> u64 {
-        self.granule_lines * crate::LINE_BYTES
     }
 
     /// MPKI with no cache (the LLC access rate of this stream, APKI).
@@ -254,11 +243,6 @@ impl MissCurve {
             area += 0.5 * (self.points[i] + self.points[i + 1]);
         }
         area
-    }
-
-    /// Total misses saved by growing from zero to full capacity.
-    pub fn total_utility(&self) -> f64 {
-        self.at_zero() - self.floor()
     }
 
     /// The smallest capacity (granules) at which the curve comes within

@@ -188,12 +188,6 @@ impl Floorplan {
         banks
     }
 
-    /// Round-trip core→bank→core latency in cycles, including the bank
-    /// access itself.
-    pub fn bank_access_latency(&self, c: CoreId, b: BankId, bank_cycles: u64) -> u64 {
-        self.params.round_trip_latency(self.hops_core_bank(c, b)) + bank_cycles
-    }
-
     /// Builds Jigsaw's size→latency model for a VC consumed from `center`:
     /// the average round-trip + bank latency when the VC's capacity occupies
     /// the nearest banks first, each bank contributing `granules_per_bank`

@@ -16,7 +16,7 @@
 //! time — `connect` distinguishes a live daemon from a dead one's
 //! leftover — and reported as a one-line error, never a panic.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -27,6 +27,11 @@ use crate::dispatcher::{Dispatcher, JobEvent};
 use crate::protocol::{ack_frame, done_frame, error_frame, line_frame, Request};
 use crate::signal;
 use crate::store::ServeStore;
+
+/// The longest request line the daemon reads, newline included. A request
+/// carries only a verb and its argv, so 64 KiB is ample; a longer line is
+/// answered with an error frame and the connection is closed.
+pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
 /// How the daemon is wired: socket path, store directories, queue shape.
 #[derive(Debug, Clone)]
@@ -221,14 +226,22 @@ fn handle_connection(stream: UnixStream, dispatcher: &Dispatcher, shutdown: &Ato
     };
     let mut writer = std::io::BufWriter::new(write_half);
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        // On timeout, `read_line` keeps any partial data in `line`;
-        // retrying appends to it, so partial lines survive the poll.
+        // On timeout, `read_until` keeps any partial data in `line`;
+        // retrying appends to it, so partial lines survive the poll. The
+        // reads stop one byte past the cap, so a client that never sends
+        // a newline cannot make the daemon buffer more than that.
         loop {
-            match reader.read_line(&mut line) {
+            let room = (MAX_REQUEST_BYTES + 1 - line.len()) as u64;
+            match reader.by_ref().take(room).read_until(b'\n', &mut line) {
                 Ok(0) => return,
+                Ok(_) if line.len() > MAX_REQUEST_BYTES => {
+                    let message = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
+                    let _ = send(&mut writer, &error_frame(0, false, &message));
+                    return;
+                }
                 Ok(_) => break,
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
@@ -242,7 +255,11 @@ fn handle_connection(stream: UnixStream, dispatcher: &Dispatcher, shutdown: &Ato
                 Err(_) => return,
             }
         }
-        let trimmed = line.trim();
+        // Invalid UTF-8 closes the connection, as a failed read does.
+        let Ok(text) = std::str::from_utf8(&line) else {
+            return;
+        };
+        let trimmed = text.trim();
         if trimmed.is_empty() {
             continue;
         }

@@ -283,11 +283,6 @@ impl<S: LlcScheme> MultiCoreSim<S> {
         &self.scheme
     }
 
-    /// Mutable access to the scheme (for tests and phase injection).
-    pub fn scheme_mut(&mut self) -> &mut S {
-        &mut self.scheme
-    }
-
     /// Consumes the simulator, returning the scheme with its end-of-run
     /// state — occupancy maps, reconfiguration histories — for post-run
     /// introspection. Call [`finish_capture`](Self::finish_capture)

@@ -9,10 +9,12 @@
 //! its round-trip latency.
 //!
 //! The LLC itself is pluggable through the [`LlcScheme`] trait — S-NUCA,
-//! IdealSPD, Awasthi (in `wp-baselines`), Jigsaw (`wp-jigsaw`) and Whirlpool
-//! (`whirlpool`) all implement it — so every scheme runs on an identical
-//! substrate with identical energy accounting, as in the paper's
-//! methodology.
+//! IdealSPD, Awasthi, Memshare (in `wp-baselines`) and the NUCA runtime
+//! of `wp-jigsaw`, which is Jigsaw or Whirlpool by configuration, all
+//! implement it — so every scheme runs on an identical substrate with
+//! identical energy accounting, as in the paper's methodology. Every
+//! scheme is driven through the same per-quantum access loop
+//! ([`LlcScheme::access_batch`]).
 //!
 //! Energy is *data-movement (uncore) energy*: NoC flit-hops, LLC bank
 //! accesses, and DRAM accesses ([`EnergyMeter`]), the three components the
@@ -38,7 +40,7 @@ pub use memory::MemoryChannels;
 pub use replay::{stream_bundle, trace_bundle, trace_pools, TraceWorkload};
 pub use scheme::{
     AccessContext, BatchClock, LlcOutcome, LlcResponse, LlcScheme, PoolDescriptor, TraceEvent,
-    Workload, WorkloadBundle,
+    Workload, WorkloadBundle, LOOKAHEAD,
 };
 // The batch type workloads and schemes exchange, re-exported so scheme
 // crates need not name `wp-trace` directly.

@@ -140,10 +140,11 @@ pub struct LlcResponse {
 /// Event *i+1*'s memory queueing depends on event *i*'s latency through
 /// `now`, so a batched scheme cannot reorder accesses — what it gains from
 /// the batch is *lookahead* (prefetching tag arrays for upcoming lines),
-/// not reordering. `BatchClock` packages the exact f64 arithmetic above so
-/// every [`LlcScheme::access_batch`] implementation replays it
-/// bit-identically; the driver then replays the same sequence once more
-/// when it folds latencies into per-core statistics.
+/// not reordering. `BatchClock` packages the exact f64 arithmetic above,
+/// which the one access loop ([`LlcScheme::access_batch`]'s provided
+/// body) runs around every [`LlcScheme::serve`]; the driver then replays
+/// the same sequence once more when it folds latencies into per-core
+/// statistics.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchClock {
     /// The executing core's local clock, in cycles.
@@ -181,6 +182,12 @@ impl BatchClock {
     }
 }
 
+/// How many events ahead of the one being served the access loop hints
+/// through [`LlcScheme::prefetch`]: far enough to cover a host cache
+/// miss, near enough that the hinted lines are still resident when
+/// served.
+pub const LOOKAHEAD: usize = 16;
+
 /// A last-level cache management scheme.
 ///
 /// Implementations receive every LLC-bound access, charge latency/energy
@@ -205,13 +212,14 @@ pub trait LlcScheme: Send {
     /// Serves one quantum of accesses from `core`, pushing one response
     /// per event onto `out`.
     ///
-    /// Must be observably identical to calling [`access`](Self::access)
-    /// per event under the [`BatchClock`] protocol — same responses, same
-    /// uncore/energy mutations, same internal state. The default does
-    /// exactly that. Overrides exist purely for speed: with the whole
-    /// batch visible, a scheme can software-prefetch the tag/replacement
-    /// arrays of *upcoming* events' banks while serving the current one,
-    /// which per-event virtual dispatch can never do.
+    /// This provided body is the one access loop of the simulator: it
+    /// runs [`prepare`](Self::prepare) once, then serves every event in
+    /// order under the [`BatchClock`] protocol through
+    /// [`serve`](Self::serve), hinting event `i + LOOKAHEAD` through
+    /// [`prefetch`](Self::prefetch) while it serves event `i`. Schemes
+    /// supply those hooks, not their own loop; with the defaults the loop
+    /// is exactly one [`access`](Self::access) call per event. Only a
+    /// wrapper overrides it, to forward or to time it.
     fn access_batch(
         &mut self,
         core: CoreId,
@@ -220,20 +228,56 @@ pub trait LlcScheme: Send {
         uncore: &mut Uncore,
         out: &mut Vec<LlcResponse>,
     ) {
-        for i in 0..batch.len() {
+        let n = batch.len();
+        if n == 0 {
+            return;
+        }
+        self.prepare(core, batch, uncore);
+        for i in 0..n.min(LOOKAHEAD) {
+            self.prefetch(core, batch, i);
+        }
+        for i in 0..n {
+            if i + LOOKAHEAD < n {
+                self.prefetch(core, batch, i + LOOKAHEAD);
+            }
             clock.pre_access(batch.gaps[i], uncore);
-            let resp = self.access(
-                AccessContext {
-                    core,
-                    line: batch.lines[i],
-                    is_write: batch.writes[i],
-                },
-                uncore,
-            );
+            let resp = self.serve(core, batch, i, uncore);
             clock.post_access(resp.latency);
             out.push(resp);
         }
     }
+
+    /// Runs once per non-empty quantum, before any of its events is
+    /// served: the place to compute per-event state that serving does
+    /// not feed back into (bank hashes, VC resolution) for the whole
+    /// batch at once. Default: nothing.
+    fn prepare(&mut self, _core: CoreId, _batch: &EventBatch, _uncore: &mut Uncore) {}
+
+    /// Serves event `i` of `batch`, in order, between the clock's
+    /// `pre_access` and `post_access`. Must be observably identical to
+    /// [`access`](Self::access) on that event. Default: `access`.
+    #[inline]
+    fn serve(
+        &mut self,
+        core: CoreId,
+        batch: &EventBatch,
+        i: usize,
+        uncore: &mut Uncore,
+    ) -> LlcResponse {
+        let ctx = AccessContext {
+            core,
+            line: batch.lines[i],
+            is_write: batch.writes[i],
+        };
+        self.access(ctx, uncore)
+    }
+
+    /// Hints the host CPU to fetch what serving event `i` of `batch` will
+    /// probe first; called [`LOOKAHEAD`] events before
+    /// [`serve`](Self::serve) reaches it. A pure performance hint: it
+    /// must change no state. Default: nothing.
+    #[inline]
+    fn prefetch(&self, _core: CoreId, _batch: &EventBatch, _i: usize) {}
 
     /// Called at every reconfiguration interval (25 ms in the paper).
     /// Dynamic schemes re-size/re-place here; static ones do nothing.
@@ -283,8 +327,9 @@ impl LlcScheme for Box<dyn LlcScheme> {
         uncore: &mut Uncore,
         out: &mut Vec<LlcResponse>,
     ) {
-        // Forward explicitly so a concrete scheme's override still fires
-        // through the usual `Box<dyn LlcScheme>` the harness hands around.
+        // Forward the whole loop, so it runs inside the concrete scheme
+        // with its hooks statically dispatched. The hooks themselves need
+        // no forwarding: only the loop calls them.
         self.as_mut().access_batch(core, batch, clock, uncore, out);
     }
 

@@ -149,11 +149,6 @@ impl<W: Write> TraceWriter<W> {
         Ok(())
     }
 
-    /// Events recorded so far on `stream`.
-    pub fn stream_events(&self, stream: u16) -> u64 {
-        self.streams[usize::from(stream)].events
-    }
-
     /// Flushes buffered events and writes the `End` block. Idempotent;
     /// recording after `finish` panics.
     pub fn finish(&mut self) -> Result<(), TraceError> {

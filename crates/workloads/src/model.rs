@@ -325,11 +325,6 @@ impl AppModel {
     pub fn trace_seeded(&self, seed: u64) -> AppTrace {
         AppTrace::new(self.spec.clone(), Arc::clone(&self.layouts), seed)
     }
-
-    /// Lines in pool `i`.
-    pub fn pool_lines(&self, i: usize) -> u64 {
-        self.layouts[i].total_lines
-    }
 }
 
 /// The trace generator for one run of an [`AppModel`].
@@ -412,11 +407,6 @@ impl AppTrace {
             .position(|&c| x < c)
             .unwrap_or(self.cum_weights.len() - 1);
         self.spec.phases[self.phase_idx].mix[slot].pool
-    }
-
-    /// The phase currently active (for figure instrumentation).
-    pub fn current_phase(&self) -> usize {
-        self.phase_idx
     }
 }
 

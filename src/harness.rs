@@ -17,11 +17,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use whirlpool::WhirlpoolScheme;
 use wp_baselines::{
     AwasthiParams, AwasthiScheme, IdealSpdScheme, MemshareScheme, SNucaScheme, SnucaReplacement,
 };
-use wp_jigsaw::JigsawScheme;
+use wp_jigsaw::{NucaConfig, NucaRuntime};
 use wp_mem::{CallpointId, PageId, LINES_PER_PAGE};
 use wp_noc::CoreId;
 use wp_paws::{core_workloads, schedule, ParallelClassification, SchedPolicy, Schedule};
@@ -451,17 +450,22 @@ impl SchemeKind {
     }
 }
 
-/// Instantiates a scheme for a system.
+/// Instantiates a scheme for a system. Jigsaw and Whirlpool, with or
+/// without bypassing, are the one [`NucaRuntime`] configured four ways.
 pub fn make_scheme(kind: SchemeKind, sys: &SystemConfig) -> Box<dyn LlcScheme> {
+    let nuca = |per_pool_vcs, bypass_enabled| -> Box<dyn LlcScheme> {
+        let config = NucaConfig::for_system(sys, per_pool_vcs, bypass_enabled);
+        Box::new(NucaRuntime::new(sys.clone(), config, kind.label()))
+    };
     match kind {
         SchemeKind::SNucaLru => Box::new(SNucaScheme::new(sys, SnucaReplacement::Lru)),
         SchemeKind::SNucaDrrip => Box::new(SNucaScheme::new(sys, SnucaReplacement::Drrip)),
         SchemeKind::IdealSpd => Box::new(IdealSpdScheme::new(sys)),
         SchemeKind::Awasthi => Box::new(AwasthiScheme::new(sys, AwasthiParams::default())),
-        SchemeKind::Jigsaw => Box::new(JigsawScheme::new(sys.clone())),
-        SchemeKind::JigsawNoBypass => Box::new(JigsawScheme::without_bypass(sys.clone())),
-        SchemeKind::Whirlpool => Box::new(WhirlpoolScheme::new(sys.clone())),
-        SchemeKind::WhirlpoolNoBypass => Box::new(WhirlpoolScheme::without_bypass(sys.clone())),
+        SchemeKind::Jigsaw => nuca(false, true),
+        SchemeKind::JigsawNoBypass => nuca(false, false),
+        SchemeKind::Whirlpool => nuca(true, true),
+        SchemeKind::WhirlpoolNoBypass => nuca(true, false),
         SchemeKind::Memshare => Box::new(MemshareScheme::new(sys)),
     }
 }

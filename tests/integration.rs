@@ -1,8 +1,9 @@
 //! Cross-crate integration tests: the full pipeline from allocator to
 //! simulator, on small budgets suitable for debug-mode CI.
 
-use whirlpool::{PoolAllocator, VcRegistry, WhirlpoolScheme};
+use whirlpool::{PoolAllocator, VcRegistry};
 use whirlpool_repro::harness::{four_core_config, Experiment, SchemeKind};
+use wp_jigsaw::{NucaConfig, NucaRuntime};
 use wp_noc::CoreId;
 use wp_sim::{LlcScheme, WorkloadBundle};
 use wp_workloads::{registry, AppModel, AppSpec, Pattern, PoolSpec};
@@ -66,9 +67,10 @@ fn allocator_to_scheme_page_flow() {
     assert!(descs[0].pages.contains(&a.page()));
     // Feed them to Whirlpool: a VC must be created for the pool.
     let sys = four_core_config();
-    let mut scheme = WhirlpoolScheme::new(sys);
+    let config = NucaConfig::for_system(&sys, true, true);
+    let mut scheme = NucaRuntime::new(sys, config, SchemeKind::Whirlpool.label());
     scheme.attach_core(CoreId(0), &descs);
-    let labels: Vec<String> = scheme.runtime().vcs().iter().map(|v| v.label()).collect();
+    let labels: Vec<String> = scheme.vcs().iter().map(|v| v.label()).collect();
     assert!(labels.contains(&"grid".to_string()));
 }
 

@@ -1,35 +1,27 @@
-//! The NUCA schemes' batched access path against one `access` call per
+//! Every scheme's batched access path against one `access` call per
 //! event.
 //!
-//! `NucaRuntime::access_batch` resolves a whole quantum's VCs first and
-//! prefetches ahead while it serves; it must be observably the per-event
-//! loop (the default `LlcScheme::access_batch`). `JigsawScheme` and
-//! `WhirlpoolScheme` wrap the runtime, so each must forward the override
-//! or it silently falls back to that default: the tests below check the
-//! results and that the batched path really ran, for all four NUCA
-//! variants.
+//! The driver serves each quantum through `LlcScheme::access_batch`,
+//! whose one loop runs a scheme's `prepare`, `serve` and `prefetch`
+//! hooks: S-NUCA hashes the quantum's banks up front, the NUCA runtime
+//! resolves its VCs up front, and the lookahead hints slots before
+//! serving. Whatever a scheme does in its hooks must be observably the
+//! plain loop of one `access` per event, which the `PerEvent` wrapper
+//! below runs. The tests check that for all nine schemes, through the
+//! whole harness and quantum by quantum.
 
-use whirlpool::WhirlpoolScheme;
 use whirlpool_repro::harness::{
     four_core_config, make_scheme, Classification, Experiment, SchemeKind,
 };
-use wp_jigsaw::{JigsawScheme, NucaRuntime};
 use wp_mem::{LineAddr, PageId, PoolId};
 use wp_noc::CoreId;
 use wp_sim::{
     AccessContext, BatchClock, EventBatch, LlcOutcome, LlcResponse, LlcScheme, PoolDescriptor,
-    SystemConfig, Uncore,
+    Uncore,
 };
 
-const NUCA: [SchemeKind; 4] = [
-    SchemeKind::Jigsaw,
-    SchemeKind::JigsawNoBypass,
-    SchemeKind::Whirlpool,
-    SchemeKind::WhirlpoolNoBypass,
-];
-
-/// A scheme with every method forwarded except `access_batch`, which
-/// therefore runs the trait's per-event default.
+/// A scheme with every method forwarded except `access_batch` and its
+/// hooks, so the loop serves each event through the inner `access`.
 struct PerEvent<'a>(&'a mut dyn LlcScheme);
 
 impl LlcScheme for PerEvent<'_> {
@@ -64,7 +56,7 @@ impl LlcScheme for PerEvent<'_> {
 
 #[test]
 fn batched_runs_match_per_event_runs_through_box_dyn() {
-    for kind in NUCA {
+    for kind in SchemeKind::ALL {
         let experiment = || {
             Experiment::mix(kind, &["mcf", "lbm", "delaunay", "milc"])
                 .classification(Classification::Manual)
@@ -86,43 +78,16 @@ fn batched_runs_match_per_event_runs_through_box_dyn() {
             "{kind:?}"
         );
         let log = b.reconfig_log();
-        assert!(!log.is_empty(), "{kind:?} never reconfigured");
+        let is_static = matches!(
+            kind,
+            SchemeKind::SNucaLru
+                | SchemeKind::SNucaDrrip
+                | SchemeKind::IdealSpd
+                | SchemeKind::Awasthi
+        );
+        assert_eq!(log.is_empty(), is_static, "{kind:?} reconfiguration log");
         assert_eq!(log, p.reconfig_log(), "{kind:?}");
-    }
-}
-
-/// The four variants as their concrete types, to read the runtime back.
-enum Nuca {
-    Jigsaw(JigsawScheme),
-    Whirlpool(WhirlpoolScheme),
-}
-
-impl Nuca {
-    fn new(kind: SchemeKind, sys: &SystemConfig) -> Self {
-        let s = sys.clone();
-        let mut nuca = match kind {
-            SchemeKind::Jigsaw => Nuca::Jigsaw(JigsawScheme::new(s)),
-            SchemeKind::JigsawNoBypass => Nuca::Jigsaw(JigsawScheme::without_bypass(s)),
-            SchemeKind::Whirlpool => Nuca::Whirlpool(WhirlpoolScheme::new(s)),
-            SchemeKind::WhirlpoolNoBypass => Nuca::Whirlpool(WhirlpoolScheme::without_bypass(s)),
-            other => panic!("{other:?} is not a NUCA scheme"),
-        };
-        assert_eq!(nuca.scheme().name(), kind.label());
-        nuca
-    }
-
-    fn scheme(&mut self) -> &mut dyn LlcScheme {
-        match self {
-            Nuca::Jigsaw(s) => s,
-            Nuca::Whirlpool(s) => s,
-        }
-    }
-
-    fn runtime(&self) -> &NucaRuntime {
-        match self {
-            Nuca::Jigsaw(s) => s.runtime(),
-            Nuca::Whirlpool(s) => s.runtime(),
-        }
+        assert_eq!(b.pool_occupancy(), p.pool_occupancy(), "{kind:?}");
     }
 }
 
@@ -168,35 +133,32 @@ fn pools_of(core: u64) -> Vec<PoolDescriptor> {
 #[test]
 fn batched_responses_match_per_event_responses() {
     let sys = four_core_config();
-    for kind in NUCA {
-        let mut batched = Nuca::new(kind, &sys);
-        let mut per_event = Nuca::new(kind, &sys);
+    for kind in SchemeKind::ALL {
+        let mut batched = make_scheme(kind, &sys);
+        let mut per_event = make_scheme(kind, &sys);
         let (mut ub, mut up) = (Uncore::new(sys.clone()), Uncore::new(sys.clone()));
         for core in 0..4u16 {
             let pools = pools_of(u64::from(core));
-            batched.scheme().attach_core(CoreId(core), &pools);
-            per_event.scheme().attach_core(CoreId(core), &pools);
+            batched.attach_core(CoreId(core), &pools);
+            per_event.attach_core(CoreId(core), &pools);
         }
         let mut x = 0x5EED_0000 ^ kind as u64;
         let mut cycles = [0.0f64; 4];
         let mut batch = EventBatch::new();
         let (mut out_b, mut out_p) = (Vec::new(), Vec::new());
-        let (mut events, mut bypasses) = (0, 0);
+        let mut bypasses = 0;
         for q in 0..1_600usize {
             let core = q % 4;
             // Mostly full quanta, plus short and empty ones.
             let len = [256, 256, 256, 17, 0, 256, 1][q % 7];
             fill(&mut batch, core as u64, &mut x, len);
-            events += len as u64;
             let mut cb = BatchClock::new(cycles[core], sys.base_cpi, sys.mlp, core);
             let mut cp = cb;
             out_b.clear();
             out_p.clear();
             let id = CoreId(core as u16);
-            batched
-                .scheme()
-                .access_batch(id, &batch, &mut cb, &mut ub, &mut out_b);
-            PerEvent(per_event.scheme()).access_batch(id, &batch, &mut cp, &mut up, &mut out_p);
+            batched.access_batch(id, &batch, &mut cb, &mut ub, &mut out_b);
+            PerEvent(per_event.as_mut()).access_batch(id, &batch, &mut cp, &mut up, &mut out_p);
             let bits = |v: &[LlcResponse]| {
                 v.iter()
                     .map(|r| (r.latency.to_bits(), r.outcome))
@@ -211,7 +173,7 @@ fn batched_responses_match_per_event_responses() {
             cycles[core] = cb.cycles;
             if q % 100 == 99 {
                 for (s, u) in [(&mut batched, &mut ub), (&mut per_event, &mut up)] {
-                    s.scheme().reconfigure(u);
+                    s.reconfigure(u);
                     u.interval_instructions.fill(0);
                 }
             }
@@ -221,16 +183,17 @@ fn batched_responses_match_per_event_responses() {
             SchemeKind::JigsawNoBypass | SchemeKind::WhirlpoolNoBypass => assert_eq!(bypasses, 0),
             _ => {}
         }
-        assert_eq!(batched.runtime().batched_accesses(), events, "{kind:?}");
-        assert_eq!(per_event.runtime().batched_accesses(), 0);
         assert_eq!(format!("{ub:?}"), format!("{up:?}"), "{kind:?} uncore");
+        assert_eq!(batched.reconfig_log(), per_event.reconfig_log(), "{kind:?}");
         assert_eq!(
-            batched.scheme().reconfig_log(),
-            per_event.scheme().reconfig_log()
+            batched.pool_occupancy(),
+            per_event.pool_occupancy(),
+            "{kind:?}"
         );
         assert_eq!(
-            batched.runtime().allocations(),
-            per_event.runtime().allocations()
+            batched.bank_occupancy(),
+            per_event.bank_occupancy(),
+            "{kind:?}"
         );
     }
 }
