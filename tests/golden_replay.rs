@@ -7,6 +7,10 @@
 //! when they were recorded, so a change that shifts any counter, cycle or
 //! energy figure fails here even if it is self-consistent.
 //!
+//! The capture itself is pinned too: `tests/golden/capture.digest` holds
+//! its byte length and CRC-32, so an encoder change that still round-trips
+//! through its own decoder fails here if it moves a single file byte.
+//!
 //! Regenerate (only for an intended behaviour change) with
 //! `WP_BLESS=1 cargo test --test golden_replay`.
 
@@ -20,9 +24,33 @@ const WARMUP: u64 = 600_000;
 const MEASURE: u64 = 900_000;
 
 fn golden_path(kind: SchemeKind) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{}.json", kind.label()))
+    golden_dir().join(format!("{}.json", kind.label()))
+}
+
+fn golden_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+}
+
+/// CRC-32 (IEEE, zlib's `crc32`) one bit at a time: an oracle that
+/// shares no code with the `.wpt` codec it pins.
+fn crc32_bitwise(data: &[u8]) -> u32 {
+    let mut c = !0u32;
+    for &b in data {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    !c
+}
+
+/// The digest line of a capture: its byte length and CRC-32.
+fn capture_digest(bytes: &[u8]) -> String {
+    format!("bytes {} crc32 {:08x}\n", bytes.len(), crc32_bitwise(bytes))
 }
 
 #[test]
@@ -38,6 +66,13 @@ fn every_scheme_replays_its_golden_summary() {
         .expect("capture run");
     let bless = std::env::var_os("WP_BLESS").is_some();
     let mut mismatched = Vec::new();
+    let digest = capture_digest(&std::fs::read(&capture).expect("read capture"));
+    let digest_path = golden_dir().join("capture.digest");
+    if bless {
+        std::fs::write(&digest_path, &digest).expect("write capture digest");
+    } else if std::fs::read_to_string(&digest_path).expect("read capture digest") != digest {
+        mismatched.push("capture.digest");
+    }
     for kind in SchemeKind::ALL {
         let json = Experiment::replay(kind, &capture)
             .all_streams()
@@ -57,6 +92,6 @@ fn every_scheme_replays_its_golden_summary() {
     std::fs::remove_file(&capture).unwrap();
     assert!(
         mismatched.is_empty(),
-        "replays differ from tests/golden/ for {mismatched:?}"
+        "capture or replays differ from tests/golden/ for {mismatched:?}"
     );
 }
