@@ -371,15 +371,28 @@ pub fn snapshot() -> Snapshot {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     // The registry is process-global, so these tests share state with
     // each other and with any concurrently running test that enables
-    // recording. Each asserts on *deltas* of counters it owns.
+    // recording. Each asserts on *deltas* of counters it owns, and every
+    // test that toggles the flag holds `flag_lock` while it does, so no
+    // other test can switch recording back on between its toggle and its
+    // assertion.
+
+    /// Serializes the crate's tests that toggle the global enabled flag.
+    pub(crate) fn flag_lock() -> std::sync::MutexGuard<'static, ()> {
+        static FLAG: Mutex<()> = Mutex::new(());
+        // A test that panicked while holding the lock leaves nothing to
+        // repair: the next holder sets the flag it needs.
+        FLAG.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     #[test]
     fn disabled_adds_are_dropped() {
+        let _flag = flag_lock();
         set_enabled(false);
         let before = snapshot()
             .counters
@@ -399,6 +412,7 @@ mod tests {
 
     #[test]
     fn record_max_is_a_high_water_mark() {
+        let _flag = flag_lock();
         set_enabled(true);
         record_max(Counter::ServeQueueHighWater, 5);
         record_max(Counter::ServeQueueHighWater, 3);
@@ -414,6 +428,7 @@ mod tests {
 
     #[test]
     fn enabled_adds_accumulate_and_snapshot_is_json() {
+        let _flag = flag_lock();
         set_enabled(true);
         add(Counter::PawsTasks, 3);
         add(Counter::PawsTasks, 4);

@@ -174,6 +174,7 @@ mod tests {
 
     #[test]
     fn spans_accumulate_into_thread_totals() {
+        let _flag = crate::registry::tests::flag_lock();
         crate::registry::set_enabled(true);
         let _ = take_thread_phases(); // drain anything earlier tests left
         {
@@ -198,6 +199,7 @@ mod tests {
 
     #[test]
     fn disabled_spans_record_nothing() {
+        let _flag = crate::registry::tests::flag_lock();
         crate::registry::set_enabled(false);
         let _ = take_thread_phases();
         {

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use wp_mem::LineAddr;
 
-use crate::bits::unpack_into;
+use crate::bits::{low_mask, unpack_into};
 use crate::crc::crc32;
 use crate::meta::StreamMeta;
 use crate::mmap::TraceData;
@@ -106,7 +106,7 @@ impl EventBatch {
 
 /// Reusable column buffers for the packed→batch transform.
 #[derive(Debug, Default)]
-struct DecodeScratch {
+pub(crate) struct DecodeScratch {
     gaps: Vec<u64>,
     flags: Vec<u64>,
     deltas: Vec<u64>,
@@ -120,12 +120,26 @@ fn chunk_stream_id(payload: &[u8]) -> Result<(u64, usize), TraceError> {
     Ok((stream, pos))
 }
 
+/// Index of the first `width`-bit residual in `column` that overflows
+/// `limit` once `min` is added back. One comparison settles a column whose
+/// widest possible residual fits, which is every column a writer emits.
+fn first_overflow(column: &[u64], width: u8, min: u64, limit: u64) -> Option<usize> {
+    match limit.checked_sub(min) {
+        None => (!column.is_empty()).then_some(0),
+        Some(room) if low_mask(width) <= room => None,
+        Some(room) => column.iter().position(|&r| r > room),
+    }
+}
+
 /// Decodes a chunk body (everything after the stream id) into `batch`,
 /// appending its events and returning the instructions they cover.
 ///
 /// `first_chunk` selects the absolute-base encoding of the stream's first
-/// event. Validates counts, widths, overflow and trailing bytes.
-fn decode_chunk_body(
+/// event. Validates counts, widths, overflow and trailing bytes; on an
+/// error nothing is appended. The work is column at a time: unpack each
+/// column, range-check the gap and delta columns once, then extend the
+/// batch's three columns.
+pub(crate) fn decode_chunk_body(
     payload: &[u8],
     mut pos: usize,
     first_chunk: bool,
@@ -147,14 +161,7 @@ fn decode_chunk_body(
     let write_mode = *payload.get(pos).ok_or(TraceError::Truncated)?;
     pos += 1;
     match write_mode {
-        0 => {
-            scratch.flags.clear();
-            scratch.flags.resize(count, 0);
-        }
-        1 => {
-            scratch.flags.clear();
-            scratch.flags.resize(count, 1);
-        }
+        0 | 1 => {}
         2 => unpack_into(payload, &mut pos, count, 1, &mut scratch.flags)?,
         m => return Err(TraceError::Corrupt(format!("write mode {m}"))),
     }
@@ -176,21 +183,36 @@ fn decode_chunk_body(
         return Err(TraceError::Corrupt("trailing bytes in chunk".into()));
     }
 
+    // Events decode in order, so the event that overflows first names the
+    // error, and a gap beats a delta of the same event.
+    let gap_over = first_overflow(&scratch.gaps, gap_bits, min_gap, u64::from(u32::MAX));
+    let delta_over = first_overflow(&scratch.deltas, addr_bits, min_zz, u64::MAX).map(|i| i + skip);
+    let overflow = match (gap_over, delta_over) {
+        (Some(g), Some(d)) if d < g => Some("address delta overflows"),
+        (Some(_), _) => Some("gap overflows u32"),
+        (None, d) => d.map(|_| "address delta overflows"),
+    };
+    if let Some(msg) = overflow {
+        return Err(TraceError::Corrupt(msg.into()));
+    }
+
+    // Every gap fits a u32 now, so neither the gaps nor their sum over
+    // at most 2^24 events can overflow.
+    batch
+        .gaps
+        .extend(scratch.gaps.iter().map(|&g| (min_gap + g) as u32));
+    let instrs = min_gap * count as u64 + scratch.gaps.iter().sum::<u64>();
+    if first_chunk {
+        batch.lines.push(LineAddr(base_line));
+    }
     let mut line = base_line;
-    let mut instrs = 0u64;
-    for i in 0..count {
-        let gap = min_gap
-            .checked_add(scratch.gaps[i])
-            .filter(|&g| g <= u64::from(u32::MAX))
-            .ok_or_else(|| TraceError::Corrupt("gap overflows u32".into()))?;
-        if i >= skip {
-            let zz = min_zz
-                .checked_add(scratch.deltas[i - skip])
-                .ok_or_else(|| TraceError::Corrupt("address delta overflows".into()))?;
-            line = line.wrapping_add(unzigzag(zz) as u64);
-        }
-        instrs += gap;
-        batch.push(gap as u32, LineAddr(line), scratch.flags[i] == 1);
+    batch.lines.extend(scratch.deltas.iter().map(|&d| {
+        line = line.wrapping_add(unzigzag(min_zz + d) as u64);
+        LineAddr(line)
+    }));
+    match write_mode {
+        2 => batch.writes.extend(scratch.flags.iter().map(|&f| f == 1)),
+        mode => batch.writes.resize(batch.writes.len() + count, mode == 1),
     }
     Ok(instrs)
 }

@@ -11,7 +11,18 @@ pub fn bits_for(v: u64) -> u8 {
     (64 - v.leading_zeros()) as u8
 }
 
-/// Packs `width`-bit values LSB-first into `out`.
+/// The low `width` bits set (all 64 for `width >= 64`).
+pub(crate) fn low_mask(width: u8) -> u64 {
+    1u64.checked_shl(u32::from(width))
+        .map_or(u64::MAX, |b| b - 1)
+}
+
+/// Widest column whose values unpack from one 8-byte window: a value
+/// starts up to 7 bits into its first byte, so 7 + 56 bits fit a `u64`.
+const WINDOW_WIDTH: u8 = 56;
+
+/// Packs `width`-bit values LSB-first into `out`, a whole little-endian
+/// `u64` word at a time (the last word only as far as its bytes are used).
 ///
 /// # Panics
 ///
@@ -21,21 +32,26 @@ pub fn pack(out: &mut Vec<u8>, values: &[u64], width: u8) {
     if width == 0 {
         return;
     }
-    let mut acc = 0u128;
+    out.reserve(packed_len(values.len(), width));
+    let width = u32::from(width);
+    let mut acc = 0u64;
     let mut acc_bits = 0u32;
     for &v in values {
         debug_assert!(width == 64 || v < (1u64 << width), "value exceeds width");
-        acc |= (v as u128) << acc_bits;
-        acc_bits += u32::from(width);
-        while acc_bits >= 8 {
-            out.push((acc & 0xFF) as u8);
-            acc >>= 8;
-            acc_bits -= 8;
+        acc |= v << acc_bits;
+        acc_bits += width;
+        if acc_bits >= 64 {
+            out.extend_from_slice(&acc.to_le_bytes());
+            acc_bits -= 64;
+            // The `acc_bits` high bits of `v` that did not fit the word.
+            acc = if acc_bits == 0 {
+                0
+            } else {
+                v >> (width - acc_bits)
+            };
         }
     }
-    if acc_bits > 0 {
-        out.push((acc & 0xFF) as u8);
-    }
+    out.extend_from_slice(&acc.to_le_bytes()[..acc_bits.div_ceil(8) as usize]);
 }
 
 /// Number of bytes `count` values of `width` bits occupy.
@@ -48,6 +64,11 @@ pub fn packed_len(count: usize, width: u8) -> usize {
 /// steady-state decode reuses one allocation per column instead of
 /// allocating per chunk. Errors with [`TraceError::Truncated`] if the
 /// buffer is too short.
+///
+/// Each value of a column up to 56 bits wide is one shift and mask of
+/// the unaligned little-endian `u64` starting at its first byte. Wider
+/// columns, and the last few values of any column, whose 8-byte window
+/// would run past the column's end, take a byte-at-a-time loop instead.
 pub fn unpack_into(
     buf: &[u8],
     pos: &mut usize,
@@ -69,24 +90,58 @@ pub fn unpack_into(
     };
     *pos += need;
     values.reserve(count);
+    let mask = low_mask(width);
+    let w = usize::from(width);
+    // Value `i`'s window starts at byte `i * w / 8`, and lies in the
+    // column while that is at most `need - 8`: true for `i * w` below
+    // `(need - 7) * 8`.
+    let windowed = if width <= WINDOW_WIDTH {
+        count.min((need.saturating_sub(7) * 8).div_ceil(w))
+    } else {
+        0
+    };
+    values.extend((0..windowed).map(|i| {
+        let bit = i * w;
+        let at = bit / 8;
+        let window: [u8; 8] = bytes[at..at + 8].try_into().expect("window in column");
+        (u64::from_le_bytes(window) >> (bit % 8)) & mask
+    }));
+    unpack_bytewise(bytes, windowed, count, width, mask, values);
+    Ok(())
+}
+
+/// Appends values `from..count` of a `width`-bit column, feeding an
+/// accumulator one byte at a time.
+fn unpack_bytewise(
+    bytes: &[u8],
+    from: usize,
+    count: usize,
+    width: u8,
+    mask: u64,
+    values: &mut Vec<u64>,
+) {
+    if from == count {
+        return;
+    }
+    let bit = from * usize::from(width);
+    let mut next = bytes[bit / 8..].iter();
+    // Drop the bits of the first byte that belong to earlier values.
+    let skip = (bit % 8) as u32;
     let mut acc = 0u128;
     let mut acc_bits = 0u32;
-    let mut next = bytes.iter();
-    let mask = if width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    };
-    for _ in 0..count {
+    if skip > 0 {
+        acc = u128::from(*next.next().expect("sized by the caller")) >> skip;
+        acc_bits = 8 - skip;
+    }
+    for _ in from..count {
         while acc_bits < u32::from(width) {
-            acc |= u128::from(*next.next().expect("sized above")) << acc_bits;
+            acc |= u128::from(*next.next().expect("sized by the caller")) << acc_bits;
             acc_bits += 8;
         }
         values.push((acc as u64) & mask);
         acc >>= width;
         acc_bits -= u32::from(width);
     }
-    Ok(())
 }
 
 #[cfg(test)]

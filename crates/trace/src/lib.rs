@@ -61,6 +61,8 @@ mod crc;
 mod meta;
 mod mmap;
 mod reader;
+#[cfg(test)]
+mod reference;
 mod varint;
 mod writer;
 

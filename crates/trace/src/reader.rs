@@ -136,18 +136,16 @@ impl TraceInfo {
                 let meta = reader.stream(streams.len() as u16);
                 streams.push(row(meta.expect("decoded chunks imply a definition")));
             }
+            // Column folds with no per-event branch: a chunk is never
+            // empty, so its line span always exists.
             let s = &mut streams[sid];
             s.events += batch.len() as u64;
             s.instructions += batch.gaps.iter().map(|&g| u64::from(g)).sum::<u64>();
-            s.writes += batch.writes.iter().filter(|&&w| w).count() as u64;
-            let lo = batch.lines.iter().map(|l| l.0).min();
-            let hi = batch.lines.iter().map(|l| l.0).max();
-            if let (Some(lo), Some(hi)) = (lo, hi) {
-                s.line_span = Some(
-                    s.line_span
-                        .map_or((lo, hi), |(a, b)| (a.min(lo), b.max(hi))),
-                );
-            }
+            s.writes += batch.writes.iter().map(|&w| u64::from(w)).sum::<u64>();
+            let (lo, hi) = s.line_span.unwrap_or((u64::MAX, 0));
+            let lo = batch.lines.iter().fold(lo, |m, l| m.min(l.0));
+            let hi = batch.lines.iter().fold(hi, |m, l| m.max(l.0));
+            s.line_span = Some((lo, hi));
         }
         // Event-free streams still deserve a row.
         let defined: Vec<StreamInfo> = reader.streams().skip(streams.len()).map(row).collect();

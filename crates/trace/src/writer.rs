@@ -67,6 +67,17 @@ pub struct TraceWriter<W: Write> {
     streams: Vec<StreamState>,
     chunk_events: usize,
     finished: bool,
+    /// Buffers every chunk reuses, so steady-state encoding allocates
+    /// nothing.
+    scratch: EncodeScratch,
+}
+
+#[derive(Debug, Default)]
+struct EncodeScratch {
+    /// One column's residuals at a time: gaps, then flags, then deltas.
+    column: Vec<u64>,
+    payload: Vec<u8>,
+    head: Vec<u8>,
 }
 
 impl TraceWriter<std::io::BufWriter<std::fs::File>> {
@@ -88,6 +99,7 @@ impl<W: Write> TraceWriter<W> {
             streams: Vec::new(),
             chunk_events: DEFAULT_CHUNK_EVENTS,
             finished: false,
+            scratch: EncodeScratch::default(),
         })
     }
 
@@ -176,6 +188,11 @@ impl<W: Write> TraceWriter<W> {
         if s.pending.is_empty() {
             return Ok(());
         }
+        let EncodeScratch {
+            column,
+            payload,
+            head,
+        } = &mut self.scratch;
         // The base line is the previous event's line; for a stream's
         // first chunk it is the first event's own line, which is then
         // *not* delta-coded (the reader reconstructs it from the base
@@ -186,69 +203,74 @@ impl<W: Write> TraceWriter<W> {
             (s.pending[0].line, 1)
         };
 
-        let gaps: Vec<u64> = s.pending.iter().map(|p| u64::from(p.gap)).collect();
-        let min_gap = *gaps.iter().min().expect("non-empty");
-        let gap_bits = bits_for(gaps.iter().map(|g| g - min_gap).max().expect("non-empty"));
+        payload.clear();
+        put_varint(payload, u64::from(stream));
+        put_varint(payload, s.pending.len() as u64);
+        put_varint(payload, base_line);
 
-        let mut prev = base_line;
-        let deltas: Vec<u64> = s
-            .pending
-            .iter()
-            .skip(skip)
-            .map(|p| {
-                let d = zigzag(p.line.wrapping_sub(prev) as i64);
-                prev = p.line;
-                d
-            })
-            .collect();
-        let min_zz = deltas.iter().min().copied().unwrap_or(0);
-        let addr_bits = bits_for(deltas.iter().map(|d| d - min_zz).max().unwrap_or(0));
+        let min_gap = s.pending.iter().map(|p| p.gap).min().expect("non-empty");
+        column.clear();
+        column.extend(s.pending.iter().map(|p| u64::from(p.gap - min_gap)));
+        put_varint(payload, u64::from(min_gap));
+        put_residuals(payload, column);
 
         let writes = s.pending.iter().filter(|p| p.write).count();
-
-        let mut payload = Vec::new();
-        put_varint(&mut payload, u64::from(stream));
-        put_varint(&mut payload, s.pending.len() as u64);
-        put_varint(&mut payload, base_line);
-        put_varint(&mut payload, min_gap);
-        payload.push(gap_bits);
-        pack(
-            &mut payload,
-            &gaps.iter().map(|g| g - min_gap).collect::<Vec<_>>(),
-            gap_bits,
-        );
         if writes == 0 {
             payload.push(0); // all reads
         } else if writes == s.pending.len() {
             payload.push(1); // all writes
         } else {
             payload.push(2);
-            let flags: Vec<u64> = s.pending.iter().map(|p| u64::from(p.write)).collect();
-            pack(&mut payload, &flags, 1);
+            column.clear();
+            column.extend(s.pending.iter().map(|p| u64::from(p.write)));
+            pack(payload, column, 1);
         }
-        put_varint(&mut payload, min_zz);
-        payload.push(addr_bits);
-        pack(
-            &mut payload,
-            &deltas.iter().map(|d| d - min_zz).collect::<Vec<_>>(),
-            addr_bits,
-        );
 
-        let s = &mut self.streams[usize::from(stream)];
-        s.last_line = s.pending.last().expect("non-empty").line;
+        let mut prev = base_line;
+        column.clear();
+        column.extend(s.pending.iter().skip(skip).map(|p| {
+            let d = zigzag(p.line.wrapping_sub(prev) as i64);
+            prev = p.line;
+            d
+        }));
+        let min_zz = column.iter().copied().min().unwrap_or(0);
+        column.iter_mut().for_each(|d| *d -= min_zz);
+        put_varint(payload, min_zz);
+        put_residuals(payload, column);
+
+        s.last_line = prev;
         s.started = true;
         s.pending.clear();
-        self.write_block(TAG_CHUNK, &payload)
+        write_block(&mut self.out, head, TAG_CHUNK, payload)
     }
 
     fn write_block(&mut self, tag: u8, payload: &[u8]) -> Result<(), TraceError> {
-        let mut head = vec![tag];
-        put_varint(&mut head, payload.len() as u64);
-        head.extend_from_slice(&crc32(payload).to_le_bytes());
-        self.out.write_all(&head)?;
-        self.out.write_all(payload)?;
-        Ok(())
+        write_block(&mut self.out, &mut self.scratch.head, tag, payload)
     }
+}
+
+/// Appends a residual column: its bit width, then the packed values.
+fn put_residuals(payload: &mut Vec<u8>, residuals: &[u64]) {
+    let width = bits_for(residuals.iter().copied().max().unwrap_or(0));
+    payload.push(width);
+    pack(payload, residuals, width);
+}
+
+/// Writes one block: tag, payload length, payload CRC, payload. `head`
+/// is the reused buffer for the first three.
+fn write_block<W: Write>(
+    out: &mut W,
+    head: &mut Vec<u8>,
+    tag: u8,
+    payload: &[u8],
+) -> Result<(), TraceError> {
+    head.clear();
+    head.push(tag);
+    put_varint(head, payload.len() as u64);
+    head.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.write_all(head)?;
+    out.write_all(payload)?;
+    Ok(())
 }
 
 impl<W: Write> Drop for TraceWriter<W> {
