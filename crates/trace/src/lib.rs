@@ -31,6 +31,30 @@
 //! whole trace. Malformed input (truncation, bit flips, garbage) surfaces
 //! as [`TraceError`] — never a panic.
 //!
+//! # A word-at-a-time codec
+//!
+//! The hot loops work on whole words and whole columns, in safe Rust:
+//!
+//! * the block CRC-32 is sliced by 8, folding one `u64` per step through
+//!   eight 256-entry tables;
+//! * a packed column of values up to 56 bits wide unpacks with one
+//!   unaligned little-endian `u64` load, shift and mask per value; only
+//!   wider columns and a column's last few values, whose 8-byte window
+//!   would run past the column, take a byte-at-a-time loop;
+//! * packing appends whole `u64` words;
+//! * a chunk decodes a column at a time: the gap and address-delta
+//!   columns are range-checked once per chunk (one comparison when the
+//!   column's bit width cannot overflow), then the batch's three columns
+//!   are extended in bulk;
+//! * the writer reuses its column and payload buffers across chunks.
+//!
+//! The bytes are those of the byte-at-a-time codec this replaced, which
+//! the crate keeps as a test-only reference for differential property
+//! tests. On a 4-app mix capture (`cargo bench -p wp-bench --bench
+//! trace_codec`, 719 k events, 2-core x86-64 host) a whole-file decode
+//! costs about 8 ns/event (37 before), a re-encode 17 ns/event (32) and
+//! [`TraceInfo::scan`] 11 ns/event (40).
+//!
 //! # One parser, two views
 //!
 //! [`BatchReader::next_chunk`] is the only block parser: it reads the

@@ -74,7 +74,7 @@ pub struct TraceWriter<W: Write> {
 
 #[derive(Debug, Default)]
 struct EncodeScratch {
-    /// One column's residuals at a time: gaps, then flags, then deltas.
+    /// One column at a time: gap residuals, write flags, delta residuals.
     column: Vec<u64>,
     payload: Vec<u8>,
     head: Vec<u8>,
@@ -124,7 +124,12 @@ impl<W: Write> TraceWriter<W> {
             name: name.to_string(),
             pools: pools.to_vec(),
         };
-        self.write_block(TAG_STREAM_DEF, &def.encode())?;
+        write_block(
+            &mut self.out,
+            &mut self.scratch.head,
+            TAG_STREAM_DEF,
+            &def.encode(),
+        )?;
         self.streams.push(StreamState::default());
         Ok(id)
     }
@@ -177,7 +182,7 @@ impl<W: Write> TraceWriter<W> {
             put_varint(&mut payload, s.events);
             put_varint(&mut payload, s.instrs);
         }
-        self.write_block(TAG_END, &payload)?;
+        write_block(&mut self.out, &mut self.scratch.head, TAG_END, &payload)?;
         self.out.flush()?;
         self.finished = true;
         Ok(())
@@ -208,11 +213,9 @@ impl<W: Write> TraceWriter<W> {
         put_varint(payload, s.pending.len() as u64);
         put_varint(payload, base_line);
 
-        let min_gap = s.pending.iter().map(|p| p.gap).min().expect("non-empty");
         column.clear();
-        column.extend(s.pending.iter().map(|p| u64::from(p.gap - min_gap)));
-        put_varint(payload, u64::from(min_gap));
-        put_residuals(payload, column);
+        column.extend(s.pending.iter().map(|p| u64::from(p.gap)));
+        put_column(payload, column);
 
         let writes = s.pending.iter().filter(|p| p.write).count();
         if writes == 0 {
@@ -233,27 +236,29 @@ impl<W: Write> TraceWriter<W> {
             prev = p.line;
             d
         }));
-        let min_zz = column.iter().copied().min().unwrap_or(0);
-        column.iter_mut().for_each(|d| *d -= min_zz);
-        put_varint(payload, min_zz);
-        put_residuals(payload, column);
+        put_column(payload, column);
 
         s.last_line = prev;
         s.started = true;
         s.pending.clear();
         write_block(&mut self.out, head, TAG_CHUNK, payload)
     }
-
-    fn write_block(&mut self, tag: u8, payload: &[u8]) -> Result<(), TraceError> {
-        write_block(&mut self.out, &mut self.scratch.head, tag, payload)
-    }
 }
 
-/// Appends a residual column: its bit width, then the packed values.
-fn put_residuals(payload: &mut Vec<u8>, residuals: &[u64]) {
-    let width = bits_for(residuals.iter().copied().max().unwrap_or(0));
+/// Appends a frame-of-reference coded column: the varint minimum, the
+/// residuals' bit width, then the packed residuals. `column` is left
+/// holding the residuals.
+fn put_column(payload: &mut Vec<u8>, column: &mut [u64]) {
+    let (min, max) = column
+        .iter()
+        .fold((u64::MAX, 0), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    // An empty column folds to (MAX, 0) and codes as minimum 0, width 0.
+    let min = min.min(max);
+    column.iter_mut().for_each(|v| *v -= min);
+    let width = bits_for(max - min);
+    put_varint(payload, min);
     payload.push(width);
-    pack(payload, residuals, width);
+    pack(payload, column, width);
 }
 
 /// Writes one block: tag, payload length, payload CRC, payload. `head`
