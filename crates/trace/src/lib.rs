@@ -50,10 +50,11 @@
 //!
 //! The bytes are those of the byte-at-a-time codec this replaced, which
 //! the crate keeps as a test-only reference for differential property
-//! tests. On a 4-app mix capture (`cargo bench -p wp-bench --bench
-//! trace_codec`, 719 k events, 2-core x86-64 host) a whole-file decode
-//! costs about 8 ns/event (37 before), a re-encode 17 ns/event (32) and
-//! [`TraceInfo::scan`] 11 ns/event (40).
+//! tests. On a 4-app mix capture of 719 k events (`cargo bench -p
+//! wp-bench --bench trace_codec`, medians of 3 alternating runs on a
+//! shared 2-core x86-64 host), a whole-file decode costs 7.6 ns/event
+//! (32 with the byte-at-a-time codec), a re-encode 16 ns/event (33) and
+//! [`TraceInfo::scan`] 12 ns/event (37).
 //!
 //! # One parser, two views
 //!

@@ -164,30 +164,16 @@ mod tests {
     use crate::bits::low_mask;
     use crate::varint::{put_varint, zigzag};
 
-    /// Random bytes from a seed (the shim's strategies have no byte
-    /// vectors of arbitrary content at this size cheaply).
-    fn bytes(seed: u64, n: usize) -> Vec<u8> {
-        let mut x = seed | 1;
-        (0..n)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x >> 24) as u8
-            })
-            .collect()
-    }
-
-    fn values(seed: u64, count: usize, width: u8) -> Vec<u64> {
+    /// A seeded xorshift stream: inputs of a size the proptest shim's
+    /// per-case strategies would make slow.
+    fn random(seed: u64) -> impl FnMut() -> u64 {
         let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        (0..count)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x & low_mask(width)
-            })
-            .collect()
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
     }
 
     proptest! {
@@ -200,7 +186,8 @@ mod tests {
             len in 0usize..4097,
         ) {
             // An offset start makes the 8-byte words unaligned in memory.
-            let data = bytes(seed, start + len);
+            let mut r = random(seed);
+            let data: Vec<u8> = (0..start + len).map(|_| (r() >> 24) as u8).collect();
             let slice = &data[start..];
             prop_assert_eq!(crate::crc::crc32(slice), super::crc32(slice));
         }
@@ -210,7 +197,8 @@ mod tests {
     fn pack_and_unpack_match_the_reference_for_every_width_and_tail() {
         for width in 0..=64u8 {
             for count in 0..=600usize {
-                let vals = values(u64::from(width) << 16 | count as u64, count, width);
+                let mut r = random(u64::from(width) << 16 | count as u64);
+                let vals: Vec<u64> = (0..count).map(|_| r() & low_mask(width)).collect();
                 // A non-empty prefix puts the column at an odd offset.
                 let (mut got, mut want) = (vec![0xA5], vec![0xA5]);
                 crate::bits::pack(&mut got, &vals, width);
