@@ -2,8 +2,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use wp_cache::{
-    AccessOutcome, LruCache, LruPolicy, MonitorConfig, PartitionedCache, SetAssocCache,
-    UtilityMonitor,
+    AccessOutcome, DrripPolicy, LruCache, LruPolicy, MonitorConfig, PartitionedCache,
+    SetAssocCache, UtilityMonitor,
 };
 use wp_mrc::SampledStack;
 
@@ -51,6 +51,9 @@ fn nuca_bank_set() -> (Vec<PartitionedCache>, Vec<(usize, u32, u64)>) {
 }
 
 fn bench(c: &mut Criterion) {
+    // The cyclic benches sweep twice the capacity, so every access is a
+    // miss and an eviction; the `/hit` variants stay within capacity
+    // (half of it), so after the first lap nearly every access hits.
     c.bench_function("lru_cache_access", |b| {
         let mut cache = LruCache::new(8192);
         let mut i = 0u64;
@@ -59,8 +62,32 @@ fn bench(c: &mut Criterion) {
             black_box(cache.access(i));
         })
     });
+    c.bench_function("lru_cache_access/hit", |b| {
+        let mut cache = LruCache::new(8192);
+        let mut i = 0u64;
+        b.iter(|| {
+            i = (i + 7919) % 4096;
+            black_box(cache.access(i));
+        })
+    });
     c.bench_function("setassoc_access_512KB_16w", |b| {
         let mut cache = SetAssocCache::with_capacity_bytes(512 * 1024, 16, LruPolicy::new());
+        let mut i = 0u64;
+        b.iter(|| {
+            i = (i + 7919) % 16_384;
+            black_box(cache.access(i));
+        })
+    });
+    c.bench_function("setassoc_access_512KB_16w/hit", |b| {
+        let mut cache = SetAssocCache::with_capacity_bytes(512 * 1024, 16, LruPolicy::new());
+        let mut i = 0u64;
+        b.iter(|| {
+            i = (i + 7919) % 4096;
+            black_box(cache.access(i));
+        })
+    });
+    c.bench_function("setassoc_drrip_512KB_16w", |b| {
+        let mut cache = SetAssocCache::with_capacity_bytes(512 * 1024, 16, DrripPolicy::new(2));
         let mut i = 0u64;
         b.iter(|| {
             i = (i + 7919) % 16_384;

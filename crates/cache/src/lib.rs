@@ -5,6 +5,9 @@
 //!
 //! * [`LruCache`] — an exact-capacity LRU line store, the model for one
 //!   pool's partition of an LLC bank (idealized Vantage partitioning).
+//!   It keeps no recency list: each line maps to the stamp of its last
+//!   access, the LRU line is the lowest live stamp, and the stamp log is
+//!   compacted by rank as it grows (see its module docs).
 //! * [`SetAssocCache`] — a set-associative cache with pluggable
 //!   [`ReplacementPolicy`] (LRU, Random, SRRIP, DRRIP with set dueling),
 //!   used for private L1/L2s and the S-NUCA / IdealSPD baselines.
@@ -21,13 +24,24 @@
 //! bank its VTB picks. Spread over 25 banks × every VC and one monitor
 //! per VC, each probe is a host cache miss. [`LruCache`] and the monitor
 //! stack are therefore both indexed by one [`wp_mrc::LineTable`], whose
-//! lookup starts at a slot computable before the access. The NUCA
+//! lookup starts at a slot computable before the access, and both order
+//! their lines by access stamp, so a hit touches the table slot, one bit
+//! and the tail of an append-only log rather than linked-list neighbours
+//! scattered over the host's memory. The NUCA
 //! runtime resolves a quantum's VCs up front and, while the simulator's
 //! access loop serves event `i`, hints event `i + 16`'s slots through
 //! [`UtilityMonitor::prefetch`] and [`PartitionedCache::prefetch`], as
 //! Memshare does for its one partitioned cache; the S-NUCA banks do the
 //! same with [`SetAssocCache::prefetch`]. All of
 //! them bottom out in [`prefetch_read`], the crate's only `unsafe`.
+//!
+//! # The S-NUCA probe
+//!
+//! [`SetAssocCache`] maps a line to a set with a mask whenever the set
+//! count is a power of two (every LLC bank and private cache here), and
+//! compares a 16-way set's tags as one fixed-width array, which compiles
+//! to straight-line SIMD compares. [`LruPolicy`] finds a way's place in
+//! its set's nibble-packed recency order with one SWAR zero-nibble test.
 //!
 //! # Example
 //!

@@ -2,21 +2,41 @@
 //!
 //! # Layout
 //!
-//! Resident lines live in a slab of 16-byte nodes `{addr, prev, next}`
-//! (`u32` links) that form a doubly-linked recency list, MRU first. A
-//! [`LineTable`] indexes them by line: one open-addressed array of
-//! 16-byte slots, so finding a line reads one host cache line, whose
-//! address [`LruCache::prefetch`] can hint ahead of the access.
+//! There is no recency list. Each access takes the next *stamp*, a
+//! counter that only grows, and the LRU order is the order of stamps:
+//!
+//! - A [`LineTable`] maps each resident line to the stamp of its last
+//!   access: one open-addressed array of 16-byte slots, so finding a line
+//!   reads one host cache line, whose address [`LruCache::prefetch`] can
+//!   hint ahead of the access.
+//! - `order[t]` is the line stamped `t`, a `Vec<u64>` that only grows
+//!   until it is compacted. A stamp is *live* while its line is resident
+//!   and has not been touched since; a bitset marks the live stamps.
+//! - The LRU line is the lowest live stamp. No live stamp lies below the
+//!   `oldest` cursor, so eviction scans the bitset forward from it, 64
+//!   stamps a word, and the cursor never moves back between compactions.
+//!
+//! A hit is one table probe ([`LineTable::update`]), one bit cleared and
+//! one push onto `order`. A miss evicts the first live stamp at or after
+//! `oldest`, removes its line from the table and inserts the new one.
+//! When `order` passes four times the resident lines (at least 256), it
+//! is compacted: [`wp_mrc::rank_stamps`] renumbers each resident line's
+//! stamp to its rank, a popcount over the live bits, in one pass over the
+//! table, and `order` and the bitset shrink to exactly the resident
+//! lines. Ranks keep the relative order of the stamps, so the LRU order
+//! is exact through every compaction.
 //!
 //! # Memory
 //!
-//! A resident line costs its node plus its index slot: 37 to 59 bytes, as
-//! the table's load moves between 3/8 and 3/4. A partition holds at most
-//! its quota (plus, after a lazy shrink, the excess still draining), so a
-//! VC costs at most about 60 KB of host memory per 64 KB granule it is
-//! allocated, and the 4-core chip's 12.5 MB of LLC about 12 MB.
+//! A resident line costs its index slot, 21 to 43 bytes as the table's
+//! load moves between 3/8 and 3/4, plus 8 to 32 bytes of `order` (one to
+//! four stamps' worth) and up to half a byte of bitset: about 30 to 75
+//! bytes. A partition holds at most its quota (plus, after a lazy shrink,
+//! the excess still draining), so a VC costs at most about 75 KB of host
+//! memory per 64 KB granule it is allocated, and the 4-core chip's
+//! 12.5 MB of LLC about 15 MB.
 
-use wp_mrc::LineTable;
+use wp_mrc::{rank_stamps, LineTable};
 
 /// Result of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,18 +57,23 @@ pub enum AccessOutcome {
 /// This is the model for a pool's slice of LLC capacity: Jigsaw/Whirlpool
 /// enforce per-VC quotas with fine-grain partitioning (Vantage), which
 /// approximates exactly this — an LRU-managed region of a fixed number of
-/// lines. It is implemented as a slab-backed doubly-linked list plus a
-/// [`LineTable`] index (see the module docs), giving O(1) access, insert,
-/// and evict. [`prefetch`](Self::prefetch) hints the index slot an
+/// lines. It is implemented as a stamp-ordered line store (see the module
+/// docs): amortized O(1) access, insert, and evict, with no linked list
+/// to chase. [`prefetch`](Self::prefetch) hints the index slot an
 /// upcoming access will probe first.
 #[derive(Debug, Clone)]
 pub struct LruCache {
-    /// Line → node slot.
+    /// Line → stamp of its last access.
     index: LineTable,
-    nodes: Vec<Node>,
-    free: Vec<u32>,
-    head: u32, // MRU
-    tail: u32, // LRU
+    /// `order[t]`: the line stamped `t` (stale unless `t` is live).
+    order: Vec<u64>,
+    /// Live stamps, bit `t % 64` of word `t / 64`; one word per 64
+    /// entries of `order`.
+    live: Vec<u64>,
+    /// No live stamp lies below this one.
+    oldest: usize,
+    /// Per-word popcount prefix reused by compaction.
+    ranks: Vec<u32>,
     capacity: usize,
     /// Bimodal insertion (opt-in): once full, only 1-in-16 misses insert,
     /// so a cache smaller than a streaming working set retains a stable
@@ -60,26 +85,23 @@ pub struct LruCache {
     rng: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    addr: u64,
-    prev: u32,
-    next: u32,
-}
-
-const NIL: u32 = u32::MAX;
-
 impl LruCache {
+    /// `order` is compacted once it reaches this multiple of the resident
+    /// lines...
+    const SLACK: usize = 4;
+    /// ...or this many stamps, whichever is larger.
+    const MIN_STAMPS: usize = 256;
+
     /// Creates an empty cache holding at most `capacity` lines.
     /// A zero-capacity cache is legal (everything misses, nothing inserts) —
     /// that is how a bypassed VC's residual footprint is modelled.
     pub fn new(capacity: usize) -> Self {
         Self {
             index: LineTable::new(),
-            nodes: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
+            order: Vec::new(),
+            live: Vec::new(),
+            oldest: 0,
+            ranks: Vec::new(),
             capacity,
             bimodal: false,
             rng: 0x9E37_79B9 ^ capacity as u64 | 1,
@@ -123,9 +145,11 @@ impl LruCache {
     /// the LRU line if at capacity. Zero-capacity caches always miss and
     /// never insert.
     pub fn access(&mut self, addr: u64) -> AccessOutcome {
-        if let Some(slot) = self.index.get(addr) {
-            self.unlink(slot);
-            self.push_front(slot);
+        self.maybe_compact();
+        let stamp = self.order.len() as u32;
+        if let Some(old) = self.index.update(addr, stamp) {
+            self.kill(old);
+            self.push(addr);
             return AccessOutcome::Hit;
         }
         if self.capacity == 0 {
@@ -146,18 +170,18 @@ impl LruCache {
         while self.index.len() >= self.capacity {
             evicted = Some(self.evict_lru().expect("non-empty at capacity"));
         }
-        let slot = self.alloc(addr);
-        self.push_front(slot);
-        self.index.insert(addr, slot);
+        // Evictions shrank the resident set, which may make `order` due.
+        self.maybe_compact();
+        self.index.insert(addr, self.order.len() as u32);
+        self.push(addr);
         AccessOutcome::Miss { evicted }
     }
 
     /// Removes `addr` if resident; returns whether it was present.
     pub fn invalidate(&mut self, addr: u64) -> bool {
         match self.index.remove(addr) {
-            Some(slot) => {
-                self.unlink(slot);
-                self.free.push(slot);
+            Some(stamp) => {
+                self.kill(stamp);
                 true
             }
             None => false,
@@ -166,14 +190,22 @@ impl LruCache {
 
     /// Evicts the LRU line, returning its address.
     pub fn evict_lru(&mut self) -> Option<u64> {
-        if self.tail == NIL {
+        if self.index.is_empty() {
             return None;
         }
-        let slot = self.tail;
-        let addr = self.nodes[slot as usize].addr;
-        self.unlink(slot);
+        // The lowest live stamp at or after `oldest`; one exists while
+        // any line is resident.
+        let mut w = self.oldest / 64;
+        let mut bits = self.live[w] & (u64::MAX << (self.oldest % 64));
+        while bits == 0 {
+            w += 1;
+            bits = self.live[w];
+        }
+        let stamp = w * 64 + bits.trailing_zeros() as usize;
+        self.live[w] &= !(1 << (stamp % 64));
+        self.oldest = stamp + 1;
+        let addr = self.order[stamp];
         self.index.remove(addr);
-        self.free.push(slot);
         Some(addr)
     }
 
@@ -196,91 +228,81 @@ impl LruCache {
         self.capacity = new_capacity;
     }
 
-    /// Drains every resident line (full invalidation), returning them.
+    /// Drains every resident line (full invalidation), returning them,
+    /// LRU first.
     pub fn drain(&mut self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.index.len());
-        while let Some(a) = self.evict_lru() {
-            out.push(a);
-        }
+        let mut out: Vec<u64> = self.iter().collect();
+        out.reverse();
+        self.index = LineTable::new();
+        self.order.clear();
+        self.live.clear();
+        self.oldest = 0;
         out
     }
 
     /// Iterates resident lines from MRU to LRU.
-    pub fn iter(&self) -> LruIter<'_> {
-        LruIter {
-            cache: self,
-            cursor: self.head,
+    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        let floor = self.oldest / 64;
+        (floor..self.live.len()).rev().flat_map(move |w| {
+            let mut bits = self.live[w];
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = 63 - bits.leading_zeros() as usize;
+                    bits &= !(1u64 << b);
+                    self.order[w * 64 + b]
+                })
+            })
+        })
+    }
+
+    /// Appends `addr` at the next stamp (the caller has set its index
+    /// entry to that stamp) and marks it live.
+    #[inline]
+    fn push(&mut self, addr: u64) {
+        let t = self.order.len();
+        if t % 64 == 0 {
+            self.live.push(0);
+        }
+        self.live[t / 64] |= 1 << (t % 64);
+        self.order.push(addr);
+    }
+
+    /// Marks `stamp` dead.
+    #[inline]
+    fn kill(&mut self, stamp: u32) {
+        let t = stamp as usize;
+        self.live[t / 64] &= !(1 << (t % 64));
+    }
+
+    /// Compacts `order` to the resident lines, by rank, once it reaches
+    /// [`SLACK`](Self::SLACK) times their number (at least
+    /// [`MIN_STAMPS`](Self::MIN_STAMPS)). Stamps then stay below
+    /// `max(MIN_STAMPS, SLACK · len) + 1`, so a `u32` holds them.
+    #[inline]
+    fn maybe_compact(&mut self) {
+        if self.order.len() >= (Self::SLACK * self.index.len()).max(Self::MIN_STAMPS) {
+            self.compact();
         }
     }
 
-    fn alloc(&mut self, addr: u64) -> u32 {
-        let node = Node {
-            addr,
-            prev: NIL,
-            next: NIL,
-        };
-        if let Some(slot) = self.free.pop() {
-            self.nodes[slot as usize] = node;
-            slot
-        } else {
-            assert!(
-                self.nodes.len() < NIL as usize,
-                "an LruCache holds fewer than 2^32 - 1 lines"
-            );
-            self.nodes.push(node);
-            (self.nodes.len() - 1) as u32
+    #[cold]
+    fn compact(&mut self) {
+        assert!(
+            self.index.len() < 1 << 30,
+            "an LruCache holds fewer than 2^30 lines"
+        );
+        let n = rank_stamps(
+            &mut self.index,
+            &self.live,
+            Some(&mut self.order),
+            &mut self.ranks,
+        );
+        self.live.truncate(n.div_ceil(64));
+        self.live.fill(u64::MAX);
+        if n % 64 != 0 {
+            self.live[n / 64] = (1 << (n % 64)) - 1;
         }
-    }
-
-    fn push_front(&mut self, slot: u32) {
-        let head = self.head;
-        let node = &mut self.nodes[slot as usize];
-        node.prev = NIL;
-        node.next = head;
-        if head != NIL {
-            self.nodes[head as usize].prev = slot;
-        }
-        self.head = slot;
-        if self.tail == NIL {
-            self.tail = slot;
-        }
-    }
-
-    fn unlink(&mut self, slot: u32) {
-        let Node { prev, next, .. } = self.nodes[slot as usize];
-        if prev != NIL {
-            self.nodes[prev as usize].next = next;
-        } else if self.head == slot {
-            self.head = next;
-        }
-        if next != NIL {
-            self.nodes[next as usize].prev = prev;
-        } else if self.tail == slot {
-            self.tail = prev;
-        }
-        let node = &mut self.nodes[slot as usize];
-        node.prev = NIL;
-        node.next = NIL;
-    }
-}
-
-/// Iterator over resident lines, MRU first. Created by [`LruCache::iter`].
-#[derive(Debug)]
-pub struct LruIter<'a> {
-    cache: &'a LruCache,
-    cursor: u32,
-}
-
-impl Iterator for LruIter<'_> {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        if self.cursor == NIL {
-            return None;
-        }
-        let node = self.cache.nodes[self.cursor as usize];
-        self.cursor = node.next;
-        Some(node.addr)
+        self.oldest = 0;
     }
 }
 
@@ -403,8 +425,22 @@ mod tests {
         );
     }
 
+    /// The bound compaction keeps after every access: `order` holds at
+    /// most `max(256, 4 · len)` stamps, with one bitset word per 64.
+    fn assert_order_bounded(c: &LruCache, step: usize) {
+        let bound = (LruCache::SLACK * c.len()).max(LruCache::MIN_STAMPS);
+        assert!(
+            c.order.len() <= bound,
+            "{} stamps for {} lines at step {step}",
+            c.order.len(),
+            c.len()
+        );
+        assert_eq!(c.live.len(), c.order.len().div_ceil(64));
+    }
+
     /// Exact LRU the obvious way: a deque, MRU at the front, with the
     /// same bimodal insertion rule and random stream as [`LruCache`].
+    #[derive(Clone)]
     struct DequeLru {
         lines: std::collections::VecDeque<u64>,
         capacity: usize,
@@ -496,7 +532,10 @@ mod tests {
                     }
                     3..=10 => assert_eq!(c.invalidate(addr), m.invalidate(addr)),
                     11 => assert_eq!(c.evict_lru(), m.lines.pop_back()),
-                    _ => assert_eq!(c.access(addr), m.access(addr), "access at {step}"),
+                    _ => {
+                        assert_eq!(c.access(addr), m.access(addr), "access at {step}");
+                        assert_order_bounded(&c, step);
+                    }
                 }
                 assert_eq!(c.len(), m.lines.len());
                 assert_eq!(c.contains(addr), m.position(addr).is_some());
@@ -509,13 +548,73 @@ mod tests {
     }
 
     #[test]
+    fn long_hit_stretches_compact_without_reordering() {
+        // Hit-only stretches grow `order` by one stamp per access and so
+        // force compaction after compaction; `iter` and `drain` are
+        // checked right after each one, where ranks replaced stamps.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        };
+        for capacity in [1usize, 7, 64, 300, 1000] {
+            let mut c = LruCache::new(capacity);
+            let mut m = DequeLru::new(capacity, false);
+            let mut compactions = 0;
+            let mut step = 0;
+            for _round in 0..4 {
+                // Churn over twice the capacity: misses and evictions.
+                for _ in 0..2 * capacity {
+                    let addr = next(2 * capacity) as u64;
+                    assert_eq!(c.access(addr), m.access(addr), "churn, {capacity} lines");
+                    assert_order_bounded(&c, step);
+                    step += 1;
+                }
+                let resident: Vec<u64> = m.lines.iter().copied().collect();
+                for _ in 0..4 * LruCache::MIN_STAMPS + 12 * capacity {
+                    let addr = resident[next(resident.len())];
+                    let before = c.order.len();
+                    assert_eq!(c.access(addr), AccessOutcome::Hit);
+                    m.access(addr);
+                    assert_order_bounded(&c, step);
+                    step += 1;
+                    if c.order.len() <= before {
+                        compactions += 1;
+                        assert!(
+                            c.iter().eq(m.lines.iter().copied()),
+                            "iter, {capacity} lines"
+                        );
+                        let (mut cc, mut mm) = (c.clone(), m.clone());
+                        let all: Vec<u64> = mm.lines.drain(..).rev().collect();
+                        assert_eq!(cc.drain(), all, "drain, {capacity} lines");
+                        assert!(cc.is_empty() && cc.iter().next().is_none());
+                        assert_eq!(cc.access(addr), AccessOutcome::Miss { evicted: None });
+                    }
+                }
+            }
+            assert!(
+                compactions >= 8,
+                "{capacity} lines: {compactions} compactions"
+            );
+            assert!(c.iter().eq(m.lines.iter().copied()));
+            assert_eq!(
+                c.resize(0),
+                m.lines.iter().rev().copied().collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
     fn slot_reuse_after_heavy_churn() {
         let mut c = LruCache::new(4);
         for a in 0..10_000u64 {
             c.access(a);
         }
         assert_eq!(c.len(), 4);
-        // Slab should not have grown unboundedly: free-list reuse.
-        assert!(c.nodes.len() <= 16);
+        // The stamp log is compacted, not grown without bound.
+        assert!(c.order.len() <= LruCache::MIN_STAMPS);
+        assert_eq!(c.live.len(), c.order.len().div_ceil(64));
     }
 }

@@ -53,6 +53,12 @@ impl LruPolicy {
         Self::default()
     }
 
+    /// `set`'s nibble-packed recency order (`ways <= 16`).
+    #[cfg(test)]
+    pub(crate) fn order(&self, set: usize) -> u64 {
+        self.order[set]
+    }
+
     fn idx(&self, set: usize, way: usize) -> usize {
         set * self.ways + way
     }
@@ -62,16 +68,9 @@ impl LruPolicy {
             // Move `way`'s nibble to the MRU end (nibble 0), shifting the
             // more-recent nibbles up one position.
             let order = self.order[set];
-            let mut pos = 0;
-            while (order >> (4 * pos)) & 0xF != way as u64 {
-                pos += 1;
-            }
-            let below = order & ((1u64 << (4 * pos)) - 1);
-            let above = if pos >= 15 {
-                0
-            } else {
-                order & !((1u64 << (4 * pos + 4)) - 1)
-            };
+            let pos = nibble_position(order, way as u64);
+            let below = order & ((1u64 << pos) - 1);
+            let above = order & (u64::MAX << 4 << pos);
             self.order[set] = above | (below << 4) | way as u64;
         } else {
             self.clock += 1;
@@ -79,6 +78,24 @@ impl LruPolicy {
             self.stamp[i] = self.clock;
         }
     }
+}
+
+/// Bit offset of the lowest nibble of `order` equal to `way`.
+///
+/// SWAR zero-nibble test: `x` has a zero nibble exactly where `order`
+/// holds `way`. Adding 7 to each nibble's low three bits carries into its
+/// top bit unless they are all clear; or-ing `x` back in catches a set
+/// top bit. No carry crosses a nibble, so every flag is exact, and the
+/// lowest flagged nibble is `way`'s own even in a set of fewer than 16
+/// ways, whose unused upper nibbles stay zero (and so match way 0).
+#[inline]
+fn nibble_position(order: u64, way: u64) -> u32 {
+    const NIBBLES: u64 = 0x1111_1111_1111_1111;
+    const LOW3: u64 = 0x7777_7777_7777_7777;
+    let x = order ^ (way * NIBBLES);
+    let zero = !(((x & LOW3) + LOW3) | x | LOW3);
+    debug_assert!(zero != 0, "way {way} is missing from its set's order");
+    zero.trailing_zeros() & !3
 }
 
 impl ReplacementPolicy for LruPolicy {
@@ -365,9 +382,84 @@ impl ReplacementPolicy for DrripPolicy {
     }
 }
 
+/// The serial nibble search [`LruPolicy`] used before its SWAR test, kept
+/// as the reference its differential tests (here and in `setassoc`)
+/// compare against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::ReplacementPolicy;
+
+    /// Moves `way`'s nibble to the MRU end of `order`, finding it one
+    /// nibble at a time.
+    pub(crate) fn touch(order: u64, way: usize) -> u64 {
+        let mut pos = 0;
+        while (order >> (4 * pos)) & 0xF != way as u64 {
+            pos += 1;
+        }
+        let below = order & ((1u64 << (4 * pos)) - 1);
+        let above = if pos >= 15 {
+            0
+        } else {
+            order & !((1u64 << (4 * pos + 4)) - 1)
+        };
+        above | (below << 4) | way as u64
+    }
+
+    /// Nibble-order LRU (`ways <= 16`) built on [`touch`], with the same
+    /// initial order as [`LruPolicy`](super::LruPolicy).
+    #[derive(Debug, Default)]
+    pub(crate) struct SerialLru {
+        pub(crate) order: Vec<u64>,
+        ways: usize,
+    }
+
+    impl ReplacementPolicy for SerialLru {
+        fn configure(&mut self, sets: usize, ways: usize) {
+            assert!(ways <= 16);
+            self.ways = ways;
+            let init = (0..ways).fold(0, |o, w| o | ((ways - 1 - w) as u64) << (4 * w));
+            self.order = vec![init; sets];
+        }
+
+        fn on_hit(&mut self, set: usize, way: usize) {
+            self.order[set] = touch(self.order[set], way);
+        }
+
+        fn on_insert(&mut self, set: usize, way: usize) {
+            self.order[set] = touch(self.order[set], way);
+        }
+
+        fn victim(&mut self, set: usize) -> usize {
+            ((self.order[set] >> (4 * (self.ways - 1))) & 0xF) as usize
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn swar_touch_matches_the_serial_search_for_every_width() {
+        // Random walks through each width's reachable orders: same order
+        // word after every touch, so the same victim.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for ways in 1..=16usize {
+            let mut p = LruPolicy::new();
+            p.configure(1, ways);
+            let mut want = p.order[0];
+            for step in 0..4000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let way = (x % ways as u64) as usize;
+                p.on_hit(0, way);
+                want = reference::touch(want, way);
+                assert_eq!(p.order[0], want, "{ways} ways, step {step}");
+                assert_eq!(p.victim(0), (want >> (4 * (ways - 1)) & 0xF) as usize);
+            }
+        }
+    }
 
     #[test]
     fn lru_victim_is_least_recent() {

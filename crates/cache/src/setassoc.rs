@@ -47,6 +47,9 @@ pub struct SetAssocCache<P: ReplacementPolicy> {
     /// One validity bitmask per set (bit `w` = way `w` holds a line).
     valid: Vec<u64>,
     sets: usize,
+    /// `sets - 1` when `sets` is a power of two (every LLC bank and
+    /// private cache here), so mapping a set is a mask, not a division.
+    set_mask: Option<u64>,
     ways: usize,
     policy: P,
     stats: CacheStats,
@@ -72,6 +75,7 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
             tags,
             valid: vec![0; sets],
             sets,
+            set_mask: sets.is_power_of_two().then_some(sets as u64 - 1),
             ways,
             policy,
             stats: CacheStats::default(),
@@ -99,6 +103,7 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
         self.hash_sets = false;
     }
 
+    #[inline]
     fn set_of(&self, addr: u64) -> usize {
         let x = if self.hash_sets {
             let mut h = addr;
@@ -109,7 +114,29 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
         } else {
             addr
         };
-        (x % self.sets as u64) as usize
+        match self.set_mask {
+            Some(mask) => (x & mask) as usize,
+            None => (x % self.sets as u64) as usize,
+        }
+    }
+
+    /// Bit `w` set iff way `w` of the set at `base` holds tag `addr`,
+    /// valid or not. A 16-way set (every LLC bank) is compared as one
+    /// fixed-width array, which the compiler unrolls into straight-line
+    /// SIMD compares; other widths compare way by way.
+    #[inline]
+    fn tag_matches(&self, base: usize, addr: u64) -> u64 {
+        let mut m = 0u64;
+        if let Ok(set) = <&[u64; 16]>::try_from(&self.tags[base..base + self.ways]) {
+            for (w, &tag) in set.iter().enumerate() {
+                m |= u64::from(tag == addr) << w;
+            }
+        } else {
+            for w in 0..self.ways {
+                m |= u64::from(self.tags[base + w] == addr) << w;
+            }
+        }
+        m
     }
 
     /// Accesses `addr`; on a miss the line is filled (possibly evicting).
@@ -117,14 +144,10 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
         let set = self.set_of(addr);
         let base = set * self.ways;
         let v = self.valid[set];
-        // Branchless probe: compare every way (the compiler vectorizes the
-        // fixed-bound loop over the packed slab), then mask out stale tags
-        // in invalidated ways. Lowest valid match, as a linear scan would
+        // Branchless probe: compare every way, then mask out stale tags in
+        // invalidated ways. Lowest valid match, as a linear scan would
         // find.
-        let mut m = 0u64;
-        for w in 0..self.ways {
-            m |= u64::from(self.tags[base + w] == addr) << w;
-        }
+        let m = self.tag_matches(base, addr);
         if m & v != 0 {
             let w = (m & v).trailing_zeros() as usize;
             self.policy.on_hit(set, w);
@@ -171,24 +194,21 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
     /// Checks residency without touching replacement state.
     pub fn contains(&self, addr: u64) -> bool {
         let set = self.set_of(addr);
-        let base = set * self.ways;
-        let v = self.valid[set];
-        (0..self.ways).any(|w| self.tags[base + w] == addr && (v >> w) & 1 != 0)
+        self.tag_matches(set * self.ways, addr) & self.valid[set] != 0
     }
 
     /// Invalidates `addr` if resident; returns whether it was present.
     pub fn invalidate(&mut self, addr: u64) -> bool {
         let set = self.set_of(addr);
-        let base = set * self.ways;
         let v = self.valid[set];
-        for w in 0..self.ways {
-            if self.tags[base + w] == addr && (v >> w) & 1 != 0 {
-                self.valid[set] = v & !(1u64 << w);
-                self.policy.on_invalidate(set, w);
-                return true;
-            }
+        let m = self.tag_matches(set * self.ways, addr) & v;
+        if m == 0 {
+            return false;
         }
-        false
+        let w = m.trailing_zeros() as usize;
+        self.valid[set] = v & !(1u64 << w);
+        self.policy.on_invalidate(set, w);
+        true
     }
 
     /// Invalidates every line for which `pred` holds, returning the count
@@ -231,7 +251,73 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::reference::SerialLru;
     use crate::policy::{DrripPolicy, LruPolicy};
+    use proptest::prelude::*;
+
+    /// The probe before the set mask and the fixed-width compare: set by
+    /// `%`, then one tag compare per way. Returns the set and the ways
+    /// whose tag is `addr`, valid or not.
+    fn reference_probe<P: ReplacementPolicy>(c: &SetAssocCache<P>, addr: u64) -> (usize, u64) {
+        let x = if c.hash_sets {
+            let mut h = addr;
+            h ^= h >> 33;
+            h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+            h ^= h >> 33;
+            h
+        } else {
+            addr
+        };
+        let set = (x % c.sets as u64) as usize;
+        let mut m = 0u64;
+        for w in 0..c.ways {
+            if c.tags[set * c.ways + w] == addr {
+                m |= 1 << w;
+            }
+        }
+        (set, m)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn probe_and_lru_order_match_the_serial_references(
+            seed in 0u64..u64::MAX,
+            shape in 0usize..6,
+            raw in 0u32..2,
+        ) {
+            // 16, 8 and 4 ways over power-of-two set counts, then set
+            // counts that are not (so `%` stays the mapping).
+            let (sets, ways) = [(64, 16), (32, 8), (64, 4), (48, 16), (3, 8), (5, 4)][shape];
+            let mut c = SetAssocCache::new(sets, ways, LruPolicy::new());
+            let mut r = SetAssocCache::new(sets, ways, SerialLru::default());
+            if raw == 1 {
+                c.set_raw_indexing();
+                r.set_raw_indexing();
+            }
+            let universe = (sets * ways * 2) as u64;
+            let mut x = seed | 1;
+            for step in 0..3000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let addr = (x >> 8) % universe;
+                let (set, m) = reference_probe(&c, addr);
+                prop_assert_eq!(c.set_of(addr), set, "set at step {}", step);
+                prop_assert_eq!(c.tag_matches(set * ways, addr), m, "probe at step {}", step);
+                match x % 16 {
+                    0 => prop_assert_eq!(c.invalidate(addr), r.invalidate(addr)),
+                    1 => prop_assert_eq!(c.contains(addr), r.contains(addr)),
+                    _ => prop_assert_eq!(c.access(addr), r.access(addr), "access at step {}", step),
+                }
+                prop_assert_eq!(c.policy.order(set), r.policy.order[set], "order at step {}", step);
+            }
+            prop_assert_eq!(c.stats(), r.stats());
+            prop_assert_eq!(&c.tags, &r.tags);
+            prop_assert_eq!(&c.valid, &r.valid);
+        }
+    }
 
     #[test]
     fn fills_free_ways_before_evicting() {

@@ -71,7 +71,7 @@ pub use histogram::{
 };
 pub use hull::{convex_hull, convex_hull_points, hull_to_points, HullPoint};
 pub use latency::{AccessLatencyModel, LatencyCurve, UniformLatency};
-pub use linetable::LineTable;
+pub use linetable::{rank_stamps, LineTable};
 pub use mattson::{MattsonStack, SampledStack};
 pub use partition::{
     partition_capacity, partition_capacity_hulled, partitioned_curve, PartitionOutcome,

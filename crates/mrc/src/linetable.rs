@@ -133,6 +133,24 @@ impl LineTable {
         self.find(line).is_ok()
     }
 
+    /// Replaces the value of `line`'s entry with `value`, returning the
+    /// old one; an absent line is left absent (`None`). One probe, where
+    /// [`get`](Self::get) then [`insert`](Self::insert) walk the chain
+    /// twice.
+    #[inline]
+    pub fn update(&mut self, line: u64, value: u32) -> Option<u32> {
+        let i = self.find(line).ok()?;
+        Some(std::mem::replace(&mut self.slots[i].1, value))
+    }
+
+    /// Rewrites every entry's value in place through `f`. Keys, and so
+    /// slot positions, are untouched: one pass over the slot array.
+    pub fn map_values(&mut self, mut f: impl FnMut(u32) -> u32) {
+        for slot in self.slots.iter_mut().filter(|s| s.0 != 0) {
+            slot.1 = f(slot.1);
+        }
+    }
+
     /// Stores `value` for `line`, returning the value it replaces.
     ///
     /// # Panics
@@ -202,6 +220,59 @@ impl LineTable {
             self.slots[i] = slot;
         }
     }
+}
+
+/// Renumbers the stamps of a stamp-ordered LRU store to their ranks:
+/// the one compaction step of the timeline under
+/// [`MattsonStack`](crate::MattsonStack),
+/// [`SampledStack`](crate::SampledStack) and
+/// [`ShardsStack`](crate::ShardsStack), and of `wp_cache::LruCache`.
+/// Their stamps are access times, which grow without bound. Returns `n`, the number of live stamps.
+///
+/// - `live` marks the live stamps (stamp `t` is bit `t % 64` of word
+///   `t / 64`). Every entry of `table` holds a live stamp, and every live
+///   stamp is held by exactly one entry.
+/// - Each entry's stamp becomes its rank, the number of live stamps below
+///   it: a popcount over `live`, applied with [`LineTable::map_values`].
+///   There is no sort and no reinsert, and the relative order of the
+///   entries is kept, so the LRU order is too.
+/// - `order`, if given, lists the line stamped `t` at index `t` (entries
+///   at dead stamps are stale). It is compacted in place to the `n` live
+///   lines, oldest first, so that `order[rank]` is the line of that rank.
+///
+/// The caller then rewrites its own bitset to mark exactly `0..n`.
+/// `scratch` keeps the per-word popcount prefix between calls, so a
+/// steady-state compaction allocates nothing.
+pub fn rank_stamps(
+    table: &mut LineTable,
+    live: &[u64],
+    order: Option<&mut Vec<u64>>,
+    scratch: &mut Vec<u32>,
+) -> usize {
+    scratch.clear();
+    let mut n = 0u32;
+    for &word in live {
+        scratch.push(n);
+        n += word.count_ones();
+    }
+    table.map_values(|t| {
+        let (w, b) = (t as usize / 64, t % 64);
+        scratch[w] + (live[w] & ((1u64 << b) - 1)).count_ones()
+    });
+    debug_assert_eq!(n as usize, table.len(), "one live stamp per entry");
+    if let Some(order) = order {
+        let mut k = 0;
+        for (w, &word) in live.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                order[k] = order[w * 64 + bits.trailing_zeros() as usize];
+                k += 1;
+                bits &= bits - 1;
+            }
+        }
+        order.truncate(k);
+    }
+    n as usize
 }
 
 #[cfg(test)]
@@ -356,6 +427,46 @@ mod tests {
                         "{name}, stride {stride}, {lines} lines: mean probe length {mean:.2}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn update_touches_only_present_lines() {
+        let mut t = LineTable::new();
+        t.insert(5, 1);
+        assert_eq!(t.update(5, 9), Some(1));
+        assert_eq!(t.update(6, 9), None);
+        assert_eq!((t.get(5), t.get(6), t.len()), (Some(9), None, 1));
+    }
+
+    #[test]
+    fn rank_stamps_matches_a_sort_by_stamp() {
+        // Lines at scattered live stamps (a dead stamp between most of
+        // them) renumber to 0..n in stamp order, as sorting by stamp and
+        // reinserting ranks would; `order` keeps the live lines only.
+        let mut x = 0x51_7CC1_B727_220Au64;
+        for lines in [0usize, 1, 63, 64, 65, 700] {
+            let mut t = LineTable::new();
+            let mut order = Vec::new();
+            let mut live = Vec::new();
+            let mut by_stamp = Vec::new();
+            for line in 0..lines as u64 {
+                let skip = (xorshift(&mut x) % 3) as usize;
+                order.extend(std::iter::repeat(u64::MAX).take(skip));
+                let stamp = order.len();
+                order.push(line * 64);
+                live.resize(order.len().div_ceil(64), 0u64);
+                live[stamp / 64] |= 1 << (stamp % 64);
+                t.insert(line * 64, stamp as u32);
+                by_stamp.push(line * 64);
+            }
+            let mut scratch = Vec::new();
+            let n = rank_stamps(&mut t, &live, Some(&mut order), &mut scratch);
+            assert_eq!(n, lines);
+            assert_eq!(order, by_stamp);
+            for (rank, &line) in by_stamp.iter().enumerate() {
+                assert_eq!(t.get(line), Some(rank as u32));
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Exact and sampled LRU stack-distance profiling (Mattson's algorithm).
 
 use crate::histogram::StackDistanceHistogram;
-use crate::linetable::LineTable;
+use crate::linetable::{rank_stamps, LineTable};
 
 /// The set of live access timestamps (each holds at most one line), with
 /// `O(log n)` counts of the live timestamps at or before a given time.
@@ -135,10 +135,9 @@ impl Fenwick {
 pub(crate) struct LruTimeline {
     last_time: LineTable,
     present: Fenwick,
-    /// Reused compaction buffer of `(timestamp, line)` pairs, so
-    /// steady-state compaction allocates nothing. After a compaction it
-    /// lists the live lines from least to most recently used.
-    scratch: Vec<(u32, u64)>,
+    /// Per-word popcount prefix reused by [`rank_stamps`], so
+    /// steady-state compaction allocates nothing.
+    scratch: Vec<u32>,
     time: usize,
     live: usize,
     reallocations: u64,
@@ -171,7 +170,7 @@ impl LruTimeline {
         Self {
             last_time: LineTable::with_capacity(lines),
             present: Fenwick::with_capacity(time_cap),
-            scratch: Vec::with_capacity(lines),
+            scratch: Vec::with_capacity(time_cap.div_ceil(64)),
             time: 0,
             live: 0,
             reallocations: 0,
@@ -180,7 +179,7 @@ impl LruTimeline {
 
     /// Compacts if due, then [`touch`](Self::touch)es `line`.
     pub(crate) fn access(&mut self, line: u64) -> Option<u64> {
-        self.maybe_compact();
+        self.maybe_compact(None);
         self.touch(line)
     }
 
@@ -236,21 +235,21 @@ impl LruTimeline {
 
     /// Compacts timestamps to ranks `0..live` (LRU first) when the time
     /// axis is much larger than the live set, keeping the Fenwick tree
-    /// small on long runs. Compaction reuses the existing buffers (the
-    /// Fenwick capacity is the high-water mark), so a pre-sized stack
-    /// compacts without allocating. Returns whether it compacted.
-    fn maybe_compact(&mut self) -> bool {
+    /// small on long runs. `order`, if given, is the caller's line-at-
+    /// timestamp list, compacted alongside (see [`rank_stamps`]).
+    /// Compaction reuses the existing buffers (the Fenwick capacity is the
+    /// high-water mark), so a pre-sized stack compacts without allocating.
+    /// Returns whether it compacted.
+    fn maybe_compact(&mut self, order: Option<&mut Vec<u64>>) -> bool {
         if self.time < (1 << 16) || self.time < Self::SLACK * self.live.max(1) {
             return false;
         }
-        self.scratch.clear();
-        self.scratch
-            .extend(self.last_time.iter().map(|(a, t)| (t, a)));
-        self.scratch.sort_unstable();
-        let n = self.scratch.len();
-        for (rank, &(_, addr)) in self.scratch.iter().enumerate() {
-            self.last_time.insert(addr, rank as u32);
-        }
+        let n = rank_stamps(
+            &mut self.last_time,
+            &self.present.bits,
+            order,
+            &mut self.scratch,
+        );
         self.reallocations += u64::from(self.present.rebuild_ones(n));
         self.time = n;
         true
@@ -425,11 +424,8 @@ impl SampledStack {
         if !self.sampled(line) {
             return;
         }
-        if self.stack.maybe_compact() {
+        if self.stack.maybe_compact(Some(&mut self.line_at)) {
             // Compaction renumbered the live lines 0..live, LRU first.
-            self.line_at.clear();
-            self.line_at
-                .extend(self.stack.scratch.iter().map(|&(_, line)| line));
             self.oldest = 0;
         }
         let scale = 1u64 << self.rate_log2;

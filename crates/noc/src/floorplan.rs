@@ -31,6 +31,16 @@ pub struct Floorplan {
     /// `banks_by_distance[c]` = bank ids sorted by hops from core `c`
     /// (ties broken by id, so placement is deterministic).
     banks_by_distance: Vec<Vec<BankId>>,
+    /// Hop tables, built once so every `hops_*` query on the access path
+    /// is one load instead of a tile-index division and two subtractions:
+    /// `core_bank_hops[c * banks + b]`, `bank_mcu_hops[b * mcus + m]` and
+    /// `core_mcu_hops[c * mcus + m]`.
+    core_bank_hops: Vec<u32>,
+    bank_mcu_hops: Vec<u32>,
+    core_mcu_hops: Vec<u32>,
+    /// `mcus - 1` when the MCU count is a power of two, so
+    /// [`mcu_of_line`](Self::mcu_of_line) masks instead of dividing.
+    mcu_mask: Option<u64>,
 }
 
 impl Floorplan {
@@ -96,8 +106,21 @@ impl Floorplan {
             banks.sort_by_key(|&b| (mesh.hops(cc, mesh.coord_of(b.0 as usize)), b.0));
             banks_by_distance.push(banks);
         }
+        let table = |from: &[Coord], to: &[Coord]| -> Vec<u32> {
+            from.iter()
+                .flat_map(|&a| to.iter().map(move |&b| mesh.hops(a, b) as u32))
+                .collect()
+        };
+        let banks: Vec<Coord> = mesh.iter_coords().collect();
         Self {
             mesh,
+            core_bank_hops: table(&cores, &banks),
+            bank_mcu_hops: table(&banks, &mcus),
+            core_mcu_hops: table(&cores, &mcus),
+            mcu_mask: mcus
+                .len()
+                .is_power_of_two()
+                .then_some(mcus.len() as u64 - 1),
             cores,
             mcus,
             params,
@@ -146,18 +169,21 @@ impl Floorplan {
     }
 
     /// Hops from a core to a bank.
+    #[inline]
     pub fn hops_core_bank(&self, c: CoreId, b: BankId) -> u64 {
-        self.mesh.hops(self.core_coord(c), self.bank_coord(b))
+        u64::from(self.core_bank_hops[c.0 as usize * self.num_banks() + b.0 as usize])
     }
 
     /// Hops from a bank to an MCU.
+    #[inline]
     pub fn hops_bank_mcu(&self, b: BankId, m: McuId) -> u64 {
-        self.mesh.hops(self.bank_coord(b), self.mcu_coord(m))
+        u64::from(self.bank_mcu_hops[b.0 as usize * self.mcus.len() + m.0 as usize])
     }
 
     /// Hops from a core to an MCU.
+    #[inline]
     pub fn hops_core_mcu(&self, c: CoreId, m: McuId) -> u64 {
-        self.mesh.hops(self.core_coord(c), self.mcu_coord(m))
+        u64::from(self.core_mcu_hops[c.0 as usize * self.mcus.len() + m.0 as usize])
     }
 
     /// The MCU closest to a core (addresses interleave across MCUs, but the
@@ -171,8 +197,13 @@ impl Floorplan {
     }
 
     /// MCU owning a line address (static interleave by line number).
+    #[inline]
     pub fn mcu_of_line(&self, line_addr: u64) -> McuId {
-        McuId((line_addr % self.mcus.len() as u64) as u16)
+        let m = match self.mcu_mask {
+            Some(mask) => line_addr & mask,
+            None => line_addr % self.mcus.len() as u64,
+        };
+        McuId(m as u16)
     }
 
     /// Banks sorted by distance from core `c` (nearest first, stable).
@@ -335,6 +366,47 @@ mod tests {
         let m1 = p.nearest_mcu(CoreId(0));
         let m2 = p.nearest_mcu(CoreId(0));
         assert_eq!(m1, m2);
+    }
+
+    #[test]
+    fn hop_tables_equal_mesh_hops_for_every_pair() {
+        for p in [Floorplan::four_core(), Floorplan::sixteen_core()] {
+            let mesh = p.mesh();
+            let banks = (0..p.num_banks() as u16).map(BankId);
+            let cores = (0..p.num_cores() as u16).map(CoreId);
+            let mcus = (0..p.num_mcus() as u16).map(McuId);
+            for c in cores.clone() {
+                for b in banks.clone() {
+                    let want = mesh.hops(p.core_coord(c), p.bank_coord(b));
+                    assert_eq!(p.hops_core_bank(c, b), want, "{c:?} -> {b:?}");
+                }
+                for m in mcus.clone() {
+                    let want = mesh.hops(p.core_coord(c), p.mcu_coord(m));
+                    assert_eq!(p.hops_core_mcu(c, m), want, "{c:?} -> {m:?}");
+                }
+            }
+            for b in banks {
+                for m in mcus.clone() {
+                    let want = mesh.hops(p.bank_coord(b), p.mcu_coord(m));
+                    assert_eq!(p.hops_bank_mcu(b, m), want, "{b:?} -> {m:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mcu_interleave_masks_and_divides_alike() {
+        let three = Floorplan::custom(
+            Mesh::new(3, 3),
+            vec![Coord::new(0, 0)],
+            vec![Coord::new(0, 2), Coord::new(2, 0), Coord::new(2, 2)],
+            NocParams::default(),
+        );
+        for p in [Floorplan::four_core(), Floorplan::sixteen_core(), three] {
+            for line in (0..1000u64).chain([u64::MAX - 5, u64::MAX]) {
+                assert_eq!(u64::from(p.mcu_of_line(line).0), line % p.num_mcus() as u64);
+            }
+        }
     }
 
     #[test]

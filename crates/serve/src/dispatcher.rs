@@ -388,8 +388,14 @@ mod tests {
         Arc::new(ServeStore::open(base.join("cache"), &base.join("state")).unwrap())
     }
 
+    // Every test that starts a `Dispatcher` holds `wp_fault::test_guard`:
+    // workers probe the process-wide fault plan, so a job run here while
+    // another test's one-shot plan (`worker-panic@1`) is installed would
+    // take that shot and fail both tests.
+
     #[test]
     fn bad_argv_jobs_report_errors_without_killing_workers() {
+        let _guard = wp_fault::test_guard();
         let d = Dispatcher::start(test_store("bad"), 1, 4);
         let (id, rx) = d
             .submit(Request::Experiment {
@@ -415,6 +421,7 @@ mod tests {
 
     #[test]
     fn queue_capacity_and_shutdown_reject_new_work() {
+        let _guard = wp_fault::test_guard();
         let d = Dispatcher::start(test_store("cap"), 1, 1);
         // Saturate the single worker with a job that blocks long enough
         // to let a second one sit in the queue (a real-but-tiny run
@@ -497,6 +504,7 @@ mod tests {
 
     #[test]
     fn cancel_hits_queued_jobs_before_a_worker_runs_them() {
+        let _guard = wp_fault::test_guard();
         let d = Dispatcher::start(test_store("cxl"), 1, 8);
         // Submit, immediately cancel, and verify the job reports
         // `cancelled` regardless of whether the worker had started it:

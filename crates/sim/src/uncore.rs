@@ -6,7 +6,7 @@
 //! property that makes the paper's cross-scheme energy comparisons fair.
 
 use wp_mem::LineAddr;
-use wp_noc::{BankId, CoreId, Floorplan};
+use wp_noc::{BankId, CoreId, Floorplan, McuId};
 
 use crate::config::SystemConfig;
 use crate::energy::{EnergyBreakdown, EnergyMeter};
@@ -104,7 +104,7 @@ impl Uncore {
         self.energy.add_flit_hops(p.data_flits * h_bm.max(1));
         self.energy.add_flit_hops(p.data_flits * h_cb.max(1));
         self.energy.add_bank_accesses(1); // tag check + fill, charged once
-        let mem_lat = self.mem_access(line);
+        let mem_lat = self.mem_access(mcu);
         (p.round_trip_latency(h_cb) + self.config.bank_latency) as f64
             + p.round_trip_latency(h_bm) as f64
             + mem_lat
@@ -119,7 +119,7 @@ impl Uncore {
         let hops = plan.hops_core_mcu(core, mcu);
         self.energy.add_flit_hops(p.ctrl_flits * hops.max(1));
         self.energy.add_flit_hops(p.data_flits * hops.max(1));
-        let mem_lat = self.mem_access(line);
+        let mem_lat = self.mem_access(mcu);
         p.round_trip_latency(hops) as f64 + mem_lat
     }
 
@@ -159,10 +159,10 @@ impl Uncore {
         self.energy.add_flit_hops(flits * hops.max(1));
     }
 
-    /// One DRAM access for `line` at the current time; returns latency
-    /// including queueing.
-    fn mem_access(&mut self, line: LineAddr) -> f64 {
-        let mcu = self.config.floorplan.mcu_of_line(line.0);
+    /// One DRAM access at `mcu` (the line's owner, which the caller has
+    /// already looked up) at the current time; returns latency including
+    /// queueing.
+    fn mem_access(&mut self, mcu: McuId) -> f64 {
         self.energy.add_dram_accesses(1);
         self.channels.access(mcu.0 as usize, self.now) as f64
     }

@@ -258,6 +258,12 @@ impl Follow {
 /// per-event or per-block copy. All structural problems — bad magic,
 /// checksum mismatches, impossible counts, and files that end before
 /// their `End` block — surface as [`TraceError`]s, never panics.
+///
+/// A reader stops at its first error: every later
+/// [`next_chunk`](Self::next_chunk) returns that error again and decodes
+/// nothing, since the stream state it would resume from is not to be
+/// trusted (a failed first chunk would leave the next one decoded as a
+/// first chunk).
 #[derive(Debug)]
 pub struct BatchReader {
     data: Arc<TraceData>,
@@ -265,6 +271,8 @@ pub struct BatchReader {
     streams: Vec<BatchStream>,
     scratch: DecodeScratch,
     ended: bool,
+    /// The first error returned, returned again by every later call.
+    failed: Option<TraceError>,
     chunks: u64,
     follow: Follow,
 }
@@ -302,6 +310,7 @@ impl BatchReader {
             streams: Vec::new(),
             scratch: DecodeScratch::default(),
             ended: false,
+            failed: None,
             chunks: 0,
             follow: Follow::All,
         })
@@ -342,9 +351,22 @@ impl BatchReader {
     }
 
     /// Decodes the next chunk into `batch` (cleared first), returning the
-    /// stream it belongs to, or `Ok(None)` at a clean end of trace.
+    /// stream it belongs to, or `Ok(None)` at a clean end of trace. After
+    /// an error, every call returns that error again.
     pub fn next_chunk(&mut self, batch: &mut EventBatch) -> Result<Option<u16>, TraceError> {
         batch.clear();
+        if let Some(e) = &self.failed {
+            return Err(e.again());
+        }
+        let got = self.decode_next(batch);
+        if let Err(e) = &got {
+            self.failed = Some(e.again());
+            batch.clear();
+        }
+        got
+    }
+
+    fn decode_next(&mut self, batch: &mut EventBatch) -> Result<Option<u16>, TraceError> {
         loop {
             if self.ended {
                 return Ok(None);
@@ -571,7 +593,10 @@ pub struct PrefetchBatches {
     rx: Receiver<PrefetchMsg>,
     recycle: SyncSender<EventBatch>,
     handle: Option<std::thread::JoinHandle<()>>,
+    /// The trace ended cleanly.
     done: bool,
+    /// The first error delivered, returned again by every later call.
+    failed: Option<TraceError>,
 }
 
 impl PrefetchBatches {
@@ -630,13 +655,19 @@ impl PrefetchBatches {
             recycle,
             handle: Some(handle),
             done: false,
+            failed: None,
         })
     }
 
     /// The next decoded chunk, swapped into `batch`, and its stream id —
     /// or `Ok(None)` at a clean end of trace. Mirrors
-    /// [`BatchReader::next_chunk`], including error behavior.
+    /// [`BatchReader::next_chunk`], including error behavior: after an
+    /// error, every call returns that error again.
     pub fn next_chunk(&mut self, batch: &mut EventBatch) -> Result<Option<u16>, TraceError> {
+        if let Some(e) = &self.failed {
+            batch.clear();
+            return Err(e.again());
+        }
         if self.done {
             batch.clear();
             return Ok(None);
@@ -666,7 +697,7 @@ impl PrefetchBatches {
                 Ok(None)
             }
             Ok(Err(e)) => {
-                self.done = true;
+                self.failed = Some(e.again());
                 batch.clear();
                 Err(e)
             }
@@ -674,9 +705,10 @@ impl PrefetchBatches {
             // closed channel here means it panicked. Join it to recover
             // the payload instead of reporting a generic death.
             Err(_) => {
-                self.done = true;
+                let e = self.thread_died();
+                self.failed = Some(e.again());
                 batch.clear();
-                Err(self.thread_died())
+                Err(e)
             }
         }
     }
@@ -914,6 +946,53 @@ mod tests {
             })
             .unwrap()
             .2
+    }
+
+    #[test]
+    fn readers_stop_at_their_first_error() {
+        // 300 events in three chunks, a byte flipped in the first: every
+        // call after the checksum error returns it again, never the next
+        // chunk decoded as if it were the stream's first.
+        let events: Vec<Event> = (0..300u64).map(|i| (3, 100 + i, false)).collect();
+        let mut buf = encode(&events, 100);
+        let first = chunk_payload(&buf, 0);
+        buf[first.start + first.len() / 2] ^= 0x04;
+        let mut batch = EventBatch::new();
+        let want = match reader(buf.clone()).unwrap().next_chunk(&mut batch) {
+            Err(e @ TraceError::Checksum { .. }) => e.to_string(),
+            other => panic!("expected a checksum error, got {other:?}"),
+        };
+        let check = |call: usize, got: Result<bool, TraceError>| match got {
+            Err(e) => assert_eq!(e.to_string(), want, "call {call}"),
+            Ok(data) => panic!("call {call} returned data ({data}) after the error"),
+        };
+        let mut r = reader(buf.clone()).unwrap();
+        for call in 0..5 {
+            check(call, r.next_chunk(&mut batch).map(|s| s.is_some()));
+            assert!(batch.is_empty());
+        }
+        let mut p = PrefetchBatches::start(reader(buf.clone()).unwrap()).unwrap();
+        for call in 0..5 {
+            check(call, p.next_chunk(&mut batch).map(|s| s.is_some()));
+            assert!(batch.is_empty());
+        }
+        let mut t = crate::TraceReader::new(Arc::new(TraceData::from_vec(buf))).unwrap();
+        for call in 0..5 {
+            check(call, t.next_record().map(|r| r.is_some()));
+        }
+    }
+
+    #[test]
+    fn repeated_io_errors_keep_their_text() {
+        let e = TraceError::Io(std::io::Error::new(
+            std::io::ErrorKind::PermissionDenied,
+            "no access",
+        ));
+        let again = e.again();
+        assert_eq!(again.to_string(), e.to_string());
+        assert!(
+            matches!(again, TraceError::Io(ref io) if io.kind() == std::io::ErrorKind::PermissionDenied)
+        );
     }
 
     #[test]

@@ -154,6 +154,22 @@ impl std::fmt::Display for TraceError {
     }
 }
 
+impl TraceError {
+    /// The same error again, for a reader that keeps returning its first
+    /// failure: an equal value, or for I/O an error of the same kind and
+    /// message, so the text never changes.
+    pub(crate) fn again(&self) -> Self {
+        match self {
+            TraceError::Io(e) => TraceError::Io(std::io::Error::new(e.kind(), e.to_string())),
+            TraceError::BadMagic => TraceError::BadMagic,
+            TraceError::UnsupportedVersion(v) => TraceError::UnsupportedVersion(*v),
+            TraceError::Truncated => TraceError::Truncated,
+            TraceError::Checksum { offset } => TraceError::Checksum { offset: *offset },
+            TraceError::Corrupt(msg) => TraceError::Corrupt(msg.clone()),
+        }
+    }
+}
+
 impl std::error::Error for TraceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
