@@ -2,7 +2,8 @@
 //! capture, recorded once at start-up:
 //!
 //! * `trace_info_scan` — `TraceInfo::scan`, the whole-file summary
-//!   `trace_tool info` prints (CRC, decode and fold of every chunk);
+//!   `trace_tool info` prints (CRC, unpack and summary fold of every
+//!   chunk);
 //! * `batch_reader_decode` — every chunk through one `BatchReader`;
 //! * `trace_writer_encode` — the decoded events re-encoded by a
 //!   `TraceWriter` into `io::sink()`.

@@ -27,7 +27,7 @@ use wp_mrc::{
     ShardsConfig, StreamProfile,
 };
 use wp_paws::SchedPolicy;
-use wp_trace::{BatchReader, EventBatch, TraceError, TraceInfo};
+use wp_trace::{BatchReader, TraceError, TraceInfo};
 
 use crate::protocol::{ExpOp, Request};
 use crate::store::ServeStore;
@@ -410,13 +410,12 @@ pub fn replay(rest: &[String], ctx: &OpCtx) -> Result<Vec<String>, String> {
     Ok(lines)
 }
 
-/// Decodes streams `ids` of `path` to their `End` totals, checking every
-/// chunk of theirs.
+/// Checks every chunk of streams `ids` of `path` and their `End` totals,
+/// folding the chunks to summaries rather than decoding their events.
 fn check_streams(path: &Path, ids: impl Iterator<Item = u16>) -> Result<(), TraceError> {
-    let mut batch = EventBatch::new();
     for id in ids {
         let mut reader = BatchReader::open_stream(path, id)?;
-        while reader.next_chunk(&mut batch)?.is_some() {}
+        while reader.next_summary()?.is_some() {}
     }
     Ok(())
 }

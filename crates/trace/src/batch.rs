@@ -1,23 +1,31 @@
 //! The `.wpt` block parser, and the column-batched views built on it.
 //!
-//! [`BatchReader::next_chunk`] is the only code in the crate that reads
-//! block framing: tags, length varints, CRCs, stream-definition order,
-//! the `End` totals, and the trailing-data check. Everything that reads a
-//! trace runs through it:
+//! [`BatchReader`] is the only code in the crate that reads block
+//! framing: tags, length varints, CRCs, stream-definition order, the
+//! `End` totals, and the trailing-data check. Its chunk parser,
+//! `decode_chunk_body`, unpacks and checks a chunk's columns, then hands
+//! them to a sink:
 //!
 //! * [`EventBatch`] — a chunk's events as three flat columns
 //!   (gaps/lines/write flags), reused across chunks so steady-state decode
-//!   allocates nothing.
+//!   allocates nothing ([`BatchReader::next_chunk`]);
+//! * [`ChunkSummary`] — the chunk's events, instructions, writes and line
+//!   span, folded from the columns without materializing an event
+//!   ([`BatchReader::next_summary`], the validation scan's sink).
+//!
+//! The sink is called only for a chunk that passed every check, so both
+//! accept and reject the same chunks with the same errors. On top of the
+//! parser:
+//!
 //! * [`BatchReader`] — walks an in-memory (usually mmapped) `.wpt` image
-//!   block by block, decoding each chunk payload in place into an
-//!   `EventBatch`.
+//!   block by block, parsing each chunk payload in place;
 //! * [`PrefetchBatches`] — a `BatchReader` on a worker thread, decoding
 //!   chunk N+1 while the simulator chews on chunk N; batches recycle
 //!   through a bounded channel so the pair holds a fixed set of slabs.
 //!
-//! The record view ([`TraceReader`](crate::TraceReader)) and the
-//! whole-file summary ([`TraceInfo`](crate::TraceInfo)) iterate these
-//! chunks.
+//! The record view ([`TraceReader`](crate::TraceReader)) iterates the
+//! event batches; the whole-file summary
+//! ([`TraceInfo`](crate::TraceInfo)) iterates the chunk summaries.
 
 use std::path::Path;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -131,21 +139,114 @@ fn first_overflow(column: &[u64], width: u8, min: u64, limit: u64) -> Option<usi
     }
 }
 
-/// Decodes a chunk body (everything after the stream id) into `batch`,
-/// appending its events and returning the instructions they cover.
+/// A chunk's columns once every check has passed: what
+/// [`decode_chunk_body`] hands its [`ChunkSink`]. Event `i`'s gap is
+/// `min_gap + gaps[i]`; its line is the base line for a stream's first
+/// event and its predecessor's plus `unzigzag(min_zz + delta)` after that.
+pub(crate) struct Columns<'a> {
+    first_chunk: bool,
+    base_line: u64,
+    min_gap: u64,
+    gaps: &'a [u64],
+    /// The chunk's instruction total, the gaps' sum.
+    instrs: u64,
+    /// 0 (no writes), 1 (all writes) or 2 (one flag per event).
+    write_mode: u8,
+    /// The unpacked flags in write mode 2, empty otherwise.
+    flags: &'a [u64],
+    min_zz: u64,
+    deltas: &'a [u64],
+}
+
+impl Columns<'_> {
+    fn events(&self) -> usize {
+        self.gaps.len()
+    }
+
+    /// The chunk's lines in event order.
+    fn lines(&self) -> impl Iterator<Item = u64> + '_ {
+        let mut line = self.base_line;
+        let head = self.first_chunk.then_some(self.base_line);
+        head.into_iter().chain(self.deltas.iter().map(move |&d| {
+            line = line.wrapping_add(unzigzag(self.min_zz + d) as u64);
+            line
+        }))
+    }
+}
+
+/// Where [`decode_chunk_body`] puts a chunk that passed every check. The
+/// parser calls it once per chunk, and never for a chunk it rejects.
+pub(crate) trait ChunkSink {
+    /// Takes the chunk's events.
+    fn take(&mut self, chunk: &Columns<'_>);
+}
+
+/// The replay sink: the chunk's events appended as columns.
+impl ChunkSink for EventBatch {
+    fn take(&mut self, c: &Columns<'_>) {
+        // Every gap fits a u32 once the parser's range check passed.
+        self.gaps
+            .extend(c.gaps.iter().map(|&g| (c.min_gap + g) as u32));
+        self.lines.extend(c.lines().map(LineAddr));
+        match c.write_mode {
+            2 => self.writes.extend(c.flags.iter().map(|&f| f == 1)),
+            mode => self
+                .writes
+                .resize(self.writes.len() + c.events(), mode == 1),
+        }
+    }
+}
+
+/// What one chunk adds to its stream's totals: the validation scan's
+/// sink ([`BatchReader::next_summary`]), folded from the unpacked columns
+/// without materializing an event.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChunkSummary {
+    /// Events in the chunk (never 0).
+    pub events: u64,
+    /// Instructions they cover (sum of gaps).
+    pub instructions: u64,
+    /// Write events.
+    pub writes: u64,
+    /// Smallest and largest line touched.
+    pub line_span: (u64, u64),
+}
+
+impl ChunkSink for ChunkSummary {
+    fn take(&mut self, c: &Columns<'_>) {
+        let events = c.events() as u64;
+        let writes = match c.write_mode {
+            0 => 0,
+            1 => events,
+            _ => c.flags.iter().sum(),
+        };
+        let line_span = c
+            .lines()
+            .fold((u64::MAX, 0), |(lo, hi), l| (lo.min(l), hi.max(l)));
+        *self = ChunkSummary {
+            events,
+            instructions: c.instrs,
+            writes,
+            line_span,
+        };
+    }
+}
+
+/// Parses a chunk body (everything after the stream id) into `sink`,
+/// returning the events and instructions it holds.
 ///
 /// `first_chunk` selects the absolute-base encoding of the stream's first
 /// event. Validates counts, widths, overflow and trailing bytes; on an
-/// error nothing is appended. The work is column at a time: unpack each
-/// column, range-check the gap and delta columns once, then extend the
-/// batch's three columns.
+/// error the sink is not called. The work is column at a time: unpack each
+/// column, range-check the gap and delta columns once, then hand the
+/// columns to the sink.
 pub(crate) fn decode_chunk_body(
     payload: &[u8],
     mut pos: usize,
     first_chunk: bool,
     scratch: &mut DecodeScratch,
-    batch: &mut EventBatch,
-) -> Result<u64, TraceError> {
+    sink: &mut impl ChunkSink,
+) -> Result<(u64, u64), TraceError> {
     let count = get_varint(payload, &mut pos)?;
     if count == 0 || count > MAX_CHUNK_EVENTS {
         return Err(TraceError::Corrupt(format!("chunk of {count} events")));
@@ -161,7 +262,7 @@ pub(crate) fn decode_chunk_body(
     let write_mode = *payload.get(pos).ok_or(TraceError::Truncated)?;
     pos += 1;
     match write_mode {
-        0 | 1 => {}
+        0 | 1 => scratch.flags.clear(),
         2 => unpack_into(payload, &mut pos, count, 1, &mut scratch.flags)?,
         m => return Err(TraceError::Corrupt(format!("write mode {m}"))),
     }
@@ -196,25 +297,21 @@ pub(crate) fn decode_chunk_body(
         return Err(TraceError::Corrupt(msg.into()));
     }
 
-    // Every gap fits a u32 now, so neither the gaps nor their sum over
-    // at most 2^24 events can overflow.
-    batch
-        .gaps
-        .extend(scratch.gaps.iter().map(|&g| (min_gap + g) as u32));
+    // Every gap fits a u32 now, so their sum over at most 2^24 events
+    // cannot overflow.
     let instrs = min_gap * count as u64 + scratch.gaps.iter().sum::<u64>();
-    if first_chunk {
-        batch.lines.push(LineAddr(base_line));
-    }
-    let mut line = base_line;
-    batch.lines.extend(scratch.deltas.iter().map(|&d| {
-        line = line.wrapping_add(unzigzag(min_zz + d) as u64);
-        LineAddr(line)
-    }));
-    match write_mode {
-        2 => batch.writes.extend(scratch.flags.iter().map(|&f| f == 1)),
-        mode => batch.writes.resize(batch.writes.len() + count, mode == 1),
-    }
-    Ok(instrs)
+    sink.take(&Columns {
+        first_chunk,
+        base_line,
+        min_gap,
+        gaps: &scratch.gaps,
+        instrs,
+        write_mode,
+        flags: &scratch.flags,
+        min_zz,
+        deltas: &scratch.deltas,
+    });
+    Ok((count as u64, instrs))
 }
 
 #[derive(Debug)]
@@ -278,15 +375,17 @@ pub struct BatchReader {
 }
 
 impl BatchReader {
-    /// Opens and maps `path`, validating the file header.
+    /// Opens and maps `path`, validating the file header. Readers of one
+    /// file alive at the same time share its image
+    /// ([`TraceData::open`]).
     pub fn open(path: &Path) -> Result<Self, TraceError> {
-        Self::new(Arc::new(TraceData::open(path)?))
+        Self::new(TraceData::open(path)?)
     }
 
     /// [`open`](Self::open), following only stream `stream` (see
     /// [`follow`](Self::follow)).
     pub fn open_stream(path: &Path, stream: u16) -> Result<Self, TraceError> {
-        Ok(Self::new(Arc::new(TraceData::open(path)?))?.follow(stream))
+        Ok(Self::new(TraceData::open(path)?)?.follow(stream))
     }
 
     /// Wraps an already-loaded trace image, validating the file header.
@@ -355,18 +454,33 @@ impl BatchReader {
     /// an error, every call returns that error again.
     pub fn next_chunk(&mut self, batch: &mut EventBatch) -> Result<Option<u16>, TraceError> {
         batch.clear();
+        self.next_into(batch)
+    }
+
+    /// The next chunk's stream and [`ChunkSummary`], or `Ok(None)` at a
+    /// clean end of trace. It runs every check
+    /// [`next_chunk`](Self::next_chunk) runs, in the same order and with
+    /// the same errors, but folds the chunk's columns to its totals
+    /// instead of materializing its events: the validation scan's path.
+    pub fn next_summary(&mut self) -> Result<Option<(u16, ChunkSummary)>, TraceError> {
+        let mut summary = ChunkSummary::default();
+        Ok(self.next_into(&mut summary)?.map(|id| (id, summary)))
+    }
+
+    /// Parses the next chunk into `sink`; the sink is untouched when
+    /// this fails.
+    fn next_into(&mut self, sink: &mut impl ChunkSink) -> Result<Option<u16>, TraceError> {
         if let Some(e) = &self.failed {
             return Err(e.again());
         }
-        let got = self.decode_next(batch);
+        let got = self.decode_next(sink);
         if let Err(e) = &got {
             self.failed = Some(e.again());
-            batch.clear();
         }
         got
     }
 
-    fn decode_next(&mut self, batch: &mut EventBatch) -> Result<Option<u16>, TraceError> {
+    fn decode_next(&mut self, sink: &mut impl ChunkSink) -> Result<Option<u16>, TraceError> {
         loop {
             if self.ended {
                 return Ok(None);
@@ -451,10 +565,10 @@ impl BatchReader {
                             .ok_or_else(|| undefined_stream(stream))?;
                         state.events == 0
                     };
-                    let instrs =
-                        decode_chunk_body(payload, body, first_chunk, &mut self.scratch, batch)?;
+                    let (events, instrs) =
+                        decode_chunk_body(payload, body, first_chunk, &mut self.scratch, sink)?;
                     let state = &mut self.streams[stream as usize];
-                    state.events += batch.len() as u64;
+                    state.events += events;
                     state.instrs += instrs;
                     self.chunks += 1;
                     wp_obs::add(wp_obs::Counter::TraceChunksDecoded, 1);
@@ -1091,6 +1205,16 @@ mod tests {
         // Past the last definition it walks the whole file.
         assert_eq!(defs(&buf, 5).unwrap().len(), 2);
         assert!(matches!(defs(head, 5), Err(TraceError::Truncated)));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn live_readers_of_one_file_share_its_image() {
+        let path = std::env::temp_dir().join(format!("wp-batch-share-{}.wpt", std::process::id()));
+        std::fs::write(&path, two_stream_trace()).unwrap();
+        let a = BatchReader::open_stream(&path, 0).unwrap();
+        let b = BatchReader::open_stream(&path, 1).unwrap();
+        assert!(Arc::ptr_eq(&a.data, &b.data), "one mapping per reader");
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -65,10 +65,12 @@ pub fn packed_len(count: usize, width: u8) -> usize {
 /// allocating per chunk. Errors with [`TraceError::Truncated`] if the
 /// buffer is too short.
 ///
-/// Each value of a column up to 56 bits wide is one shift and mask of
-/// the unaligned little-endian `u64` starting at its first byte. Wider
-/// columns, and the last few values of any column, whose 8-byte window
-/// would run past the column's end, take a byte-at-a-time loop instead.
+/// A column up to 56 bits wide unpacks eight values at a time: eight
+/// `width`-bit values fill exactly `width` bytes, so every group starts on
+/// a byte, and each value of a group is one shift and mask of the
+/// unaligned little-endian `u64` at a fixed offset into it. Wider columns,
+/// and the last values of any column, whose group's windows would run
+/// past the column's end, take a byte-at-a-time loop instead.
 pub fn unpack_into(
     buf: &[u8],
     pos: &mut usize,
@@ -92,20 +94,21 @@ pub fn unpack_into(
     values.reserve(count);
     let mask = low_mask(width);
     let w = usize::from(width);
-    // Value `i`'s window starts at byte `i * w / 8`, and lies in the
-    // column while that is at most `need - 8`: true for `i * w` below
-    // `(need - 7) * 8`.
-    let windowed = if width <= WINDOW_WIDTH {
-        count.min((need.saturating_sub(7) * 8).div_ceil(w))
+    // Value `j` of a group starts `j * w / 8` bytes into it, at most
+    // `w - 1`, so a group's windows lie in its first `w + 7` bytes.
+    let groups = if width <= WINDOW_WIDTH {
+        (count / 8).min(bytes.len().saturating_sub(7) / w)
     } else {
         0
     };
-    values.extend((0..windowed).map(|i| {
-        let bit = i * w;
-        let at = bit / 8;
-        let window: [u8; 8] = bytes[at..at + 8].try_into().expect("window in column");
-        (u64::from_le_bytes(window) >> (bit % 8)) & mask
-    }));
+    let offsets: [(usize, usize); 8] = std::array::from_fn(|j| (j * w / 8, j * w % 8));
+    for group in bytes.windows(w + 7).step_by(w).take(groups) {
+        values.extend(offsets.iter().map(|&(at, shift)| {
+            let window: [u8; 8] = group[at..at + 8].try_into().expect("window in group");
+            (u64::from_le_bytes(window) >> shift) & mask
+        }));
+    }
+    let windowed = groups * 8;
     unpack_bytewise(bytes, windowed, count, width, mask, values);
     Ok(())
 }

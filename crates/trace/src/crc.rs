@@ -1,18 +1,23 @@
 //! CRC-32 (IEEE 802.3, the zlib polynomial) for block payload checksums.
 //!
 //! Hand-rolled because the workspace builds with no external crates. It
-//! is the reflected table-driven form, sliced by 8: eight 256-entry
-//! tables (8 KB, built once at first use) fold a whole little-endian
-//! `u64` per step instead of one byte, so the eight lookups of a step are
-//! independent loads rather than a chain. The values are exactly those of
-//! the one-table byte loop, which the tail still uses.
+//! is the reflected table-driven form, sliced by 16: sixteen 256-entry
+//! tables (16 KB, built once at first use) fold 16 little-endian bytes
+//! per step instead of one, so the sixteen lookups of a step are
+//! independent loads rather than a chain, and the chain through the
+//! running CRC is one step per 16 bytes. The values are exactly those of
+//! the one-table byte loop, which the last 0–15 bytes still use. Every
+//! reader and writer checksums through [`crc32`].
 
 use std::sync::OnceLock;
 
-fn tables() -> &'static [[u32; 256]; 8] {
-    static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
+/// Bytes folded per step, and the number of tables.
+const SLICE: usize = 16;
+
+fn tables() -> &'static [[u32; 256]; SLICE] {
+    static TABLES: OnceLock<[[u32; 256]; SLICE]> = OnceLock::new();
     TABLES.get_or_init(|| {
-        let mut t = [[0u32; 256]; 8];
+        let mut t = [[0u32; 256]; SLICE];
         for (i, entry) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
@@ -26,7 +31,7 @@ fn tables() -> &'static [[u32; 256]; 8] {
         }
         // Table k advances a byte's contribution past k further zero
         // bytes.
-        for k in 1..8 {
+        for k in 1..SLICE {
             let (done, rest) = t.split_at_mut(k);
             for (entry, &prev) in rest[0].iter_mut().zip(&done[k - 1]) {
                 *entry = (prev >> 8) ^ done[0][(prev & 0xFF) as usize];
@@ -39,23 +44,25 @@ fn tables() -> &'static [[u32; 256]; 8] {
 /// CRC-32 of `data` (init `!0`, final xor `!0` — matches zlib's `crc32`).
 pub fn crc32(data: &[u8]) -> u32 {
     let t = tables();
-    let byte = |v: u32, shift: u32| ((v >> shift) & 0xFF) as usize;
+    // The four lookups for the bytes of `v`, whose first byte lies
+    // `k + 3` bytes before the end of the step.
+    let fold = |v: u32, k: usize| {
+        t[k + 3][(v & 0xFF) as usize]
+            ^ t[k + 2][((v >> 8) & 0xFF) as usize]
+            ^ t[k + 1][((v >> 16) & 0xFF) as usize]
+            ^ t[k][(v >> 24) as usize]
+    };
+    let word = |w: &[u8], at: usize| u32::from_le_bytes([w[at], w[at + 1], w[at + 2], w[at + 3]]);
     let mut c = !0u32;
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = t[7][byte(lo, 0)]
-            ^ t[6][byte(lo, 8)]
-            ^ t[5][byte(lo, 16)]
-            ^ t[4][byte(lo, 24)]
-            ^ t[3][byte(hi, 0)]
-            ^ t[2][byte(hi, 8)]
-            ^ t[1][byte(hi, 16)]
-            ^ t[0][byte(hi, 24)];
+    let mut steps = data.chunks_exact(SLICE);
+    for w in &mut steps {
+        c = fold(c ^ word(w, 0), 12)
+            ^ fold(word(w, 4), 8)
+            ^ fold(word(w, 8), 4)
+            ^ fold(word(w, 12), 0);
     }
-    for &b in words.remainder() {
-        c = t[0][byte(c ^ u32::from(b), 0)] ^ (c >> 8);
+    for &b in steps.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }

@@ -35,45 +35,58 @@
 //!
 //! The hot loops work on whole words and whole columns, in safe Rust:
 //!
-//! * the block CRC-32 is sliced by 8, folding one `u64` per step through
-//!   eight 256-entry tables;
-//! * a packed column of values up to 56 bits wide unpacks with one
-//!   unaligned little-endian `u64` load, shift and mask per value; only
-//!   wider columns and a column's last few values, whose 8-byte window
-//!   would run past the column, take a byte-at-a-time loop;
+//! * the block CRC-32 is sliced by 16, folding 16 bytes per step through
+//!   sixteen 256-entry tables;
+//! * a packed column of values up to 56 bits wide unpacks eight values
+//!   at a time (eight values fill exactly `width` bytes), each one
+//!   unaligned little-endian `u64` load, shift and mask at a fixed offset
+//!   into its group; only wider columns and a column's last few values
+//!   take a byte-at-a-time loop;
 //! * packing appends whole `u64` words;
 //! * a chunk decodes a column at a time: the gap and address-delta
 //!   columns are range-checked once per chunk (one comparison when the
-//!   column's bit width cannot overflow), then the batch's three columns
-//!   are extended in bulk;
+//!   column's bit width cannot overflow), then the columns go to a sink;
 //! * the writer reuses its column and payload buffers across chunks.
 //!
 //! The bytes are those of the byte-at-a-time codec this replaced, which
 //! the crate keeps as a test-only reference for differential property
-//! tests. On a 4-app mix capture of 719 k events (`cargo bench -p
-//! wp-bench --bench trace_codec`, medians of 3 alternating runs on a
-//! shared 2-core x86-64 host), a whole-file decode costs 7.6 ns/event
-//! (32 with the byte-at-a-time codec), a re-encode 16 ns/event (33) and
-//! [`TraceInfo::scan`] 12 ns/event (37).
+//! tests.
 //!
-//! # One parser, two views
+//! # One parser, two sinks, two views
 //!
-//! [`BatchReader::next_chunk`] is the only block parser: it reads the
-//! framing, checks every CRC, stream-definition order and the `End`
-//! totals, and decodes whole chunks into flat [`EventBatch`] columns
-//! straight out of an mmapped file image ([`TraceData`]). Two views sit
-//! on top of it:
+//! [`BatchReader`] is the only block parser: it reads the framing, checks
+//! every CRC, stream-definition order and the `End` totals, and parses
+//! whole chunks straight out of an mmapped file image ([`TraceData`]).
+//! Once a chunk has passed every check, its unpacked columns go to one
+//! of two sinks:
+//!
+//! * [`BatchReader::next_chunk`] materializes them as flat
+//!   [`EventBatch`] columns, for replays and every event-level consumer;
+//! * [`BatchReader::next_summary`] folds them to a [`ChunkSummary`]
+//!   (events, instructions, writes, line span) without materializing an
+//!   event. This is the validation scan, [`TraceInfo::scan`], that
+//!   `trace_tool info`, `record`'s post-write check and the profilers'
+//!   pre-size run.
+//!
+//! Two views sit on top of the event sink:
 //!
 //! * the **record view**, [`TraceReader`] — one pool-tagged
 //!   [`TraceRecord`] at a time, for tools such as `trace_tool dump`;
 //! * the **prefetching view**, [`PrefetchBatches`] — the same chunks
 //!   decoded on a lookahead thread, the simulator's replay path.
 //!
-//! [`TraceInfo::scan`] summarizes a file by decoding all its chunks;
-//! [`stream_table`] lists its streams by a frame walk that decodes none
-//! ([`stream_defs`] stops it at a given stream's definition).
+//! [`stream_table`] lists a file's streams by a frame walk that decodes
+//! no chunk ([`stream_defs`] stops it at a given stream's definition).
 //! Because every consumer runs the same parser, they all accept and
-//! reject exactly the same inputs.
+//! reject exactly the same inputs with the same errors. Readers of one
+//! file alive at the same time share one mapped image
+//! ([`TraceData::open`]).
+//!
+//! On a 4-app mix capture of 719 k events (`cargo bench -p wp-bench
+//! --bench trace_codec`, medians of 3 alternating runs on a shared 2-core
+//! 2.1 GHz x86-64 host), [`TraceInfo::scan`] costs 5.3 ns/event (10.5
+//! with the event sink, a slicing-by-8 CRC and one window per value), a
+//! whole-file decode 4.8 ns/event (8.2) and a re-encode 14 ns/event.
 //
 // `unsafe` is denied rather than forbidden: the single exception is the
 // FFI mmap in `mmap.rs`, which carries its own scoped `allow`.
@@ -91,7 +104,9 @@ mod reference;
 mod varint;
 mod writer;
 
-pub use batch::{stream_defs, stream_table, BatchReader, EventBatch, PrefetchBatches};
+pub use batch::{
+    stream_defs, stream_table, BatchReader, ChunkSummary, EventBatch, PrefetchBatches,
+};
 pub use meta::{PoolMeta, StreamMeta, TraceRecord};
 pub use mmap::TraceData;
 pub use reader::{StreamInfo, TraceInfo, TraceReader};

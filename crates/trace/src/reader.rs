@@ -117,11 +117,13 @@ pub struct TraceInfo {
 }
 
 impl TraceInfo {
-    /// Scans (fully decodes) `path`, validating every checksum.
+    /// Scans `path`, validating every checksum and every chunk exactly as
+    /// a decode does, but folding each chunk to a
+    /// [`ChunkSummary`](crate::ChunkSummary) instead of materializing its
+    /// events.
     pub fn scan(path: &Path) -> Result<Self, TraceError> {
         let file_bytes = std::fs::metadata(path)?.len();
         let mut reader = BatchReader::open(path)?;
-        let mut batch = EventBatch::new();
         let mut streams: Vec<StreamInfo> = Vec::new();
         let row = |meta: &StreamMeta| StreamInfo {
             meta: meta.clone(),
@@ -130,22 +132,18 @@ impl TraceInfo {
             writes: 0,
             line_span: None,
         };
-        while let Some(sid) = reader.next_chunk(&mut batch)? {
+        while let Some((sid, chunk)) = reader.next_summary()? {
             let sid = usize::from(sid);
             while streams.len() <= sid {
                 let meta = reader.stream(streams.len() as u16);
                 streams.push(row(meta.expect("decoded chunks imply a definition")));
             }
-            // Column folds with no per-event branch: a chunk is never
-            // empty, so its line span always exists.
             let s = &mut streams[sid];
-            s.events += batch.len() as u64;
-            s.instructions += batch.gaps.iter().map(|&g| u64::from(g)).sum::<u64>();
-            s.writes += batch.writes.iter().map(|&w| u64::from(w)).sum::<u64>();
-            let (lo, hi) = s.line_span.unwrap_or((u64::MAX, 0));
-            let lo = batch.lines.iter().fold(lo, |m, l| m.min(l.0));
-            let hi = batch.lines.iter().fold(hi, |m, l| m.max(l.0));
-            s.line_span = Some((lo, hi));
+            s.events += chunk.events;
+            s.instructions += chunk.instructions;
+            s.writes += chunk.writes;
+            let (lo, hi) = s.line_span.unwrap_or(chunk.line_span);
+            s.line_span = Some((lo.min(chunk.line_span.0), hi.max(chunk.line_span.1)));
         }
         // Event-free streams still deserve a row.
         let defined: Vec<StreamInfo> = reader.streams().skip(streams.len()).map(row).collect();

@@ -160,7 +160,7 @@ pub(crate) fn decode_chunk_body(
 mod tests {
     use proptest::prelude::*;
 
-    use crate::batch::{decode_chunk_body, DecodeScratch, EventBatch};
+    use crate::batch::{decode_chunk_body, ChunkSummary, DecodeScratch, EventBatch};
     use crate::bits::low_mask;
     use crate::varint::{put_varint, zigzag};
 
@@ -177,19 +177,24 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
         fn crc_matches_the_bytewise_reference(
             seed in 0u64..u64::MAX,
-            start in 0usize..8,
-            len in 0usize..4097,
+            steps in 0usize..129,
         ) {
-            // An offset start makes the 8-byte words unaligned in memory.
+            // Every tail the 16-byte steps leave (0 to 15 bytes), each
+            // from every start offset within a step, so the words are
+            // read unaligned in memory.
             let mut r = random(seed);
-            let data: Vec<u8> = (0..start + len).map(|_| (r() >> 24) as u8).collect();
-            let slice = &data[start..];
-            prop_assert_eq!(crate::crc::crc32(slice), super::crc32(slice));
+            let data: Vec<u8> = (0..steps * 16 + 32).map(|_| (r() >> 24) as u8).collect();
+            for start in 0..16 {
+                for tail in 0..16 {
+                    let slice = &data[start..start + steps * 16 + tail];
+                    prop_assert_eq!(crate::crc::crc32(slice), super::crc32(slice));
+                }
+            }
         }
     }
 
@@ -278,13 +283,46 @@ mod tests {
         let new = decode_chunk_body(body, 0, first_chunk, &mut scratch, &mut got);
         let old = super::decode_chunk_body(body, 0, first_chunk, &mut want);
         match (new, old) {
-            (Ok(a), Ok(b)) => {
+            (Ok((events, a)), Ok(b)) => {
                 assert_eq!(a, b, "instruction totals");
+                assert_eq!(events, want.len() as u64, "event count");
                 assert_eq!(got.gaps, want.gaps);
                 assert_eq!(got.lines, want.lines);
                 assert_eq!(got.writes, want.writes);
             }
             (a, b) => assert_eq!(format!("{a:?}"), format!("{b:?}")),
+        }
+    }
+
+    /// The summary sink and the batch sink on one body: the summary is
+    /// what the batch's columns fold to, or both fail with one error.
+    fn assert_summary_matches_batch(body: &[u8], first_chunk: bool) {
+        let mut scratch = DecodeScratch::default();
+        let mut batch = EventBatch::new();
+        let mut summary = ChunkSummary::default();
+        let from_batch = decode_chunk_body(body, 0, first_chunk, &mut scratch, &mut batch);
+        let from_summary = decode_chunk_body(body, 0, first_chunk, &mut scratch, &mut summary);
+        match (from_batch, from_summary) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a, b, "parser totals");
+                let lines = batch.lines.iter().map(|l| l.0);
+                let folded = ChunkSummary {
+                    events: batch.len() as u64,
+                    instructions: batch.gaps.iter().map(|&g| u64::from(g)).sum(),
+                    writes: batch.writes.iter().filter(|&&w| w).count() as u64,
+                    line_span: (lines.clone().min().unwrap(), lines.max().unwrap()),
+                };
+                assert_eq!(summary, folded);
+                assert_eq!((summary.events, summary.instructions), a);
+            }
+            (a, b) => {
+                assert_eq!(format!("{a:?}"), format!("{b:?}"));
+                assert_eq!(
+                    summary,
+                    ChunkSummary::default(),
+                    "a failed chunk reaches no sink"
+                );
+            }
         }
     }
 
@@ -336,6 +374,27 @@ mod tests {
             // Truncated anywhere, or with a trailing byte.
             assert_same_decode(&body[..(cut % body.len() as u64) as usize], first_chunk);
             assert_same_decode(&[&body[..], &[0]].concat(), first_chunk);
+        }
+
+        #[test]
+        fn chunk_summary_matches_the_batch_fold(
+            chunk in chunk_events(),
+            flip in 0u64..u64::MAX,
+            cut in 0u64..u64::MAX,
+        ) {
+            // Write modes 0, 1 and 2, as a stream's first chunk and as a
+            // later one; valid, bit-flipped, truncated and overlong. The
+            // workload models emit no writes, so this is what checks the
+            // summary's write count.
+            let (events, base, first_chunk) = chunk;
+            let body = chunk_body(&events, base, first_chunk);
+            assert_summary_matches_batch(&body, first_chunk);
+            let mut bad = body.clone();
+            let at = (flip % bad.len() as u64) as usize;
+            bad[at] ^= 1 << ((flip >> 32) % 8);
+            assert_summary_matches_batch(&bad, first_chunk);
+            assert_summary_matches_batch(&body[..(cut % body.len() as u64) as usize], first_chunk);
+            assert_summary_matches_batch(&[&body[..], &[0]].concat(), first_chunk);
         }
     }
 
