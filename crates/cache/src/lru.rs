@@ -21,21 +21,20 @@
 //! `oldest`, removes its line from the table and inserts the new one.
 //! When `order` passes four times the resident lines (at least 256), it
 //! is compacted: [`wp_mrc::rank_stamps`] renumbers each resident line's
-//! stamp to its rank, looked up in a per-stamp rank array that the pass
-//! compacting `order` fills, in one pass over the table, and `order` and
-//! the bitset shrink to exactly the resident lines. Ranks keep the relative order of the stamps, so the LRU order
+//! stamp to its rank, a popcount over the live bits, in one pass over the
+//! table, and `order` and the bitset shrink to exactly the resident
+//! lines. Ranks keep the relative order of the stamps, so the LRU order
 //! is exact through every compaction.
 //!
 //! # Memory
 //!
 //! A resident line costs its index slot, 21 to 43 bytes as the table's
 //! load moves between 3/8 and 3/4, plus 8 to 32 bytes of `order` (one to
-//! four stamps' worth), 4 to 16 bytes of compaction rank array (a `u32`
-//! per stamp) and up to half a byte of bitset: about 35 to 90 bytes. A
-//! partition holds at most its quota (plus, after a lazy shrink, the
-//! excess still draining), so a VC costs at most about 90 KB of host
+//! four stamps' worth) and up to half a byte of bitset: about 30 to 75
+//! bytes. A partition holds at most its quota (plus, after a lazy shrink,
+//! the excess still draining), so a VC costs at most about 75 KB of host
 //! memory per 64 KB granule it is allocated, and the 4-core chip's
-//! 12.5 MB of LLC about 18 MB.
+//! 12.5 MB of LLC about 15 MB.
 
 use wp_mrc::{rank_stamps, LineTable};
 
@@ -73,7 +72,7 @@ pub struct LruCache {
     live: Vec<u64>,
     /// No live stamp lies below this one.
     oldest: usize,
-    /// Rank of each stamp, filled and reused by compaction.
+    /// Per-word popcount prefix reused by compaction.
     ranks: Vec<u32>,
     capacity: usize,
     /// Bimodal insertion (opt-in): once full, only 1-in-16 misses insert,

@@ -233,65 +233,46 @@ impl LineTable {
 ///   `t / 64`). Every entry of `table` holds a live stamp, and every live
 ///   stamp is held by exactly one entry.
 /// - Each entry's stamp becomes its rank, the number of live stamps below
-///   it, applied with [`LineTable::map_values`]. There is no sort and no
-///   reinsert, and the relative order of the entries is kept, so the LRU
-///   order is too.
+///   it: a popcount over `live`, applied with [`LineTable::map_values`].
+///   There is no sort and no reinsert, and the relative order of the
+///   entries is kept, so the LRU order is too.
 /// - `order`, if given, lists the line stamped `t` at index `t` (entries
 ///   at dead stamps are stale). It is compacted in place to the `n` live
 ///   lines, oldest first, so that `order[rank]` is the line of that rank.
-///   That pass meets every live stamp in rank order, so it also fills a
-///   per-stamp rank array, and each entry's rank is one load.
-/// - Without `order` (the profilers, whose time axis is up to four times
-///   the live set), a rank is a per-word popcount prefix plus a popcount
-///   within the word, which keeps the scratch at one `u32` per 64 stamps.
 ///
 /// The caller then rewrites its own bitset to mark exactly `0..n`.
-/// `scratch` keeps the rank array or the popcount prefix between calls,
-/// so a steady-state compaction allocates nothing.
+/// `scratch` keeps the per-word popcount prefix between calls, so a
+/// steady-state compaction allocates nothing.
 pub fn rank_stamps(
     table: &mut LineTable,
     live: &[u64],
     order: Option<&mut Vec<u64>>,
     scratch: &mut Vec<u32>,
 ) -> usize {
-    let n = match order {
-        Some(order) => {
-            // Stamps below `live.len() * 64`; a dead stamp's rank is
-            // never read, so the array is only grown, never cleared.
-            if scratch.len() < live.len() * 64 {
-                scratch.resize(live.len() * 64, 0);
+    scratch.clear();
+    let mut n = 0u32;
+    for &word in live {
+        scratch.push(n);
+        n += word.count_ones();
+    }
+    table.map_values(|t| {
+        let (w, b) = (t as usize / 64, t % 64);
+        scratch[w] + (live[w] & ((1u64 << b) - 1)).count_ones()
+    });
+    debug_assert_eq!(n as usize, table.len(), "one live stamp per entry");
+    if let Some(order) = order {
+        let mut k = 0;
+        for (w, &word) in live.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                order[k] = order[w * 64 + bits.trailing_zeros() as usize];
+                k += 1;
+                bits &= bits - 1;
             }
-            let mut k = 0;
-            for (w, &word) in live.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let stamp = w * 64 + bits.trailing_zeros() as usize;
-                    scratch[stamp] = k as u32;
-                    order[k] = order[stamp];
-                    k += 1;
-                    bits &= bits - 1;
-                }
-            }
-            order.truncate(k);
-            table.map_values(|t| scratch[t as usize]);
-            k
         }
-        None => {
-            scratch.clear();
-            let mut n = 0u32;
-            for &word in live {
-                scratch.push(n);
-                n += word.count_ones();
-            }
-            table.map_values(|t| {
-                let (w, b) = (t as usize / 64, t % 64);
-                scratch[w] + (live[w] & ((1u64 << b) - 1)).count_ones()
-            });
-            n as usize
-        }
-    };
-    debug_assert_eq!(n, table.len(), "one live stamp per entry");
-    n
+        order.truncate(k);
+    }
+    n as usize
 }
 
 #[cfg(test)]

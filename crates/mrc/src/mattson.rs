@@ -135,9 +135,8 @@ impl Fenwick {
 pub(crate) struct LruTimeline {
     last_time: LineTable,
     present: Fenwick,
-    /// Scratch reused by [`rank_stamps`] (a rank per stamp when the
-    /// caller keeps a line-at-stamp list, a per-word popcount prefix
-    /// otherwise), so steady-state compaction allocates nothing.
+    /// Per-word popcount prefix reused by [`rank_stamps`], so
+    /// steady-state compaction allocates nothing.
     scratch: Vec<u32>,
     time: usize,
     live: usize,

@@ -27,7 +27,7 @@ use wp_mrc::{
     ShardsConfig, StreamProfile,
 };
 use wp_paws::SchedPolicy;
-use wp_trace::{BatchReader, TraceError, TraceInfo};
+use wp_trace::{BatchReader, TraceData, TraceError, TraceInfo};
 
 use crate::protocol::{ExpOp, Request};
 use crate::store::ServeStore;
@@ -413,8 +413,9 @@ pub fn replay(rest: &[String], ctx: &OpCtx) -> Result<Vec<String>, String> {
 /// Checks every chunk of streams `ids` of `path` and their `End` totals,
 /// folding the chunks to summaries rather than decoding their events.
 fn check_streams(path: &Path, ids: impl Iterator<Item = u16>) -> Result<(), TraceError> {
+    let image = Arc::new(TraceData::open(path)?);
     for id in ids {
-        let mut reader = BatchReader::open_stream(path, id)?;
+        let mut reader = BatchReader::new(Arc::clone(&image))?.follow(id);
         while reader.next_summary()?.is_some() {}
     }
     Ok(())

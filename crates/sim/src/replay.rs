@@ -8,9 +8,10 @@
 //! run's statistics bit for bit.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use wp_mem::PoolId;
-use wp_trace::{BatchReader, EventBatch, PrefetchBatches, TraceError};
+use wp_trace::{BatchReader, EventBatch, PrefetchBatches, TraceData, TraceError};
 
 use crate::scheme::{PoolDescriptor, TraceEvent, Workload, WorkloadBundle};
 
@@ -59,8 +60,15 @@ impl TraceWorkload {
     /// Opens stream `stream` of `path` (per-core streams of a multi-core
     /// capture).
     pub fn open_stream(path: &Path, stream: u16) -> Result<Self, TraceError> {
+        Self::over(path, Arc::new(TraceData::open(path)?), stream)
+    }
+
+    /// Stream `stream` of `image`, the already-opened `path`. The
+    /// workloads of one mix's streams are built over one image, so the
+    /// process maps the file once rather than once per stream.
+    pub fn over(path: &Path, image: Arc<TraceData>, stream: u16) -> Result<Self, TraceError> {
         Ok(Self {
-            prefetch: PrefetchBatches::start(BatchReader::open_stream(path, stream)?)?,
+            prefetch: PrefetchBatches::start(BatchReader::new(image)?.follow(stream))?,
             chunk: EventBatch::new(),
             chunk_pos: 0,
             error: None,
@@ -179,15 +187,18 @@ pub fn trace_bundle(
     stream: u16,
     with_pools: bool,
 ) -> Result<WorkloadBundle, TraceError> {
-    stream_bundle(path, &stream_meta(path, stream)?, with_pools)
+    let image = Arc::new(TraceData::open(path)?);
+    stream_bundle(path, &image, &stream_meta(path, stream)?, with_pools)
 }
 
 /// [`trace_bundle`] for a stream whose definition the caller already
-/// holds (from [`wp_trace::stream_table`] or [`wp_trace::stream_defs`]),
-/// so building a whole mix's bundles walks the file once rather than once
-/// per stream.
+/// holds (from [`wp_trace::stream_table`] or [`wp_trace::stream_defs`])
+/// over an already-opened image of `path`, so building a whole mix's
+/// bundles walks the file once, and maps it once, rather than once per
+/// stream.
 pub fn stream_bundle(
     path: &Path,
+    image: &Arc<TraceData>,
     meta: &wp_trace::StreamMeta,
     with_pools: bool,
 ) -> Result<WorkloadBundle, TraceError> {
@@ -197,7 +208,7 @@ pub fn stream_bundle(
         Vec::new()
     };
     Ok(WorkloadBundle {
-        trace: Box::new(TraceWorkload::open_stream(path, meta.id)?),
+        trace: Box::new(TraceWorkload::over(path, Arc::clone(image), meta.id)?),
         pools,
         name: meta.name.clone(),
     })
@@ -258,6 +269,58 @@ mod tests {
         assert_eq!(b.pools[0].pages, vec![PageId(10), PageId(11)]);
         let stripped = trace_bundle(&path, 0, false).unwrap();
         assert!(stripped.pools.is_empty());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Writes `streams` streams of `events` events each; stream `s`'s
+    /// lines start at `1000 * s`.
+    fn write_streams(path: &Path, streams: u16, events: u64) {
+        let mut w = TraceWriter::create(path).unwrap();
+        for s in 0..streams {
+            let id = w.add_stream(&format!("s{s}"), &[]).unwrap();
+            for i in 0..events {
+                w.record(id, 10, LineAddr(1000 * u64::from(s) + i), false)
+                    .unwrap();
+            }
+        }
+        w.finish().unwrap();
+    }
+
+    fn drain(wl: &mut dyn Workload) -> Vec<u64> {
+        std::iter::from_fn(|| wl.next_event().map(|e| e.line.0)).collect()
+    }
+
+    #[test]
+    fn a_mix_maps_its_file_once_and_a_replaced_file_is_read_fresh() {
+        let path = temp("mix.wpt");
+        write_streams(&path, 2, 50);
+        let image = Arc::new(TraceData::open(&path).unwrap());
+        let table = wp_trace::stream_table(&path).unwrap();
+        let mut bundles: Vec<_> = table
+            .iter()
+            .map(|m| stream_bundle(&path, &image, m, false).unwrap())
+            .collect();
+        assert_eq!(
+            Arc::strong_count(&image),
+            3,
+            "both readers hold the one image"
+        );
+
+        // Replaced at the same path while the mix is live: a new open
+        // reads the new file, and the mix keeps its own image.
+        let next = temp("mix.next");
+        write_streams(&next, 1, 7);
+        std::fs::rename(&next, &path).unwrap();
+        let mut fresh = trace_bundle(&path, 0, false).unwrap();
+        assert_eq!(drain(fresh.trace.as_mut()), (0..7).collect::<Vec<_>>());
+        for (s, b) in bundles.iter_mut().enumerate() {
+            let base = 1000 * s as u64;
+            assert_eq!(
+                drain(b.trace.as_mut()),
+                (base..base + 50).collect::<Vec<_>>()
+            );
+            b.trace.finish().unwrap();
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -78,9 +78,9 @@
 //! [`stream_table`] lists a file's streams by a frame walk that decodes
 //! no chunk ([`stream_defs`] stops it at a given stream's definition).
 //! Because every consumer runs the same parser, they all accept and
-//! reject exactly the same inputs with the same errors. Readers of one
-//! file alive at the same time share one mapped image
-//! ([`TraceData::open`]).
+//! reject exactly the same inputs with the same errors. Readers of
+//! several streams of one file can share one mapped image
+//! ([`BatchReader::new`] over a cloned `Arc<TraceData>`).
 //!
 //! On a 4-app mix capture of 719 k events (`cargo bench -p wp-bench
 //! --bench trace_codec`, medians of 3 alternating runs on a shared 2-core

@@ -9,24 +9,20 @@
 //! threads, which is what lets the prefetch decoder and the simulator look
 //! at the same mapping concurrently.
 //!
-//! # One image per file per process
+//! # Sharing one image
 //!
-//! [`TraceData::open`] hands out one image per file: a process-wide
-//! registry of weak references, keyed by the opened file's device, inode,
-//! length and modification time, returns the live image when there is
-//! one. A `replay --mix` opens one reader per stream, and they share a
-//! single mapping instead of mapping the capture once each. The page
-//! cache was shared before too, so this saves no physical memory; what
-//! falls is the resident set the OS reports for the process (each
+//! Each [`TraceData::open`] maps the file anew. A caller that reads
+//! several streams of one file at once (a `replay --mix`) opens it once
+//! and hands each stream's reader a clone of the `Arc`
+//! ([`BatchReader::new`](crate::BatchReader::new) and
+//! [`follow`](crate::BatchReader::follow)). The page cache is shared
+//! between mappings of a file anyway, so this saves no physical memory;
+//! what falls is the resident set the OS reports for the process (each
 //! mapping's touched pages count once per mapping in `ru_maxrss`) and the
-//! page faults taken per mapping. A file replaced at the same path has a
-//! new inode, length or modification time, so it gets a new image, and an
-//! image is unmapped when its last reader drops it.
+//! page faults taken per mapping.
 
-use std::fs::File;
 use std::io;
 use std::path::Path;
-use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 /// An immutable, contiguous view of a whole trace file.
 #[derive(Debug)]
@@ -42,70 +38,24 @@ enum Repr {
     Mapped(map::Mapping),
 }
 
-/// What identifies one version of a file: device, inode, length and
-/// modification time.
-#[cfg(unix)]
-type FileKey = (u64, u64, u64, std::time::SystemTime);
-
-#[cfg(unix)]
-fn file_key(meta: &std::fs::Metadata) -> Option<FileKey> {
-    use std::os::unix::fs::MetadataExt;
-    Some((meta.dev(), meta.ino(), meta.len(), meta.modified().ok()?))
-}
-
-/// Without a stable file identity, every open gets its own image.
-#[cfg(not(unix))]
-type FileKey = ();
-
-#[cfg(not(unix))]
-fn file_key(_: &std::fs::Metadata) -> Option<FileKey> {
-    None
-}
-
-/// The images alive in this process, by file. Dead entries are dropped
-/// whenever a file is opened, so the list holds about as many entries as
-/// there are live images.
-static IMAGES: Mutex<Vec<(FileKey, Weak<TraceData>)>> = Mutex::new(Vec::new());
-
 impl TraceData {
     /// Opens `path`, memory-mapping it where supported and falling back to
-    /// a plain read (empty files, exotic platforms, mmap failure). While
-    /// an image of the same file is alive in this process, that image is
-    /// returned instead (see the module docs).
-    pub fn open(path: &Path) -> io::Result<Arc<Self>> {
-        let file = File::open(path)?;
-        let meta = file.metadata()?;
-        let Some(key) = file_key(&meta) else {
-            return Ok(Arc::new(Self::read(file, meta.len())?));
-        };
-        // Each update (a push, or a retain of weak references) leaves the
-        // list valid, so a holder's panic cannot leave it half-written.
-        let mut images = IMAGES.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(live) = images.iter().find(|(k, _)| *k == key) {
-            if let Some(data) = live.1.upgrade() {
-                return Ok(data);
-            }
-        }
-        images.retain(|(_, image)| image.strong_count() > 0);
-        let data = Arc::new(Self::read(file, meta.len())?);
-        images.push((key, Arc::downgrade(&data)));
-        Ok(data)
-    }
-
-    /// Maps `len` bytes of `file`, or reads them where it cannot.
-    fn read(file: File, len: u64) -> io::Result<Self> {
+    /// a plain read (empty files, exotic platforms, mmap failure).
+    pub fn open(path: &Path) -> io::Result<Self> {
         #[cfg(all(
             any(target_os = "linux", target_os = "macos"),
             target_pointer_width = "64"
         ))]
-        if len > 0 {
-            if let Some(m) = map::Mapping::new(&file, len as usize) {
-                return Ok(Self(Repr::Mapped(m)));
+        {
+            let file = std::fs::File::open(path)?;
+            let len = file.metadata()?.len();
+            if len > 0 {
+                if let Some(m) = map::Mapping::new(&file, len as usize) {
+                    return Ok(Self(Repr::Mapped(m)));
+                }
             }
         }
-        let mut bytes = Vec::with_capacity(len as usize);
-        io::Read::read_to_end(&mut &file, &mut bytes)?;
-        Ok(Self(Repr::Heap(bytes)))
+        Ok(Self(Repr::Heap(std::fs::read(path)?)))
     }
 
     /// Wraps bytes already in memory — the path for non-seekable inputs
@@ -276,43 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn live_opens_of_one_file_share_an_image() {
-        let path = temp("share.bin");
-        std::fs::write(&path, b"one image").unwrap();
-        let a = TraceData::open(&path).unwrap();
-        let b = TraceData::open(&path).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "two live opens map the file twice");
-        // Once every holder is gone, the image is unmapped and the
-        // registry entry is dead.
-        let weak = Arc::downgrade(&a);
-        drop((a, b));
-        assert!(weak.upgrade().is_none());
-        assert_eq!(TraceData::open(&path).unwrap().bytes(), b"one image");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn a_replaced_file_is_mapped_fresh() {
-        let path = temp("replace.bin");
-        std::fs::write(&path, b"first version").unwrap();
-        let old = TraceData::open(&path).unwrap();
-        // Replaced by a rename (a new inode) while the old image is live.
-        let next = temp("replace.next");
-        std::fs::write(&next, b"second").unwrap();
-        std::fs::rename(&next, &path).unwrap();
-        let new = TraceData::open(&path).unwrap();
-        assert!(!Arc::ptr_eq(&old, &new));
-        assert_eq!(old.bytes(), b"first version");
-        assert_eq!(new.bytes(), b"second");
-        // Rewritten in place (the same inode) at another length.
-        std::fs::write(&path, b"third, longer version").unwrap();
-        let again = TraceData::open(&path).unwrap();
-        assert!(!Arc::ptr_eq(&new, &again));
-        assert_eq!(again.bytes(), b"third, longer version");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn missing_file_errors() {
         assert!(TraceData::open(&temp("nope.bin")).is_err());
     }
@@ -321,7 +234,7 @@ mod tests {
     fn mapping_is_shareable_across_threads() {
         let path = temp("shared.bin");
         std::fs::write(&path, vec![7u8; 4096]).unwrap();
-        let d = TraceData::open(&path).unwrap();
+        let d = std::sync::Arc::new(TraceData::open(&path).unwrap());
         let d2 = d.clone();
         let h = std::thread::spawn(move || d2.bytes().iter().map(|&b| u64::from(b)).sum::<u64>());
         assert_eq!(h.join().unwrap(), 7 * 4096);

@@ -1227,6 +1227,8 @@ impl Experiment {
                         table = wp_trace::stream_defs(&trace, last)?;
                     }
                 }
+                // Every stream's reader shares one image of the file.
+                let image = Arc::new(wp_trace::TraceData::open(&trace).map_err(TraceError::from)?);
                 let mut out = Vec::with_capacity(streams.len());
                 for (c, sid) in streams.into_iter().enumerate() {
                     let meta = table.iter().find(|m| m.id == sid).ok_or_else(|| {
@@ -1234,7 +1236,7 @@ impl Experiment {
                     })?;
                     out.push((
                         CoreId(c as u16),
-                        wp_sim::stream_bundle(&trace, meta, with_pools)?,
+                        wp_sim::stream_bundle(&trace, &image, meta, with_pools)?,
                     ));
                 }
                 out
