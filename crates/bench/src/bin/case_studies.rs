@@ -11,9 +11,16 @@ fn main() {
             .collect()
     }) {
         let (warm, measure) = run_budget(&app);
-        let snuca = run_single_app_budgeted(SchemeKind::SNucaLru, &app, Classification::None);
-        let jig = run_single_app_budgeted(SchemeKind::Jigsaw, &app, Classification::None);
-        let wp = run_single_app_budgeted(SchemeKind::Whirlpool, &app, Classification::Manual);
+        // Each scheme runs with its default classification and the app's
+        // default budget.
+        let run = |kind| {
+            Experiment::single(kind, &app)
+                .run()
+                .unwrap_or_else(|e| panic!("running '{app}' failed: {e}"))
+        };
+        let snuca = run(SchemeKind::SNucaLru);
+        let jig = run(SchemeKind::Jigsaw);
+        let wp = run(SchemeKind::Whirlpool);
         println!(
             "{app:10} (w{}M m{}M) SNUCA {:>9.0}kcy {:>6.1}nJ/KI m{:>5.2} | Jig {:>9.0}kcy {:>6.1} m{:>5.2} b{:>4.1} | Wp {:>9.0}kcy {:>6.1} m{:>5.2} b{:>4.1} | WvJ {:+.1}%p {:+.1}%e | WvS {:+.1}%p {:+.1}%e",
             warm/1_000_000, measure/1_000_000,

@@ -3,13 +3,12 @@
 //! Jigsaw; data-movement energy −42% vs S-NUCA, −27% vs Jigsaw).
 
 use whirlpool_repro::harness::*;
-use wp_bench::{classification_for, measure_budget};
+use wp_bench::measure_budget;
 use wp_sim::LlcScheme;
 
 fn run_and_map(kind: SchemeKind) -> (f64, f64, Vec<(usize, String, f64)>) {
     let sys = four_core_config();
     let (run, scheme) = Experiment::single(kind, "delaunay")
-        .classification(classification_for(kind))
         .measure(measure_budget("delaunay"))
         .system(sys.clone())
         .run_with_scheme(make_scheme(kind, &sys))

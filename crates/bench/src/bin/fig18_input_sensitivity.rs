@@ -15,25 +15,28 @@ fn main() {
     );
     for app in ["leslie", "omnet", "xalanc", "setCover", "delaunay", "mcf"] {
         let measure = measure_budget(app);
-        let jig = run_single_app(SchemeKind::Jigsaw, app, Classification::None, measure);
+        let run = |kind, classification| {
+            Experiment::single(kind, app)
+                .classification(classification)
+                .measure(measure)
+                .run()
+                .unwrap_or_else(|e| panic!("running '{app}' failed: {e}"))
+        };
+        let jig = run(SchemeKind::Jigsaw, Classification::None);
         let base = exec_cycles(&jig);
-        let train = run_single_app(
+        let train = run(
             SchemeKind::Whirlpool,
-            app,
             Classification::WhirlTool {
                 pools: 3,
                 train: true,
             },
-            measure,
         );
-        let reference = run_single_app(
+        let reference = run(
             SchemeKind::Whirlpool,
-            app,
             Classification::WhirlTool {
                 pools: 3,
                 train: false,
             },
-            measure,
         );
         println!(
             "{:<10} {:>13.1}% {:>13.1}%",

@@ -23,7 +23,7 @@
 pub mod store;
 pub mod sweep;
 
-use whirlpool_repro::harness::{run_budget, Classification, SchemeKind};
+use whirlpool_repro::harness::{run_budget, SchemeKind};
 
 /// The measurement budget for `app`, scaled by `RUN_SCALE`.
 pub fn measure_budget(app: &str) -> u64 {
@@ -41,13 +41,6 @@ pub fn n_mixes() -> usize {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(8)
-}
-
-/// The classification a scheme should receive for single-app runs.
-/// (Kept as a re-export shim: the logic lives on [`SchemeKind`] now so
-/// every consumer — binaries, `trace_tool`, tests — shares it.)
-pub fn classification_for(kind: SchemeKind) -> Classification {
-    kind.default_classification()
 }
 
 /// Prints a normalized bar table: rows of `(label, value)` normalized to
@@ -103,7 +96,7 @@ pub fn baseline_position(schemes: &[SchemeKind], baseline: SchemeKind) -> usize 
 /// Passing `--json` to the binary appends one machine-readable line with
 /// every scheme's full [`RunSummary`](wp_sim::RunSummary).
 pub fn breakdown_figure(app: &str, paper_note: &str) {
-    use whirlpool_repro::harness::{exec_cycles, run_single_app};
+    use whirlpool_repro::harness::{exec_cycles, Experiment};
     let measure = measure_budget(app);
     println!("{app} across the six schemes ({measure} measured instructions).");
     println!("Paper: {paper_note}\n");
@@ -115,7 +108,10 @@ pub fn breakdown_figure(app: &str, paper_note: &str) {
         "scheme", "cycles", "hit/KI", "miss/KI", "byp/KI", "net", "bank", "mem (nJ/KI)"
     );
     for kind in SchemeKind::FIG10 {
-        let out = run_single_app(kind, app, classification_for(kind), measure);
+        let out = Experiment::single(kind, app)
+            .measure(measure)
+            .run()
+            .unwrap_or_else(|e| panic!("running '{app}' failed: {e}"));
         let c = &out.cores[0];
         let ki = c.instructions as f64 / 1000.0;
         println!(
@@ -138,7 +134,7 @@ pub fn breakdown_figure(app: &str, paper_note: &str) {
     if std::env::args().any(|a| a == "--json") {
         println!(
             "\n{{\"app\":{},\"measured_instructions\":{measure},\"schemes\":[{}]}}",
-            wp_sim::json_string(app),
+            wp_obs::json::quote(app),
             json_rows.join(",")
         );
     }

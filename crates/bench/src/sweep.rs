@@ -694,7 +694,7 @@ impl SweepResult {
             .map(|c| {
                 let mut row = format!(
                     "{{\"scheme\":{},\"work\":{},\"summary\":{}",
-                    wp_sim::json_string(c.scheme.label()),
+                    wp_obs::json::quote(c.scheme.label()),
                     work_json(&c.work),
                     c.summary.to_json(),
                 );
@@ -715,15 +715,15 @@ fn work_json(work: &CellWork) -> String {
             classification,
         } => format!(
             "{{\"app\":{},\"classification\":{}}}",
-            wp_sim::json_string(app),
-            wp_sim::json_string(&classification_label(*classification)),
+            wp_obs::json::quote(app),
+            wp_obs::json::quote(&classification_label(*classification)),
         ),
         CellWork::Mix {
             apps,
             instrs,
             cores16,
         } => {
-            let list: Vec<String> = apps.iter().map(|a| wp_sim::json_string(a)).collect();
+            let list: Vec<String> = apps.iter().map(|a| wp_obs::json::quote(a)).collect();
             format!(
                 "{{\"apps\":[{}],\"instrs\":{instrs},\"cores\":{}}}",
                 list.join(","),

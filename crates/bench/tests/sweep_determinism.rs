@@ -9,7 +9,7 @@
 //! Budgets are overridden small so the test stays quick; the cache key
 //! includes them, so these captures never collide with full-size runs.
 
-use whirlpool_repro::harness::{Classification, RunSpec, SchemeKind};
+use whirlpool_repro::harness::{Classification, Experiment, SchemeKind};
 use wp_bench::sweep::{CellWork, SweepSpec};
 
 const APPS: [&str; 3] = ["delaunay", "mcf", "astar"];
@@ -173,7 +173,7 @@ fn sweep_cell_matches_live_run() {
     );
     let result = spec.run().expect("sweep");
 
-    let live = RunSpec::new(SchemeKind::Whirlpool, "delaunay")
+    let live = Experiment::single(SchemeKind::Whirlpool, "delaunay")
         .classification(Classification::Manual)
         .warmup(WARMUP)
         .measure(MEASURE)

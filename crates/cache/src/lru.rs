@@ -75,14 +75,6 @@ pub struct LruCache {
     /// Per-word popcount prefix reused by compaction.
     ranks: Vec<u32>,
     capacity: usize,
-    /// Bimodal insertion (opt-in): once full, only 1-in-16 misses insert,
-    /// so a cache smaller than a streaming working set retains a stable
-    /// subset (BIP-style scan resistance; the sweep-cliff linearization
-    /// Talus would provide). The NUCA runtime instead avoids unrealizable
-    /// mid-cliff allocations at the sizing level (hull-vertex snapping),
-    /// so VC partitions keep plain LRU.
-    bimodal: bool,
-    rng: u64,
 }
 
 impl LruCache {
@@ -103,15 +95,7 @@ impl LruCache {
             oldest: 0,
             ranks: Vec::new(),
             capacity,
-            bimodal: false,
-            rng: 0x9E37_79B9 ^ capacity as u64 | 1,
         }
-    }
-
-    /// Enables bimodal (Talus-style convexifying) insertion: once the cache
-    /// is full, only one in 16 misses inserts. See the field docs.
-    pub fn set_bimodal(&mut self, on: bool) {
-        self.bimodal = on;
     }
 
     /// Current number of resident lines.
@@ -154,15 +138,6 @@ impl LruCache {
         }
         if self.capacity == 0 {
             return AccessOutcome::Miss { evicted: None };
-        }
-        // Bimodal insertion at capacity (BIP-style scan resistance).
-        if self.bimodal && self.index.len() >= self.capacity {
-            self.rng ^= self.rng << 13;
-            self.rng ^= self.rng >> 7;
-            self.rng ^= self.rng << 17;
-            if self.rng % 16 != 0 {
-                return AccessOutcome::Miss { evicted: None };
-            }
         }
         // Under lazy shrinking occupancy can exceed capacity; converge by
         // evicting until the insert fits.
@@ -396,35 +371,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bimodal_linearizes_the_sweep_cliff() {
-        // Cyclic sweep of 2N lines over an N-line cache: plain LRU gets 0
-        // hits; bimodal retains a stable subset and hits ~N/2N = 50%.
-        let n = 4096;
-        let mut plain = LruCache::new(n);
-        let mut talus = LruCache::new(n);
-        talus.set_bimodal(true);
-        let mut hits_plain = 0;
-        let mut hits_talus = 0;
-        for rep in 0..40u64 {
-            for a in 0..(2 * n as u64) {
-                if matches!(plain.access(a), AccessOutcome::Hit) {
-                    hits_plain += 1;
-                }
-                if matches!(talus.access(a), AccessOutcome::Hit) {
-                    hits_talus += 1;
-                }
-            }
-            let _ = rep;
-        }
-        assert_eq!(hits_plain, 0, "LRU must cliff on the sweep");
-        let ratio = hits_talus as f64 / (40.0 * 2.0 * n as f64);
-        assert!(
-            (ratio - 0.5).abs() < 0.1,
-            "bimodal should approach the hull hit rate, got {ratio:.3}"
-        );
-    }
-
     /// The bound compaction keeps after every access: `order` holds at
     /// most `max(256, 4 · len)` stamps, with one bitset word per 64.
     fn assert_order_bounded(c: &LruCache, step: usize) {
@@ -438,23 +384,18 @@ mod tests {
         assert_eq!(c.live.len(), c.order.len().div_ceil(64));
     }
 
-    /// Exact LRU the obvious way: a deque, MRU at the front, with the
-    /// same bimodal insertion rule and random stream as [`LruCache`].
+    /// Exact LRU the obvious way: a deque, MRU at the front.
     #[derive(Clone)]
     struct DequeLru {
         lines: std::collections::VecDeque<u64>,
         capacity: usize,
-        bimodal: bool,
-        rng: u64,
     }
 
     impl DequeLru {
-        fn new(capacity: usize, bimodal: bool) -> Self {
+        fn new(capacity: usize) -> Self {
             Self {
                 lines: Default::default(),
                 capacity,
-                bimodal,
-                rng: 0x9E37_79B9 ^ capacity as u64 | 1,
             }
         }
 
@@ -470,14 +411,6 @@ mod tests {
             }
             if self.capacity == 0 {
                 return AccessOutcome::Miss { evicted: None };
-            }
-            if self.bimodal && self.lines.len() >= self.capacity {
-                self.rng ^= self.rng << 13;
-                self.rng ^= self.rng >> 7;
-                self.rng ^= self.rng << 17;
-                if self.rng % 16 != 0 {
-                    return AccessOutcome::Miss { evicted: None };
-                }
             }
             let mut evicted = None;
             while self.lines.len() >= self.capacity {
@@ -499,7 +432,7 @@ mod tests {
 
     #[test]
     fn matches_a_deque_model_under_random_operations() {
-        for (seed, bimodal) in [(3u64, false), (4, true), (5, false), (6, true)] {
+        for seed in 3u64..7 {
             let mut x = seed.wrapping_mul(0x2545_F491_4F6C_DD1D);
             let mut next = move || {
                 x ^= x << 13;
@@ -509,8 +442,7 @@ mod tests {
             };
             let capacity = (next() % 48) as usize;
             let mut c = LruCache::new(capacity);
-            c.set_bimodal(bimodal);
-            let mut m = DequeLru::new(capacity, bimodal);
+            let mut m = DequeLru::new(capacity);
             let universe = 24 + next() % 96;
             for step in 0..20_000 {
                 let r = next();
@@ -561,7 +493,7 @@ mod tests {
         };
         for capacity in [1usize, 7, 64, 300, 1000] {
             let mut c = LruCache::new(capacity);
-            let mut m = DequeLru::new(capacity, false);
+            let mut m = DequeLru::new(capacity);
             let mut compactions = 0;
             let mut step = 0;
             for _round in 0..4 {

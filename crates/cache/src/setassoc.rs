@@ -53,7 +53,6 @@ pub struct SetAssocCache<P: ReplacementPolicy> {
     ways: usize,
     policy: P,
     stats: CacheStats,
-    hash_sets: bool,
 }
 
 impl<P: ReplacementPolicy> SetAssocCache<P> {
@@ -79,7 +78,6 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
             ways,
             policy,
             stats: CacheStats::default(),
-            hash_sets: true,
         }
     }
 
@@ -97,23 +95,12 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
         Self::new(lines / ways, ways, policy)
     }
 
-    /// Disables set-index hashing (raw modulo), for tests that need
-    /// predictable set mapping.
-    pub fn set_raw_indexing(&mut self) {
-        self.hash_sets = false;
-    }
-
     #[inline]
     fn set_of(&self, addr: u64) -> usize {
-        let x = if self.hash_sets {
-            let mut h = addr;
-            h ^= h >> 33;
-            h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-            h ^= h >> 33;
-            h
-        } else {
-            addr
-        };
+        let mut x = addr;
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        x ^= x >> 33;
         match self.set_mask {
             Some(mask) => (x & mask) as usize,
             None => (x % self.sets as u64) as usize,
@@ -211,22 +198,6 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
         true
     }
 
-    /// Invalidates every line for which `pred` holds, returning the count
-    /// (used for VC invalidation on bypass-mode switches).
-    pub fn invalidate_matching(&mut self, mut pred: impl FnMut(u64) -> bool) -> usize {
-        let mut count = 0;
-        for set in 0..self.sets {
-            for w in 0..self.ways {
-                if (self.valid[set] >> w) & 1 != 0 && pred(self.tags[set * self.ways + w]) {
-                    self.valid[set] &= !(1u64 << w);
-                    self.policy.on_invalidate(set, w);
-                    count += 1;
-                }
-            }
-        }
-        count
-    }
-
     /// Number of resident lines.
     pub fn len(&self) -> usize {
         self.valid.iter().map(|v| v.count_ones() as usize).sum()
@@ -259,15 +230,10 @@ mod tests {
     /// `%`, then one tag compare per way. Returns the set and the ways
     /// whose tag is `addr`, valid or not.
     fn reference_probe<P: ReplacementPolicy>(c: &SetAssocCache<P>, addr: u64) -> (usize, u64) {
-        let x = if c.hash_sets {
-            let mut h = addr;
-            h ^= h >> 33;
-            h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-            h ^= h >> 33;
-            h
-        } else {
-            addr
-        };
+        let mut x = addr;
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        x ^= x >> 33;
         let set = (x % c.sets as u64) as usize;
         let mut m = 0u64;
         for w in 0..c.ways {
@@ -285,17 +251,12 @@ mod tests {
         fn probe_and_lru_order_match_the_serial_references(
             seed in 0u64..u64::MAX,
             shape in 0usize..6,
-            raw in 0u32..2,
         ) {
             // 16, 8 and 4 ways over power-of-two set counts, then set
             // counts that are not (so `%` stays the mapping).
             let (sets, ways) = [(64, 16), (32, 8), (64, 4), (48, 16), (3, 8), (5, 4)][shape];
             let mut c = SetAssocCache::new(sets, ways, LruPolicy::new());
             let mut r = SetAssocCache::new(sets, ways, SerialLru::default());
-            if raw == 1 {
-                c.set_raw_indexing();
-                r.set_raw_indexing();
-            }
             let universe = (sets * ways * 2) as u64;
             let mut x = seed | 1;
             for step in 0..3000 {
@@ -332,8 +293,8 @@ mod tests {
 
     #[test]
     fn lru_within_set() {
+        // One set: every address maps to it.
         let mut c = SetAssocCache::new(1, 2, LruPolicy::new());
-        c.set_raw_indexing();
         c.access(0);
         c.access(1);
         c.access(0); // 1 is LRU
@@ -343,13 +304,17 @@ mod tests {
     #[test]
     fn sets_isolate_conflicts() {
         let mut c = SetAssocCache::new(2, 1, LruPolicy::new());
-        c.set_raw_indexing();
-        c.access(0); // set 0
-        c.access(1); // set 1
-        assert!(c.contains(0) && c.contains(1));
-        // 2 maps to set 0, evicting 0 but not 1.
-        assert_eq!(c.access(2), AccessOutcome::Miss { evicted: Some(0) });
-        assert!(c.contains(1));
+        // Three addresses picked by their hashed set: `a` and `b` share
+        // one set, `other` sits in the other.
+        let set0: Vec<u64> = (0u64..).filter(|&x| c.set_of(x) == 0).take(2).collect();
+        let (a, b) = (set0[0], set0[1]);
+        let other = (0u64..).find(|&x| c.set_of(x) == 1).unwrap();
+        c.access(a);
+        c.access(other);
+        assert!(c.contains(a) && c.contains(other));
+        // `b` conflicts with `a` only.
+        assert_eq!(c.access(b), AccessOutcome::Miss { evicted: Some(a) });
+        assert!(c.contains(other));
     }
 
     #[test]
@@ -368,17 +333,6 @@ mod tests {
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 2);
         assert!((s.miss_ratio() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn invalidate_matching_clears_predicate() {
-        let mut c = SetAssocCache::new(8, 2, LruPolicy::new());
-        for a in 0..10u64 {
-            c.access(a);
-        }
-        let n = c.invalidate_matching(|a| a % 2 == 0);
-        assert_eq!(n, 5);
-        assert!(!c.contains(0) && c.contains(1));
     }
 
     #[test]

@@ -343,7 +343,6 @@ impl NucaRuntime {
         } else {
             vc.vtb.rebalance(&vc.shares);
         }
-        vc.vtb.set_bypass(vc.bypassed);
     }
 }
 

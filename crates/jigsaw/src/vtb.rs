@@ -19,8 +19,6 @@ const _: () = assert!(BUCKETS.is_power_of_two());
 #[derive(Debug, Clone)]
 pub struct Vtb {
     buckets: [BankId; BUCKETS],
-    /// Bypassed VCs skip the LLC entirely (Whirlpool, Sec. 3.2).
-    bypass: bool,
 }
 
 impl Vtb {
@@ -48,10 +46,7 @@ impl Vtb {
             buckets[assigned..upto].fill(bank);
             assigned = upto;
         }
-        Self {
-            buckets,
-            bypass: false,
-        }
+        Self { buckets }
     }
 
     /// A degenerate mapping for a zero-capacity VC: all addresses fall in
@@ -59,7 +54,6 @@ impl Vtb {
     pub fn degenerate(home: BankId) -> Self {
         Self {
             buckets: [home; BUCKETS],
-            bypass: false,
         }
     }
 
@@ -115,16 +109,6 @@ impl Vtb {
                 self.buckets[slot] = bank;
             }
         }
-    }
-
-    /// Marks/unmarks the VC as bypassed.
-    pub fn set_bypass(&mut self, bypass: bool) {
-        self.bypass = bypass;
-    }
-
-    /// Whether the VC is bypassed.
-    pub fn is_bypassed(&self) -> bool {
-        self.bypass
     }
 
     /// The bank holding `line`.
@@ -200,14 +184,6 @@ mod tests {
         for l in [0u64, 1, 99, 12_345_678] {
             assert_eq!(vtb.lookup(LineAddr(l)), BankId(9));
         }
-    }
-
-    #[test]
-    fn bypass_flag() {
-        let mut vtb = Vtb::degenerate(BankId(0));
-        assert!(!vtb.is_bypassed());
-        vtb.set_bypass(true);
-        assert!(vtb.is_bypassed());
     }
 
     #[test]

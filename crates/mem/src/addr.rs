@@ -32,11 +32,6 @@ impl VirtAddr {
         PageId(self.0 / PAGE_BYTES)
     }
 
-    /// Byte offset within the page.
-    pub fn page_offset(self) -> u64 {
-        self.0 % PAGE_BYTES
-    }
-
     /// This address advanced by `bytes`.
     pub fn offset(self, bytes: u64) -> VirtAddr {
         VirtAddr(self.0 + bytes)
@@ -82,7 +77,6 @@ mod tests {
         let a = VirtAddr(0x12345);
         assert_eq!(a.line(), LineAddr(0x12345 / 64));
         assert_eq!(a.page(), PageId(0x12));
-        assert_eq!(a.page_offset(), 0x345);
     }
 
     #[test]

@@ -234,11 +234,6 @@ impl Heap {
             .unwrap_or(0)
     }
 
-    /// The live allocation starting at `addr`, if any.
-    pub fn allocation_at(&self, addr: VirtAddr) -> Option<&Allocation> {
-        self.allocations.get(&addr.0)
-    }
-
     /// Iterates all live allocations in unspecified order.
     pub fn allocations(&self) -> impl Iterator<Item = &Allocation> {
         self.allocations.values()
@@ -336,7 +331,7 @@ mod tests {
         let b = h.pool_realloc(a, 10_000, p, CP);
         assert_ne!(a, b);
         assert_eq!(h.pool_of_addr(b), Some(p));
-        assert!(h.allocation_at(a).is_none());
+        assert!(h.allocations().all(|x| x.addr != a));
     }
 
     #[test]
@@ -345,7 +340,8 @@ mod tests {
         let p = h.create_pool();
         let cp = CallpointId::from_return_pcs(0x400_123, 0x400_456);
         let a = h.pool_malloc(64, p, cp);
-        assert_eq!(h.allocation_at(a).unwrap().callpoint, cp);
+        let alloc = h.allocations().find(|x| x.addr == a).unwrap();
+        assert_eq!(alloc.callpoint, cp);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use crate::addr::{PageId, VirtAddr, PAGE_BYTES};
+use crate::addr::{PageId, VirtAddr};
 
 /// A virtual-cache identifier, as carried in page-table entries / the TLB.
 ///
@@ -29,11 +29,6 @@ impl PageTable {
         Self::default()
     }
 
-    /// Tags one page.
-    pub fn tag_page(&mut self, page: PageId, vc: VcId) {
-        self.tags.insert(page, vc);
-    }
-
     /// Tags every page overlapping `[start, start + len)` — the
     /// `sys_vc_tag` system call. Zero-length ranges tag nothing.
     pub fn tag_range(&mut self, start: VirtAddr, len: u64, vc: VcId) {
@@ -47,23 +42,6 @@ impl PageTable {
         }
     }
 
-    /// Removes the tag of every page overlapping the range, returning how
-    /// many pages were untagged.
-    pub fn untag_range(&mut self, start: VirtAddr, len: u64) -> usize {
-        if len == 0 {
-            return 0;
-        }
-        let first = start.page().0;
-        let last = VirtAddr(start.0 + len - 1).page().0;
-        let mut n = 0;
-        for p in first..=last {
-            if self.tags.remove(&PageId(p)).is_some() {
-                n += 1;
-            }
-        }
-        n
-    }
-
     /// The VC tag of a page, if any.
     pub fn vc_of_page(&self, page: PageId) -> Option<VcId> {
         self.tags.get(&page).copied()
@@ -72,29 +50,6 @@ impl PageTable {
     /// The VC tag of the page containing `addr`, if any.
     pub fn vc_of_addr(&self, addr: VirtAddr) -> Option<VcId> {
         self.vc_of_page(addr.page())
-    }
-
-    /// Retags every page currently tagged `from` to `to`, returning the
-    /// count (used when pools are remapped to different VCs).
-    pub fn retag_all(&mut self, from: VcId, to: VcId) -> usize {
-        let mut n = 0;
-        for tag in self.tags.values_mut() {
-            if *tag == from {
-                *tag = to;
-                n += 1;
-            }
-        }
-        n
-    }
-
-    /// Number of explicitly tagged pages.
-    pub fn tagged_pages(&self) -> usize {
-        self.tags.len()
-    }
-
-    /// Total bytes tagged with `vc`.
-    pub fn bytes_tagged(&self, vc: VcId) -> u64 {
-        self.tags.values().filter(|&&t| t == vc).count() as u64 * PAGE_BYTES
     }
 
     /// Iterates `(page, tag)` pairs in unspecified order.
@@ -106,6 +61,7 @@ impl PageTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::PAGE_BYTES;
 
     #[test]
     fn tag_range_covers_partial_pages() {
@@ -115,41 +71,21 @@ mod tests {
         assert_eq!(pt.vc_of_page(PageId(0)), Some(VcId(3)));
         assert_eq!(pt.vc_of_page(PageId(1)), Some(VcId(3)));
         assert_eq!(pt.vc_of_page(PageId(2)), None);
-        assert_eq!(pt.tagged_pages(), 2);
+        assert_eq!(pt.iter().count(), 2);
     }
 
     #[test]
     fn zero_length_tags_nothing() {
         let mut pt = PageTable::new();
         pt.tag_range(VirtAddr(0), 0, VcId(1));
-        assert_eq!(pt.tagged_pages(), 0);
-    }
-
-    #[test]
-    fn untag_and_retag() {
-        let mut pt = PageTable::new();
-        pt.tag_range(VirtAddr(0), 3 * PAGE_BYTES, VcId(1));
-        assert_eq!(pt.retag_all(VcId(1), VcId(2)), 3);
-        assert_eq!(pt.vc_of_addr(VirtAddr(5000)), Some(VcId(2)));
-        assert_eq!(pt.untag_range(VirtAddr(0), PAGE_BYTES), 1);
-        assert_eq!(pt.vc_of_page(PageId(0)), None);
-        assert_eq!(pt.tagged_pages(), 2);
-    }
-
-    #[test]
-    fn bytes_tagged_counts_pages() {
-        let mut pt = PageTable::new();
-        pt.tag_range(VirtAddr(0), 2 * PAGE_BYTES, VcId(9));
-        pt.tag_range(VirtAddr(10 * PAGE_BYTES), PAGE_BYTES, VcId(9));
-        pt.tag_range(VirtAddr(20 * PAGE_BYTES), PAGE_BYTES, VcId(4));
-        assert_eq!(pt.bytes_tagged(VcId(9)), 3 * PAGE_BYTES);
+        assert_eq!(pt.iter().count(), 0);
     }
 
     #[test]
     fn later_tag_wins() {
         let mut pt = PageTable::new();
-        pt.tag_page(PageId(5), VcId(1));
-        pt.tag_page(PageId(5), VcId(2));
+        pt.tag_range(PageId(5).base(), 1, VcId(1));
+        pt.tag_range(PageId(5).base(), 1, VcId(2));
         assert_eq!(pt.vc_of_page(PageId(5)), Some(VcId(2)));
     }
 }

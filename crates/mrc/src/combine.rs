@@ -73,23 +73,6 @@ pub fn combine_miss_curves(m1: &MissCurve, m2: &MissCurve) -> MissCurve {
     MissCurve::new(out, m1.granule_lines())
 }
 
-/// Folds [`combine_miss_curves`] over any number of pools.
-///
-/// The model is commutative/associative, so fold order does not
-/// meaningfully affect the result.
-///
-/// # Panics
-///
-/// Panics if `curves` is empty or granules differ.
-pub fn combine_many(curves: &[MissCurve]) -> MissCurve {
-    assert!(!curves.is_empty(), "need at least one curve");
-    let mut acc = curves[0].clone();
-    for c in &curves[1..] {
-        acc = combine_miss_curves(&acc, c);
-    }
-    acc
-}
-
 /// Linear interpolation of a curve at fractional granule position `s`.
 fn interp(m: &MissCurve, s: f64) -> f64 {
     let lo = s.floor() as usize;
@@ -201,15 +184,6 @@ mod tests {
         let a = geometric(9.0, 0.65, 9);
         let b = geometric(14.0, 0.85, 13);
         assert!(combine_miss_curves(&a, &b).is_monotone());
-    }
-
-    #[test]
-    fn combine_many_matches_pairwise() {
-        let a = geometric(8.0, 0.6, 8);
-        let b = geometric(4.0, 0.7, 8);
-        let all = combine_many(&[a.clone(), b.clone()]);
-        let pair = combine_miss_curves(&a, &b);
-        assert_eq!(all.points(), pair.points());
     }
 
     #[test]

@@ -140,23 +140,6 @@ impl MissCurve {
         Self::new(points, self.granule_lines)
     }
 
-    /// Re-quantizes the curve onto a different granule size by linear
-    /// interpolation in capacity space.
-    pub fn regranulated(&self, new_granule_lines: u64) -> Self {
-        let new_granule_lines = new_granule_lines.max(1);
-        if new_granule_lines == self.granule_lines {
-            return self.clone();
-        }
-        let max_lines = (self.points.len() - 1) as u64 * self.granule_lines;
-        let num_new = max_lines.div_ceil(new_granule_lines);
-        let mut points = Vec::with_capacity(num_new as usize + 1);
-        for g in 0..=num_new {
-            let lines = g * new_granule_lines;
-            points.push(self.interp_at_lines(lines));
-        }
-        Self::new(points, new_granule_lines)
-    }
-
     /// Linearly interpolated MPKI at an arbitrary line capacity.
     pub fn interp_at_lines(&self, lines: u64) -> f64 {
         let pos = lines as f64 / self.granule_lines as f64;
@@ -166,23 +149,6 @@ impl MissCurve {
         }
         let frac = pos - lo as f64;
         self.points[lo] * (1.0 - frac) + self.points[lo + 1] * frac
-    }
-
-    /// Pointwise sum of two curves on a shared granule (the miss curve of two
-    /// *partitioned* streams each given the same capacity; used in tests and
-    /// as a building block).
-    ///
-    /// # Panics
-    ///
-    /// Panics if granule sizes differ.
-    pub fn pointwise_add(&self, other: &Self) -> Self {
-        assert_eq!(
-            self.granule_lines, other.granule_lines,
-            "granule mismatch in curve addition"
-        );
-        let n = self.points.len().max(other.points.len());
-        let points = (0..n).map(|i| self.mpki_at(i) + other.mpki_at(i)).collect();
-        Self::new(points, self.granule_lines)
     }
 
     /// Scales all points by a non-negative factor (e.g. EWMA blending or
@@ -312,16 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn pointwise_add_takes_max_len() {
-        let a = curve(&[4.0, 2.0]);
-        let b = curve(&[3.0, 2.0, 1.0]);
-        let s = a.pointwise_add(&b);
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.mpki_at(0), 7.0);
-        assert_eq!(s.mpki_at(2), 3.0); // a saturates at 2.0
-    }
-
-    #[test]
     fn ewma_blends() {
         let new = curve(&[10.0, 0.0]);
         let old = curve(&[0.0, 10.0]);
@@ -343,19 +299,6 @@ mod tests {
         let c = curve(&[4.0, 2.0, 0.0]);
         assert!((c.area(2) - (3.0 + 1.0)).abs() < 1e-9);
         assert!((c.area(100) - 4.0).abs() < 1e-9); // clamps
-    }
-
-    #[test]
-    fn regranulate_roundtrip_shape() {
-        let c = curve(&[8.0, 6.0, 4.0, 2.0, 0.0]); // granule 4
-        let fine = c.regranulated(2);
-        assert_eq!(fine.granule_lines(), 2);
-        // Midpoint of first segment interpolates.
-        assert!((fine.mpki_at(1) - 7.0).abs() < 1e-9);
-        let back = fine.regranulated(4);
-        for i in 0..c.len() {
-            assert!((back.mpki_at(i) - c.mpki_at(i)).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -101,15 +101,6 @@ impl StackDistanceHistogram {
     pub fn misses_at(&self, capacity_lines: u64) -> u64 {
         self.total() - self.hits_at(capacity_lines)
     }
-
-    /// Fraction of accesses that would miss in a cache of
-    /// `capacity_lines` lines (0 for an empty histogram).
-    pub fn miss_ratio_at(&self, capacity_lines: u64) -> f64 {
-        if self.total() == 0 {
-            return 0.0;
-        }
-        self.misses_at(capacity_lines) as f64 / self.total() as f64
-    }
 }
 
 /// Miss ratios of `h` at capacities `0, step, 2*step, …, hi`, computed
@@ -268,10 +259,11 @@ mod tests {
         }
         b.record_cold_weighted(2);
         let fast = max_miss_ratio_error(&a, &b, 8);
+        let ratio = |h: &StackDistanceHistogram, cap| h.misses_at(cap) as f64 / h.total() as f64;
         let mut naive = 0.0f64;
         let mut cap = 0;
         while cap <= a.max_distance().max(b.max_distance()) + 8 {
-            naive = naive.max((a.miss_ratio_at(cap) - b.miss_ratio_at(cap)).abs());
+            naive = naive.max((ratio(&a, cap) - ratio(&b, cap)).abs());
             cap += 8;
         }
         assert!((fast - naive).abs() < 1e-12);

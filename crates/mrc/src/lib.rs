@@ -63,7 +63,7 @@ mod partition;
 mod shards;
 mod trace;
 
-pub use combine::{combine_many, combine_miss_curves};
+pub use combine::combine_miss_curves;
 pub use curve::MissCurve;
 pub use fxmap::{FastMap, FastSet};
 pub use histogram::{

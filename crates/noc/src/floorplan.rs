@@ -163,11 +163,6 @@ impl Floorplan {
         self.cores[c.0 as usize]
     }
 
-    /// Router an MCU is attached to.
-    pub fn mcu_coord(&self, m: McuId) -> Coord {
-        self.mcus[m.0 as usize]
-    }
-
     /// Hops from a core to a bank.
     #[inline]
     pub fn hops_core_bank(&self, c: CoreId, b: BankId) -> u64 {
@@ -381,13 +376,13 @@ mod tests {
                     assert_eq!(p.hops_core_bank(c, b), want, "{c:?} -> {b:?}");
                 }
                 for m in mcus.clone() {
-                    let want = mesh.hops(p.core_coord(c), p.mcu_coord(m));
+                    let want = mesh.hops(p.core_coord(c), p.mcus[m.0 as usize]);
                     assert_eq!(p.hops_core_mcu(c, m), want, "{c:?} -> {m:?}");
                 }
             }
             for b in banks {
                 for m in mcus.clone() {
-                    let want = mesh.hops(p.bank_coord(b), p.mcu_coord(m));
+                    let want = mesh.hops(p.bank_coord(b), p.mcus[m.0 as usize]);
                     assert_eq!(p.hops_bank_mcu(b, m), want, "{b:?} -> {m:?}");
                 }
             }

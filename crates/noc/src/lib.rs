@@ -70,11 +70,6 @@ impl NocParams {
     pub fn round_trip_flit_hops(&self, hops: u64) -> u64 {
         (self.ctrl_flits + self.data_flits) * hops.max(1)
     }
-
-    /// Flit-hops for a one-way data transfer (e.g. a writeback).
-    pub fn data_flit_hops(&self, hops: u64) -> u64 {
-        self.data_flits * hops.max(1)
-    }
 }
 
 #[cfg(test)]
@@ -99,6 +94,5 @@ mod tests {
     fn flit_hops_count_both_directions() {
         let p = NocParams::default();
         assert_eq!(p.round_trip_flit_hops(3), 6 * 3);
-        assert_eq!(p.data_flit_hops(2), 10);
     }
 }

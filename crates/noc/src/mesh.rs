@@ -74,24 +74,6 @@ impl Mesh {
         dx + dy
     }
 
-    /// The route taken by X-Y routing from `a` to `b`, as the list of tiles
-    /// traversed (inclusive of both endpoints). Useful for link-utilization
-    /// accounting and debugging.
-    pub fn route(&self, a: Coord, b: Coord) -> Vec<Coord> {
-        debug_assert!(self.contains(a) && self.contains(b));
-        let mut path = vec![a];
-        let mut cur = a;
-        while cur.x != b.x {
-            cur.x = if b.x > cur.x { cur.x + 1 } else { cur.x - 1 };
-            path.push(cur);
-        }
-        while cur.y != b.y {
-            cur.y = if b.y > cur.y { cur.y + 1 } else { cur.y - 1 };
-            path.push(cur);
-        }
-        path
-    }
-
     /// Iterates all tile coordinates in row-major order.
     pub fn iter_coords(&self) -> impl Iterator<Item = Coord> + '_ {
         let w = self.width;
@@ -124,19 +106,6 @@ mod tests {
         assert_eq!(m.hops(Coord::new(0, 0), Coord::new(4, 4)), 8);
         assert_eq!(m.hops(Coord::new(2, 2), Coord::new(2, 2)), 0);
         assert_eq!(m.hops(Coord::new(1, 3), Coord::new(3, 1)), 4);
-    }
-
-    #[test]
-    fn route_matches_hop_count() {
-        let m = Mesh::new(9, 9);
-        let a = Coord::new(1, 7);
-        let b = Coord::new(6, 2);
-        let r = m.route(a, b);
-        assert_eq!(r.len() as u64, m.hops(a, b) + 1);
-        assert_eq!(r[0], a);
-        assert_eq!(*r.last().unwrap(), b);
-        // X first, then Y.
-        assert_eq!(r[1], Coord::new(2, 7));
     }
 
     #[test]

@@ -19,7 +19,11 @@
 //!    simulation driver) and [`ReconfigEvent`] (one entry per runtime
 //!    reallocation: cycle, per-pool old→new granules, and the curve
 //!    signal that drove the decision). Both serialize one JSON object
-//!    per line (JSONL), parseable by the repo's `bench_check` parser.
+//!    per line (JSONL), parseable by [`json::parse`].
+//!
+//! [`json`] is also the workspace's one JSON codec: one string escaper,
+//! one float formatter and one parser, shared by the reports, the
+//! daemon's wire frames and the `.wps` scenario reader.
 //!
 //! Nothing in this crate perturbs simulation state: every probe is
 //! read-only with respect to the modelled system, so results are
@@ -28,7 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod json;
+pub mod json;
 mod registry;
 mod span;
 mod timeline;
@@ -41,5 +45,3 @@ pub use span::{span, take_thread_phases, Phase, PhaseTotals, Span};
 pub use timeline::{
     ObsConfig, PoolChange, PoolOcc, PoolSample, ReconfigEvent, TenantEvent, TenantEventKind,
 };
-
-pub use json::{fmt_f64, quote};

@@ -132,14 +132,6 @@ pub struct ReconfigEvent {
 }
 
 impl ReconfigEvent {
-    /// True when no pool's allocation or bypass state moved (the
-    /// hysteresis kept the configuration).
-    pub fn is_stable(&self) -> bool {
-        self.pools
-            .iter()
-            .all(|p| p.old_granules == Some(p.new_granules))
-    }
-
     /// One JSONL line per pool:
     /// `{"type":"reconfig","cycle":…,"index":…,"pool":…,
     /// "old_granules":…,"new_granules":…,"bypassed":…,"apki":…}`.
@@ -267,7 +259,6 @@ mod tests {
                 },
             ],
         };
-        assert!(!e.is_stable());
         let lines = e.to_json_lines();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"old_granules\":4"));
@@ -289,22 +280,6 @@ mod tests {
         assert!(line.contains("\"event\":\"wait\""));
         assert!(line.contains("\\\"7\\\""), "tenant names escape: {line}");
         assert!(!line.contains('\n'));
-    }
-
-    #[test]
-    fn stable_event_detection() {
-        let e = ReconfigEvent {
-            cycle: 1,
-            index: 1,
-            pools: vec![PoolChange {
-                pool: "a".into(),
-                old_granules: Some(4),
-                new_granules: 4,
-                bypassed: false,
-                apki: 1.0,
-            }],
-        };
-        assert!(e.is_stable());
     }
 
     #[test]

@@ -538,11 +538,11 @@ fn cmd_tenant_bench(rest: &[String]) -> Result<(), String> {
         ));
     }
     let report_json = format!(
-        "{{\"bench\":\"tenant\",\"scenario\":\"{}\",\"tenants\":{},\"epochs\":{},\
+        "{{\"bench\":\"tenant\",\"scenario\":{},\"tenants\":{},\"epochs\":{},\
          \"schemes\":[{speedups}],\
          \"events\":{events},\"secs\":{secs:.3},\
          \"gate\":{{{gate}}}}}",
-        scenario.name,
+        wp_obs::json::quote(&scenario.name),
         scenario.tenants.len(),
         scenario.epochs,
     );

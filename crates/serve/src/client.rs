@@ -12,7 +12,7 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::Duration;
 
-use whirlpool_repro::bench_check::{parse, Json};
+use wp_obs::json::{parse, Json};
 
 use crate::protocol::Request;
 

@@ -208,7 +208,7 @@ impl Dispatcher {
                 let cancelling = s.tokens.get(id).is_some_and(CancelToken::is_cancelled);
                 format!(
                     "{{\"id\":{id},\"verb\":{},\"cancelling\":{cancelling}}}",
-                    wp_sim::json_string(verb)
+                    wp_obs::json::quote(verb)
                 )
             })
             .collect();
@@ -223,12 +223,6 @@ impl Dispatcher {
             self.inner.store.curves_held(),
             rows.join(","),
         )
-    }
-
-    /// Whether any job is queued or running.
-    pub fn is_idle(&self) -> bool {
-        let s = self.inner.state.lock().expect("dispatcher state");
-        s.pending.is_empty() && s.running == 0
     }
 
     /// Begins shutdown: rejects new work, fires every live job's cancel
@@ -332,7 +326,7 @@ fn worker_loop(inner: &Inner) {
                 inner.store.log_line(&format!(
                     "{{\"job\":{},\"verb\":{},\"ok\":true,\"lines\":{}}}",
                     job.id,
-                    wp_sim::json_string(&verb),
+                    wp_obs::json::quote(&verb),
                     lines.len(),
                 ));
             }
@@ -352,8 +346,8 @@ fn worker_loop(inner: &Inner) {
                     "{{\"job\":{},\"verb\":{},\"ok\":false,\"cancelled\":{cancelled},\
                      \"error\":{}}}",
                     job.id,
-                    wp_sim::json_string(&verb),
-                    wp_sim::json_string(message),
+                    wp_obs::json::quote(&verb),
+                    wp_obs::json::quote(message),
                 ));
             }
         }
@@ -432,7 +426,8 @@ mod tests {
         let err = d.submit(Request::Profile { argv: vec![] }).unwrap_err();
         assert!(err.contains("shutting down"), "err: {err}");
         d.join();
-        assert!(d.is_idle());
+        let s = d.inner.state.lock().unwrap();
+        assert!(s.pending.is_empty() && s.running == 0, "drained");
     }
 
     #[test]

@@ -645,7 +645,7 @@ fn profile_json(
         .collect();
     format!(
         "{{\"file\":{},\"mode\":{mode},\"granule_lines\":{granule},\"streams\":[{}]}}",
-        wp_sim::json_string(file),
+        wp_obs::json::quote(file),
         rows.join(","),
     )
 }

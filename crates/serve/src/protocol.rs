@@ -1,9 +1,8 @@
 //! The wire protocol: line-delimited JSON, both directions.
 //!
 //! Every request and every response is one JSON object per line. The
-//! framing is deliberately boring — the repo's own
-//! [`bench_check`](whirlpool_repro::bench_check) parser decodes it and
-//! [`wp_sim::json_string`] encodes it, so the daemon adds no
+//! framing is deliberately boring — the workspace's one JSON codec,
+//! [`wp_obs::json`], encodes and decodes it, so the daemon adds no
 //! dependencies and both ends share one lossless string escape.
 //!
 //! Requests (client → daemon):
@@ -39,8 +38,7 @@
 //! bytes identical to the offline invocation — the determinism contract
 //! `tests/serve_determinism.rs` locks down.
 
-use whirlpool_repro::bench_check::{parse, Json};
-use wp_sim::json_string;
+use wp_obs::json::{parse, quote, Json};
 
 /// Which [`Experiment`](whirlpool_repro::harness::Experiment)-backed
 /// subcommand an `experiment` request runs.
@@ -63,6 +61,10 @@ impl ExpOp {
         }
     }
 }
+
+/// The largest `cancel` job id a request can name: 2^53, past which an
+/// `f64` no longer holds every integer.
+const MAX_EXACT_JOB: f64 = 9_007_199_254_740_992.0;
 
 /// One decoded request line.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,7 +134,7 @@ impl Request {
     /// Serializes the request as one wire line (no trailing newline).
     pub fn to_line(&self) -> String {
         let argv_json = |argv: &[String]| {
-            let items: Vec<String> = argv.iter().map(|a| json_string(a)).collect();
+            let items: Vec<String> = argv.iter().map(|a| quote(a)).collect();
             format!("[{}]", items.join(","))
         };
         match self {
@@ -205,6 +207,14 @@ impl Request {
                     .get("job")
                     .and_then(Json::as_f64)
                     .ok_or("cancel requests need a numeric \"job\"")?;
+                // Job ids are integers; an `f64` holds every one up to
+                // 2^53 exactly, and `as u64` would wrap or truncate
+                // anything else into some other job's id.
+                if !((0.0..=MAX_EXACT_JOB).contains(&job) && job.fract() == 0.0) {
+                    return Err(format!(
+                        "cancel \"job\" must be a non-negative integer up to 2^53 (got {job})"
+                    ));
+                }
                 Ok(Request::Cancel { job: job as u64 })
             }
             "shutdown" => Ok(Request::Shutdown),
@@ -225,7 +235,7 @@ pub fn ack_frame(job: u64) -> String {
 pub fn line_frame(job: u64, data: &str) -> String {
     format!(
         "{{\"type\":\"line\",\"job\":{job},\"data\":{}}}",
-        json_string(data)
+        quote(data)
     )
 }
 
@@ -239,7 +249,7 @@ pub fn done_frame(job: u64, lines: usize) -> String {
 pub fn error_frame(job: u64, cancelled: bool, message: &str) -> String {
     format!(
         "{{\"type\":\"error\",\"job\":{job},\"cancelled\":{cancelled},\"message\":{}}}",
-        json_string(message)
+        quote(message)
     )
 }
 
@@ -288,6 +298,29 @@ mod tests {
         assert!(Request::from_line("{\"verb\":\"experiment\",\"argv\":[]}")
             .unwrap_err()
             .contains("op"));
+    }
+
+    #[test]
+    fn cancel_takes_only_exact_non_negative_integer_jobs() {
+        for job in ["-1", "1.9", "1e30", "9007199254740993.5", "-0.5", "1e400"] {
+            let line = format!("{{\"verb\":\"cancel\",\"job\":{job}}}");
+            let err = Request::from_line(&line).unwrap_err();
+            assert!(err.contains("non-negative integer"), "{job}: {err}");
+            assert!(!err.contains('\n'), "{job}: one-line error");
+        }
+        for (job, want) in [
+            ("0", 0),
+            ("7", 7),
+            ("1e3", 1000),
+            ("9007199254740992", 1 << 53),
+        ] {
+            let line = format!("{{\"verb\":\"cancel\",\"job\":{job}}}");
+            assert_eq!(
+                Request::from_line(&line),
+                Ok(Request::Cancel { job: want }),
+                "{job}"
+            );
+        }
     }
 
     #[test]

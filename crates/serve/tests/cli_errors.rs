@@ -5,7 +5,7 @@
 
 use std::process::Command;
 
-use whirlpool_repro::harness::{RunSpec, SchemeKind};
+use whirlpool_repro::harness::{Experiment, SchemeKind};
 
 fn temp(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("wp-cli-errors-{}-{tag}.wpt", std::process::id()))
@@ -13,7 +13,7 @@ fn temp(tag: &str) -> std::path::PathBuf {
 
 fn capture_small(tag: &str) -> std::path::PathBuf {
     let path = temp(tag);
-    RunSpec::new(SchemeKind::SNucaLru, "delaunay")
+    Experiment::single(SchemeKind::SNucaLru, "delaunay")
         .warmup(50_000)
         .measure(100_000)
         .capture_to(&path)

@@ -42,8 +42,10 @@ pub use scheme::{
     AccessContext, BatchClock, LlcOutcome, LlcResponse, LlcScheme, PoolDescriptor, TraceEvent,
     Workload, WorkloadBundle, LOOKAHEAD,
 };
+pub use stats::CoreStats;
+pub use uncore::Uncore;
+/// The JSON string escaper, [`wp_obs::json::quote`], under its older name.
+pub use wp_obs::json::quote as json_string;
 // The batch type workloads and schemes exchange, re-exported so scheme
 // crates need not name `wp-trace` directly.
-pub use stats::{json_string, CoreStats};
-pub use uncore::Uncore;
 pub use wp_trace::EventBatch;

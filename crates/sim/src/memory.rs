@@ -13,7 +13,6 @@ pub struct MemoryChannels {
     service_cycles: u64,
     zero_load: u64,
     accesses: u64,
-    total_queue_cycles: u64,
 }
 
 impl MemoryChannels {
@@ -30,7 +29,6 @@ impl MemoryChannels {
             service_cycles: (wp_mem::LINE_BYTES as f64 / bytes_per_cycle).ceil() as u64,
             zero_load,
             accesses: 0,
-            total_queue_cycles: 0,
         }
     }
 
@@ -43,7 +41,6 @@ impl MemoryChannels {
         let queue = start - now;
         *ch = start + self.service_cycles;
         self.accesses += 1;
-        self.total_queue_cycles += queue;
         self.zero_load + queue
     }
 
@@ -55,15 +52,6 @@ impl MemoryChannels {
     /// Total accesses served.
     pub fn accesses(&self) -> u64 {
         self.accesses
-    }
-
-    /// Mean queueing delay over all accesses (cycles).
-    pub fn avg_queue_cycles(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.total_queue_cycles as f64 / self.accesses as f64
-        }
     }
 }
 
@@ -77,7 +65,6 @@ mod tests {
         // Sparse accesses: no queueing.
         assert_eq!(m.access(0, 0), 120);
         assert_eq!(m.access(0, 1000), 120);
-        assert_eq!(m.avg_queue_cycles(), 0.0);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Per-core execution statistics.
 
+use wp_obs::json::{fmt_f64, quote};
+
 /// Counters for one core's execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CoreStats {
@@ -68,12 +70,6 @@ impl CoreStats {
     pub fn llc_bpki(&self) -> f64 {
         per_ki(self.llc_bypasses, self.instructions)
     }
-
-    /// Memory accesses per kilo-instruction (misses + bypasses, which both
-    /// go to DRAM).
-    pub fn mem_apki(&self) -> f64 {
-        per_ki(self.llc_misses + self.llc_bypasses, self.instructions)
-    }
 }
 
 fn per_ki(count: u64, instructions: u64) -> f64 {
@@ -81,49 +77,6 @@ fn per_ki(count: u64, instructions: u64) -> f64 {
         0.0
     } else {
         count as f64 * 1000.0 / instructions as f64
-    }
-}
-
-/// Renders `s` as a JSON string literal (quotes, backslashes, and
-/// control characters escaped) — for callers assembling JSON around
-/// [`RunSummary::to_json`](crate::RunSummary::to_json), e.g. app names
-/// that may be `trace:<path>` URIs.
-pub fn json_string(s: &str) -> String {
-    json::string(s)
-}
-
-/// Dependency-free JSON rendering of run results, so figure binaries and
-/// `trace_tool replay` can emit machine-readable output.
-///
-/// Numbers use Rust's shortest-round-trip float formatting, so two
-/// summaries render to the same string iff their statistics are
-/// bit-identical — which is exactly what the replay-determinism tests
-/// compare.
-mod json {
-    /// A finite float as a JSON number (non-finite values become `null`,
-    /// which JSON cannot represent as a number).
-    pub fn num(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v}")
-        } else {
-            "null".to_string()
-        }
-    }
-
-    /// A JSON string literal with minimal escaping.
-    pub fn string(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
     }
 }
 
@@ -135,16 +88,16 @@ impl CoreStats {
              \"llc_accesses\":{},\"llc_hits\":{},\"llc_misses\":{},\"llc_bypasses\":{},\
              \"llc_apki\":{},\"llc_mpki\":{},\"llc_bpki\":{}}}",
             self.instructions,
-            json::num(self.cycles),
-            json::num(self.stall_cycles),
-            json::num(self.ipc()),
+            fmt_f64(self.cycles),
+            fmt_f64(self.stall_cycles),
+            fmt_f64(self.ipc()),
             self.llc_accesses,
             self.llc_hits,
             self.llc_misses,
             self.llc_bypasses,
-            json::num(self.llc_apki()),
-            json::num(self.llc_mpki()),
-            json::num(self.llc_bpki()),
+            fmt_f64(self.llc_apki()),
+            fmt_f64(self.llc_mpki()),
+            fmt_f64(self.llc_bpki()),
         )
     }
 }
@@ -157,13 +110,13 @@ impl crate::RunSummary {
         format!(
             "{{\"scheme\":{},\"cycles\":{},\"energy\":{{\"network_nj\":{},\"bank_nj\":{},\
              \"memory_nj\":{},\"total_nj\":{}}},\"energy_per_ki\":{},\"cores\":[{}]}}",
-            json::string(&self.scheme),
+            quote(&self.scheme),
             self.cycles,
-            json::num(self.energy.network_nj),
-            json::num(self.energy.bank_nj),
-            json::num(self.energy.memory_nj),
-            json::num(self.energy.total_nj()),
-            json::num(self.energy_per_ki()),
+            fmt_f64(self.energy.network_nj),
+            fmt_f64(self.energy.bank_nj),
+            fmt_f64(self.energy.memory_nj),
+            fmt_f64(self.energy.total_nj()),
+            fmt_f64(self.energy_per_ki()),
             cores.join(",")
         )
     }
@@ -187,7 +140,6 @@ mod tests {
         assert!((s.ipc() - 0.5).abs() < 1e-12);
         assert!((s.llc_apki() - 15.0).abs() < 1e-12);
         assert!((s.llc_mpki() - 4.0).abs() < 1e-12);
-        assert!((s.mem_apki() - 9.0).abs() < 1e-12);
     }
 
     #[test]

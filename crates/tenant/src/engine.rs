@@ -23,7 +23,8 @@ use whirlpool_repro::harness::{
     sixteen_core_config, CancelToken, Experiment, HarnessError, SchemeKind,
 };
 use wp_bench::sweep::{default_jobs, parallel_map, CellWork, SweepSpec};
-use wp_obs::{fmt_f64, quote, TenantEvent, TenantEventKind};
+use wp_obs::json::{fmt_f64, parse, quote};
+use wp_obs::{TenantEvent, TenantEventKind};
 
 use crate::metrics::{jain_index, slo_violation_fraction, weighted_speedup, MetricError};
 use crate::scenario::{Scenario, SloTarget};
@@ -489,8 +490,7 @@ pub fn validate_timeline(text: &str) -> Result<usize, String> {
             continue;
         }
         let bad = |what: &str| format!("timeline line {}: {what}", lineno + 1);
-        let doc = whirlpool_repro::bench_check::parse(line)
-            .map_err(|e| bad(&format!("not JSON ({e})")))?;
+        let doc = parse(line).map_err(|e| bad(&format!("not JSON ({e})")))?;
         if doc.get("type").and_then(|v| v.as_str()) != Some("tenant") {
             return Err(bad("missing \"type\":\"tenant\""));
         }

@@ -2,18 +2,18 @@
 //! the tenant set (app, weight, optional SLO) and the epoch-granular
 //! churn trace that drives arrivals and departures.
 //!
-//! Parsing goes through the repo's own `bench_check` JSON parser (no
-//! external deps) and every defect — malformed JSON, unknown keys,
-//! ill-typed fields, negative times, inconsistent churn windows — maps
-//! to a one-line [`HarnessError::Scenario`], so the CLI and daemon
+//! Parsing goes through the workspace's one JSON parser,
+//! [`wp_obs::json::parse`] (no external deps), and every defect —
+//! malformed JSON, unknown keys, ill-typed fields, negative times,
+//! inconsistent churn windows — maps to a one-line [`HarnessError::Scenario`], so the CLI and daemon
 //! render identical messages.
 //!
 //! Churn is deterministic: tenants that do not pin `arrival`/`departure`
 //! get both synthesized from the scenario `seed` with splitmix64, so the
 //! same file always describes the same timeline on every machine.
 
-use whirlpool_repro::bench_check::{parse, Json};
 use whirlpool_repro::harness::{resolve_app, HarnessError};
+use wp_obs::json::{parse, Json};
 
 /// A tenant's service-level objective, checked once per admitted epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]

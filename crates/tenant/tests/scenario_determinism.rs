@@ -46,9 +46,9 @@ fn report_and_timeline_are_identical_across_jobs() {
     }
     // The report is one line of valid JSON with every scheme present.
     assert!(!base_json.contains('\n'));
-    let doc = whirlpool_repro::bench_check::parse(&base_json).expect("report parses");
+    let doc = wp_obs::json::parse(&base_json).expect("report parses");
     let schemes = match doc.get("schemes") {
-        Some(whirlpool_repro::bench_check::Json::Arr(a)) => a,
+        Some(wp_obs::json::Json::Arr(a)) => a,
         other => panic!("schemes should be an array, got {other:?}"),
     };
     assert_eq!(schemes.len(), KINDS.len());

@@ -82,13 +82,6 @@ impl ClusterTree {
         out
     }
 
-    /// Number of distinct clusters at `k` pools.
-    pub fn num_clusters(&self, k: usize) -> usize {
-        let a = self.assignment(k);
-        let set: std::collections::HashSet<usize> = a.values().copied().collect();
-        set.len()
-    }
-
     /// A text rendering of the dendrogram (Fig. 17): each merge with its
     /// distance, indented by merge order.
     pub fn render(&self) -> String {
@@ -264,10 +257,15 @@ mod tests {
             (3, vec![Some(geometric(5.0, 0.9, 16))]),
         ]);
         let tree = cluster(&data, 16);
-        assert_eq!(tree.num_clusters(1), 1);
-        assert_eq!(tree.num_clusters(2), 2);
-        assert_eq!(tree.num_clusters(3), 3);
-        assert_eq!(tree.num_clusters(10), 3, "capped at callpoint count");
+        let clusters = |k| {
+            let labels: std::collections::HashSet<usize> =
+                tree.assignment(k).into_values().collect();
+            labels.len()
+        };
+        assert_eq!(clusters(1), 1);
+        assert_eq!(clusters(2), 2);
+        assert_eq!(clusters(3), 3);
+        assert_eq!(clusters(10), 3, "capped at callpoint count");
     }
 
     #[test]

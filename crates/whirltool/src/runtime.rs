@@ -15,10 +15,6 @@ pub struct WhirlToolRuntime {
     heap: Heap,
     /// Callpoint → pool (from the analyzer's assignment).
     routes: HashMap<CallpointId, PoolId>,
-    /// Cluster label → pool id (one pool per cluster).
-    cluster_pools: HashMap<usize, PoolId>,
-    /// Allocations that fell back to the thread-private pool.
-    unprofiled: u64,
 }
 
 impl WhirlToolRuntime {
@@ -37,12 +33,7 @@ impl WhirlToolRuntime {
             .iter()
             .map(|(&cp, &label)| (cp, cluster_pools[&label]))
             .collect();
-        Self {
-            heap,
-            routes,
-            cluster_pools,
-            unprofiled: 0,
-        }
+        Self { heap, routes }
     }
 
     /// `malloc(size)` intercepted at `callpoint`: routes to the assigned
@@ -50,10 +41,7 @@ impl WhirlToolRuntime {
     pub fn malloc(&mut self, size: u64, callpoint: CallpointId) -> VirtAddr {
         match self.routes.get(&callpoint) {
             Some(&pool) => self.heap.pool_malloc(size, pool, callpoint),
-            None => {
-                self.unprofiled += 1;
-                self.heap.malloc(size, callpoint)
-            }
+            None => self.heap.malloc(size, callpoint),
         }
     }
 
@@ -66,19 +54,9 @@ impl WhirlToolRuntime {
         self.heap.free(addr);
     }
 
-    /// The pool serving a cluster label.
-    pub fn pool_of_cluster(&self, label: usize) -> Option<PoolId> {
-        self.cluster_pools.get(&label).copied()
-    }
-
     /// The underlying heap (for descriptor export).
     pub fn heap(&self) -> &Heap {
         &self.heap
-    }
-
-    /// Number of unprofiled-callpoint allocations served.
-    pub fn unprofiled_allocations(&self) -> u64 {
-        self.unprofiled
     }
 }
 
@@ -105,7 +83,6 @@ mod tests {
         let pc = rt.heap().pool_of_addr(c);
         assert_eq!(pa, pb);
         assert_ne!(pa, pc);
-        assert_eq!(pa, rt.pool_of_cluster(0));
     }
 
     #[test]
@@ -113,7 +90,6 @@ mod tests {
         let mut rt = WhirlToolRuntime::new(&assignment());
         let x = rt.malloc(100, CallpointId(999));
         assert_eq!(rt.heap().pool_of_addr(x), None);
-        assert_eq!(rt.unprofiled_allocations(), 1);
     }
 
     #[test]

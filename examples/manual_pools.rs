@@ -7,10 +7,7 @@
 //! cargo run --release --example manual_pools
 //! ```
 
-use whirlpool_repro::harness::{
-    exec_cycles, four_core_config, render_occupancy, run_single_app, run_single_app_with,
-    speedup_pct, Classification, SchemeKind,
-};
+use whirlpool_repro::harness::{exec_cycles, speedup_pct, Experiment, SchemeKind};
 
 fn main() {
     const INSTRS: u64 = 6_000_000;
@@ -21,13 +18,12 @@ fn main() {
     );
     let mut jig_cycles = 0.0;
     let mut wp_cycles = 0.0;
-    for kind in whirlpool_repro::harness::SchemeKind::FIG10 {
-        let classification = if kind.uses_pools() {
-            Classification::Manual
-        } else {
-            Classification::None
-        };
-        let out = run_single_app(kind, "MIS", classification, INSTRS);
+    for kind in SchemeKind::FIG10 {
+        // Pool-aware schemes get the manual Table-2 pools by default.
+        let out = Experiment::single(kind, "MIS")
+            .measure(INSTRS)
+            .run()
+            .expect("run mis");
         let c = &out.cores[0];
         println!(
             "{:<12} {:>12.0} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>12.2}",
@@ -50,18 +46,5 @@ fn main() {
         "\nWhirlpool over Jigsaw on mis: {:+.1}% (the paper reports +38%)",
         speedup_pct(jig_cycles, wp_cycles)
     );
-
-    // Show where Whirlpool put the data (the Fig. 5-style map).
-    let sys = four_core_config();
-    let out = run_single_app_with(
-        SchemeKind::Whirlpool,
-        "MIS",
-        Classification::Manual,
-        INSTRS,
-        sys.clone(),
-    );
-    let _ = out;
     println!("\n(see fig05_dt_placement in wp-bench for the dt placement maps)");
-    let occ: Vec<(usize, String, f64)> = vec![];
-    let _ = render_occupancy(&sys, &occ);
 }

@@ -6,9 +6,7 @@
 //! ```
 
 use whirlpool::PoolAllocator;
-use whirlpool_repro::harness::{
-    exec_cycles, run_single_app, speedup_pct, Classification, SchemeKind,
-};
+use whirlpool_repro::harness::{exec_cycles, speedup_pct, Experiment, SchemeKind};
 
 fn main() {
     // --- The Whirlpool programmer API (Sec. 3.1) -------------------------
@@ -33,13 +31,16 @@ fn main() {
     // --- Running dt under Jigsaw vs Whirlpool (Sec. 2.1) -----------------
     const INSTRS: u64 = 8_000_000;
     println!("\nrunning dt (Delaunay triangulation) for {INSTRS} instructions...");
-    let jig = run_single_app(SchemeKind::Jigsaw, "delaunay", Classification::None, INSTRS);
-    let wp = run_single_app(
-        SchemeKind::Whirlpool,
-        "delaunay",
-        Classification::Manual,
-        INSTRS,
-    );
+    // Each scheme gets its default classification: none for Jigsaw, the
+    // manual Table-2 pools for Whirlpool.
+    let run = |kind| {
+        Experiment::single(kind, "delaunay")
+            .measure(INSTRS)
+            .run()
+            .expect("run dt")
+    };
+    let jig = run(SchemeKind::Jigsaw);
+    let wp = run(SchemeKind::Whirlpool);
 
     println!(
         "\n{:<12} {:>12} {:>10} {:>10} {:>12}",

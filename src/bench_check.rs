@@ -7,219 +7,13 @@
 //! measured report against the committed baseline metric by metric and
 //! flags any that fell below `baseline * (1 - max_regress)`.
 //!
-//! The workspace vendors no JSON crate, so this module carries a small
-//! recursive-descent parser ([`parse`]) covering exactly the JSON the
-//! benches emit (objects, arrays, strings with plain escapes, f64
-//! numbers, booleans, null).
+//! Reports are read with the workspace's one JSON parser,
+//! [`wp_obs::json::parse`].
 
 use std::fmt;
 use std::path::Path;
 
-/// A parsed JSON value. Object keys keep file order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (parsed as `f64`, which covers the benches' ranges).
-    Num(f64),
-    /// A string (escape sequences decoded).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Looks up `key` in an object; `None` for missing keys or non-objects.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The decoded string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Parses a complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected).
-pub fn parse(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&ch) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!(
-            "expected '{}' at byte {pos}",
-            char::from(ch),
-            pos = *pos
-        ))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected '{}' at byte {pos}", char::from(*c))),
-        None => Err("unexpected end of input".into()),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("bad literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-        *pos += 1;
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("bad number at byte {start}"))
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                let esc = *b.get(*pos).ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'u' => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape '{hex}'"))?;
-                        *pos += 4;
-                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                    }
-                    other => return Err(format!("unknown escape '\\{}'", char::from(other))),
-                }
-            }
-            Some(_) => {
-                // Copy a run of plain bytes (UTF-8 passes through intact).
-                let start = *pos;
-                while *pos < b.len() && b[*pos] != b'"' && b[*pos] != b'\\' {
-                    *pos += 1;
-                }
-                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
-            }
-            None => return Err("unterminated string".into()),
-        }
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'{')?;
-    let mut fields = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(fields));
-    }
-    loop {
-        skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
-        expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
-        fields.push((key, value));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
-        }
-    }
-}
+pub use wp_obs::json::{parse, Json};
 
 /// One gate metric compared across baseline and fresh reports.
 #[derive(Debug, Clone, PartialEq)]

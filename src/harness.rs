@@ -810,7 +810,7 @@ impl ObsReport {
         }
         out.push_str(&format!(
             "{{\"type\":\"metrics\",\"scheme\":{},\"registry\":{}}}\n",
-            wp_obs::quote(scheme),
+            wp_obs::json::quote(scheme),
             wp_obs::snapshot().to_json(),
         ));
         out
@@ -1432,123 +1432,6 @@ fn check_mix_address_spaces(
 }
 
 // ---------------------------------------------------------------------------
-// Thin compatibility shims
-// ---------------------------------------------------------------------------
-
-/// A single-core run specification — a thin shim over
-/// [`Experiment::single`] kept so existing call sites read unchanged.
-///
-/// ```no_run
-/// use whirlpool_repro::harness::{RunSpec, SchemeKind};
-///
-/// let out = RunSpec::new(SchemeKind::Whirlpool, "delaunay")
-///     .measure(1_000_000)
-///     .run()
-///     .unwrap();
-/// assert!(out.cores[0].instructions > 0);
-/// ```
-#[derive(Debug)]
-pub struct RunSpec(Experiment);
-
-impl RunSpec {
-    /// A run of `app` (registry name or `trace:<path>`) under `kind`,
-    /// with all defaults.
-    pub fn new(kind: SchemeKind, app: &str) -> Self {
-        Self(Experiment::single(kind, app))
-    }
-
-    /// Overrides the classification.
-    #[must_use]
-    pub fn classification(self, c: Classification) -> Self {
-        Self(self.0.classification(c))
-    }
-
-    /// Overrides the warmup budget (instructions).
-    #[must_use]
-    pub fn warmup(self, instrs: u64) -> Self {
-        Self(self.0.warmup(instrs))
-    }
-
-    /// Overrides the measurement budget (instructions).
-    #[must_use]
-    pub fn measure(self, instrs: u64) -> Self {
-        Self(self.0.measure(instrs))
-    }
-
-    /// Overrides the system configuration.
-    #[must_use]
-    pub fn system(self, sys: SystemConfig) -> Self {
-        Self(self.0.system(sys))
-    }
-
-    /// Captures the run's full event stream (warmup included) to a
-    /// `.wpt` file.
-    #[must_use]
-    pub fn capture_to(self, path: impl Into<PathBuf>) -> Self {
-        Self(self.0.capture_to(path))
-    }
-
-    /// Runs on core 0 and returns the summary.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Experiment::run`].
-    pub fn run(self) -> Result<RunSummary, HarnessError> {
-        self.0.run()
-    }
-}
-
-/// Runs one app alone on core 0 of the 4-core chip for
-/// `instrs` measured instructions (after the app's warmup budget).
-///
-/// # Panics
-///
-/// Panics on [`HarnessError`]s (unknown apps, missing traces); use
-/// [`Experiment`] directly for a fallible run.
-pub fn run_single_app(
-    kind: SchemeKind,
-    app: &str,
-    classification: Classification,
-    instrs: u64,
-) -> RunSummary {
-    run_single_app_with(kind, app, classification, instrs, four_core_config())
-}
-
-/// Runs one app alone with its default budget (warmup + measurement).
-///
-/// # Panics
-///
-/// As for [`run_single_app`].
-pub fn run_single_app_budgeted(
-    kind: SchemeKind,
-    app: &str,
-    classification: Classification,
-) -> RunSummary {
-    let (_, measure) = run_budget(app);
-    run_single_app_with(kind, app, classification, measure, four_core_config())
-}
-
-/// [`run_single_app`] with an explicit system configuration.
-///
-/// # Panics
-///
-/// As for [`run_single_app`].
-pub fn run_single_app_with(
-    kind: SchemeKind,
-    app: &str,
-    classification: Classification,
-    instrs: u64,
-    sys: SystemConfig,
-) -> RunSummary {
-    Experiment::single(kind, app)
-        .classification(classification)
-        .measure(instrs)
-        .system(sys)
-        .run()
-        .unwrap_or_else(|e| panic!("running '{app}' failed: {e}"))
-}
-
-// ---------------------------------------------------------------------------
 // Reporting helpers
 // ---------------------------------------------------------------------------
 
@@ -1615,12 +1498,11 @@ mod tests {
 
     #[test]
     fn single_app_run_produces_stats() {
-        let out = run_single_app(
-            SchemeKind::SNucaLru,
-            "delaunay",
-            Classification::None,
-            500_000,
-        );
+        let out = Experiment::single(SchemeKind::SNucaLru, "delaunay")
+            .classification(Classification::None)
+            .measure(500_000)
+            .run()
+            .unwrap();
         // Fixed-work freezes at the first event crossing the target, so a
         // single gap of overshoot is expected.
         assert!(out.cores[0].instructions >= 500_000);
@@ -1631,12 +1513,11 @@ mod tests {
 
     #[test]
     fn whirlpool_gets_manual_pools() {
-        let out = run_single_app(
-            SchemeKind::Whirlpool,
-            "delaunay",
-            Classification::Manual,
-            500_000,
-        );
+        let out = Experiment::single(SchemeKind::Whirlpool, "delaunay")
+            .classification(Classification::Manual)
+            .measure(500_000)
+            .run()
+            .unwrap();
         assert_eq!(out.scheme, "Whirlpool");
         assert!(out.cores[0].llc_accesses > 0);
     }
@@ -1749,17 +1630,17 @@ mod tests {
     }
 
     #[test]
-    fn runspec_capture_then_replay_matches() {
+    fn single_capture_then_replay_matches() {
         let path =
             std::env::temp_dir().join(format!("wp-harness-capture-{}.wpt", std::process::id()));
-        let live = RunSpec::new(SchemeKind::SNucaLru, "delaunay")
+        let live = Experiment::single(SchemeKind::SNucaLru, "delaunay")
             .warmup(100_000)
             .measure(200_000)
             .capture_to(&path)
             .run()
             .unwrap();
         let uri = format!("trace:{}", path.display());
-        let replayed = RunSpec::new(SchemeKind::SNucaLru, &uri)
+        let replayed = Experiment::single(SchemeKind::SNucaLru, &uri)
             .warmup(100_000)
             .measure(200_000)
             .run()
@@ -1778,7 +1659,7 @@ mod tests {
 
     #[test]
     fn missing_trace_file_is_an_error_not_a_panic() {
-        match RunSpec::new(SchemeKind::SNucaLru, "trace:/nonexistent/x.wpt").run() {
+        match Experiment::single(SchemeKind::SNucaLru, "trace:/nonexistent/x.wpt").run() {
             Err(HarnessError::Trace(_)) => {}
             other => panic!("expected a Trace error, got {other:?}"),
         }
@@ -1866,7 +1747,7 @@ mod tests {
     fn colliding_trace_mix_is_rejected_by_core() {
         let path =
             std::env::temp_dir().join(format!("wp-harness-collide-{}.wpt", std::process::id()));
-        RunSpec::new(SchemeKind::SNucaLru, "delaunay")
+        Experiment::single(SchemeKind::SNucaLru, "delaunay")
             .warmup(50_000)
             .measure(100_000)
             .capture_to(&path)

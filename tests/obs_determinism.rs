@@ -6,13 +6,13 @@
 //!    registry enabled *and* the timeline probe attached emits the same
 //!    `RunSummary` JSON as a run with observability fully off.
 //! 2. **JSONL round trip**: every line of an [`ObsReport`]'s export
-//!    parses with the repo's own `bench_check` JSON parser and carries
+//!    parses with the workspace's JSON parser (`wp_obs::json`) and carries
 //!    the documented schema fields.
 //! 3. **External validation** (CI hook): with `WP_OBS_VALIDATE=<path>`,
 //!    validate a JSONL file produced by `trace_tool obs --obs-out`.
 
-use whirlpool_repro::bench_check::{parse, Json};
 use whirlpool_repro::harness::{Experiment, SchemeKind};
+use wp_obs::json::{parse, Json};
 
 const WARMUP: u64 = 100_000;
 const MEASURE: u64 = 200_000;
@@ -61,7 +61,8 @@ fn results_are_bit_identical_with_observability_on_and_off() {
 }
 
 /// Every JSONL line an [`ObsReport`] emits parses with the repo's
-/// `bench_check` parser and carries its discriminant's schema fields.
+/// `wp_obs::json` parser (which `bench_check` re-exports) and carries
+/// its discriminant's schema fields.
 #[test]
 fn obs_jsonl_round_trips_through_the_bench_check_parser() {
     let run = Experiment::single(SchemeKind::Whirlpool, "delaunay")

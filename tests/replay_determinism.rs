@@ -8,7 +8,7 @@
 //! the driver is deterministic given the event stream, so a recorded run
 //! is fully reproducible without its generating model.
 
-use whirlpool_repro::harness::{Classification, RunSpec, SchemeKind};
+use whirlpool_repro::harness::{Classification, Experiment, SchemeKind};
 
 const WARMUP: u64 = 400_000;
 const MEASURE: u64 = 400_000;
@@ -21,14 +21,14 @@ fn temp(tag: &str) -> std::path::PathBuf {
 fn every_fig10_scheme_replays_bit_identically() {
     for kind in SchemeKind::FIG10 {
         let path = temp(kind.label());
-        let live = RunSpec::new(kind, "delaunay")
+        let live = Experiment::single(kind, "delaunay")
             .warmup(WARMUP)
             .measure(MEASURE)
             .capture_to(&path)
             .run()
             .expect("capture run");
         let uri = format!("trace:{}", path.display());
-        let replayed = RunSpec::new(kind, &uri)
+        let replayed = Experiment::single(kind, &uri)
             .warmup(WARMUP)
             .measure(MEASURE)
             .run()
@@ -66,14 +66,14 @@ fn replay_without_pools_strips_classification() {
     // hand the recorded pools to the scheme: it degenerates to the
     // thread-VC-only configuration and (in general) different stats.
     let path = temp("strip");
-    let live = RunSpec::new(SchemeKind::Whirlpool, "delaunay")
+    let live = Experiment::single(SchemeKind::Whirlpool, "delaunay")
         .warmup(WARMUP)
         .measure(MEASURE)
         .capture_to(&path)
         .run()
         .expect("capture");
     let uri = format!("trace:{}", path.display());
-    let stripped = RunSpec::new(SchemeKind::Whirlpool, &uri)
+    let stripped = Experiment::single(SchemeKind::Whirlpool, &uri)
         .classification(Classification::None)
         .warmup(WARMUP)
         .measure(MEASURE)
@@ -104,7 +104,7 @@ fn replay_without_pools_strips_classification() {
 fn trace_uri_works_in_a_multiprogram_mix() {
     use whirlpool_repro::harness::Experiment;
     let path = temp("mix");
-    RunSpec::new(SchemeKind::SNucaLru, "delaunay")
+    Experiment::single(SchemeKind::SNucaLru, "delaunay")
         .warmup(100_000)
         .measure(150_000)
         .capture_to(&path)

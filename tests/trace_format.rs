@@ -3,7 +3,7 @@
 //! and offline consumers (WhirlTool profiling, Mattson curves) reading
 //! trace files directly.
 
-use whirlpool_repro::harness::{app_bundle, Classification, RunSpec, SchemeKind};
+use whirlpool_repro::harness::{app_bundle, Classification, Experiment, SchemeKind};
 use wp_trace::TraceInfo;
 
 fn temp(tag: &str) -> std::path::PathBuf {
@@ -17,7 +17,7 @@ fn delaunay_capture_beats_naive_encoding_4x() {
     // delaunay is a worst-ish case — three uniform-random pools, so
     // addresses carry near-maximal entropy for their footprint.
     let path = temp("ratio");
-    RunSpec::new(SchemeKind::SNucaLru, "delaunay")
+    Experiment::single(SchemeKind::SNucaLru, "delaunay")
         .warmup(500_000)
         .measure(2_000_000)
         .capture_to(&path)
@@ -40,7 +40,7 @@ fn capture_is_self_contained_pools_round_trip() {
     // The trace must carry the classification the run was given: replayed
     // descriptors equal the model's manual descriptors field by field.
     let path = temp("pools");
-    RunSpec::new(SchemeKind::Whirlpool, "delaunay")
+    Experiment::single(SchemeKind::Whirlpool, "delaunay")
         .warmup(100_000)
         .measure(100_000)
         .capture_to(&path)
@@ -69,7 +69,7 @@ fn offline_consumers_read_trace_files() {
     // WhirlTool's profiler and the Mattson machinery both consume the
     // capture directly — no model, no simulator.
     let path = temp("consumers");
-    RunSpec::new(SchemeKind::Whirlpool, "MIS")
+    Experiment::single(SchemeKind::Whirlpool, "MIS")
         .warmup(100_000)
         .measure(400_000)
         .capture_to(&path)
@@ -106,7 +106,7 @@ fn truncated_capture_errors_cleanly_through_the_stack() {
     // Chop a real capture mid-file: the codec reports Truncated (never a
     // panic), and TraceInfo::scan propagates it.
     let path = temp("truncate");
-    RunSpec::new(SchemeKind::SNucaLru, "delaunay")
+    Experiment::single(SchemeKind::SNucaLru, "delaunay")
         .warmup(50_000)
         .measure(100_000)
         .capture_to(&path)
