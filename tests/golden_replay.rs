@@ -10,6 +10,10 @@
 //! The capture itself is pinned too: `tests/golden/capture.digest` holds
 //! its byte length and CRC-32, so an encoder change that still round-trips
 //! through its own decoder fails here if it moves a single file byte.
+//! So are its miss-rate profiles: `tests/golden/profiles.digest` holds one
+//! line per stream for the exact Mattson profile, a fixed-rate SHARDS
+//! profile and an `s_max`-adaptive one, each with the CRC-32 of its whole
+//! stack-distance histogram.
 //!
 //! Regenerate (only for an intended behaviour change) with
 //! `WP_BLESS=1 cargo test --test golden_replay`.
@@ -17,6 +21,7 @@
 use std::path::{Path, PathBuf};
 
 use whirlpool_repro::harness::{Classification, Experiment, SchemeKind};
+use wp_mrc::{profile_streams, ProfileMode, ShardsConfig, StreamProfile};
 
 const APPS: [&str; 4] = ["mcf", "lbm", "delaunay", "milc"];
 const SEED: u64 = 11;
@@ -53,6 +58,51 @@ fn capture_digest(bytes: &[u8]) -> String {
     format!("bytes {} crc32 {:08x}\n", bytes.len(), crc32_bitwise(bytes))
 }
 
+/// One digest line per stream profile: its counts, final rate and peak
+/// tracked set, and the CRC-32 of every `(distance, count)` pair.
+fn profile_digest(label: &str, p: &StreamProfile) -> String {
+    let h = &p.histogram;
+    let pairs: Vec<u8> = h
+        .iter_finite()
+        .flat_map(|(d, c)| d.to_le_bytes().into_iter().chain(c.to_le_bytes()))
+        .collect();
+    format!(
+        "{label} stream {} events {} instructions {} rate {:?} peak {:?} \
+         total {} cold {} distances {} crc32 {:08x}\n",
+        p.stream,
+        p.events,
+        p.instructions,
+        p.sampled_rate.map(f64::to_bits),
+        p.peak_tracked,
+        h.total(),
+        h.cold_misses(),
+        pairs.len() / 16,
+        crc32_bitwise(&pairs)
+    )
+}
+
+/// The exact, fixed-rate and adaptive profiles of every stream.
+fn profiles_digest(capture: &Path) -> String {
+    let streams: Vec<u16> = (0..APPS.len() as u16).collect();
+    [
+        ("exact", ProfileMode::Exact),
+        ("fixed-0.1", ProfileMode::Sampled(ShardsConfig::fixed(0.1))),
+        (
+            "adaptive-0.2:512",
+            ProfileMode::Sampled(ShardsConfig::adaptive(0.2, 512)),
+        ),
+    ]
+    .into_iter()
+    .flat_map(|(label, mode)| {
+        profile_streams(capture, &streams, mode)
+            .expect("profile run")
+            .iter()
+            .map(|p| profile_digest(label, p))
+            .collect::<Vec<_>>()
+    })
+    .collect()
+}
+
 #[test]
 fn every_scheme_replays_its_golden_summary() {
     let capture = std::env::temp_dir().join(format!("wp-golden-{}.wpt", std::process::id()));
@@ -73,6 +123,13 @@ fn every_scheme_replays_its_golden_summary() {
     } else if std::fs::read_to_string(&digest_path).expect("read capture digest") != digest {
         mismatched.push("capture.digest");
     }
+    let profiles = profiles_digest(&capture);
+    let profiles_path = golden_dir().join("profiles.digest");
+    if bless {
+        std::fs::write(&profiles_path, &profiles).expect("write profiles digest");
+    } else if std::fs::read_to_string(&profiles_path).expect("read profiles digest") != profiles {
+        mismatched.push("profiles.digest");
+    }
     for kind in SchemeKind::ALL {
         let json = Experiment::replay(kind, &capture)
             .all_streams()
@@ -92,6 +149,6 @@ fn every_scheme_replays_its_golden_summary() {
     std::fs::remove_file(&capture).unwrap();
     assert!(
         mismatched.is_empty(),
-        "capture or replays differ from tests/golden/ for {mismatched:?}"
+        "capture, profiles or replays differ from tests/golden/ for {mismatched:?}"
     );
 }
