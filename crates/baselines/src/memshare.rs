@@ -75,7 +75,7 @@ impl MemshareScheme {
         // always covers the whole LLC.
         for (i, q) in quotas.iter_mut().enumerate() {
             *q = total_granules / cores + usize::from(i < total_granules % cores);
-            let _ = parts.set_quota(i as u32, *q * sys.granule_lines as usize);
+            parts.set_quota(i as u32, *q * sys.granule_lines as usize);
         }
         let monitor_cfg = MonitorConfig {
             granule_lines: sys.granule_lines,
@@ -254,15 +254,13 @@ impl LlcScheme for MemshareScheme {
         // invariant (assigned <= total) holds at every step.
         for (i, (&new, old)) in next.iter().zip(self.quotas.clone()).enumerate() {
             if new < old {
-                let _ = self
-                    .parts
+                self.parts
                     .set_quota(i as u32, new * self.granule_lines as usize);
             }
         }
         for (i, &new) in next.iter().enumerate() {
             if new >= self.quotas[i] {
-                let _ = self
-                    .parts
+                self.parts
                     .set_quota(i as u32, new * self.granule_lines as usize);
             }
         }

@@ -5,9 +5,10 @@
 //!
 //! * [`LruCache`] — an exact-capacity LRU line store, the model for one
 //!   pool's partition of an LLC bank (idealized Vantage partitioning).
-//!   It keeps no recency list: each line maps to the stamp of its last
-//!   access, the LRU line is the lowest live stamp, and the stamp log is
-//!   compacted by rank as it grows (see its module docs).
+//!   It is a capacity over [`wp_mrc::StampLru`], the one stamp-ordered
+//!   LRU store it shares with the monitors and profilers: each line maps
+//!   to the stamp of its last access, the LRU line is the lowest live
+//!   stamp, and stamps are compacted to ranks as they grow.
 //! * [`SetAssocCache`] — a set-associative cache with pluggable
 //!   [`ReplacementPolicy`] (LRU, Random, SRRIP, DRRIP with set dueling),
 //!   used for private L1/L2s and the S-NUCA / IdealSPD baselines.
@@ -23,11 +24,11 @@
 //! VC's monitor stack (sampled lines only), then the LRU partition of the
 //! bank its VTB picks. Spread over 25 banks × every VC and one monitor
 //! per VC, each probe is a host cache miss. [`LruCache`] and the monitor
-//! stack are therefore both indexed by one [`wp_mrc::LineTable`], whose
-//! lookup starts at a slot computable before the access, and both order
-//! their lines by access stamp, so a hit touches the table slot, one bit
-//! and the tail of an append-only log rather than linked-list neighbours
-//! scattered over the host's memory. The NUCA
+//! stack are therefore both a [`wp_mrc::StampLru`], indexed by a
+//! [`wp_mrc::LineTable`] whose lookup starts at a slot computable before
+//! the access, and ordered by access stamp, so a hit touches the table
+//! slot, one bit and the tail of an append-only log rather than
+//! linked-list neighbours scattered over the host's memory. The NUCA
 //! runtime resolves a quantum's VCs up front and, while the simulator's
 //! access loop serves event `i`, hints event `i + 16`'s slots through
 //! [`UtilityMonitor::prefetch`] and [`PartitionedCache::prefetch`], as

@@ -44,10 +44,12 @@ impl Default for MonitorConfig {
 /// at every reported capacity anyway, and the lines above depth `D` keep
 /// their exact distances, so the curves are bit-identical to those of an
 /// unbounded stack. Memory is `O(D)` per VC however large the VC's
-/// footprint. On the 4-core chip (`D` = 51,200 sampled lines at the NUCA
-/// runtime's 1-in-4 sampling) that is at most a 2 MB line index, the
-/// line of each sampled access since the last timestamp compaction (at
-/// most `4·D` of them, under 2 MB) and a 48 KB Fenwick tree.
+/// footprint. The stack is a [`wp_mrc::StampLru`] with both an order log
+/// (to forget the LRU line) and a rank tree (for distances). On the 4-core
+/// chip (`D` = 51,200 sampled lines at the NUCA runtime's 1-in-4 sampling)
+/// that is at most a 2 MB line index, the line of each sampled access
+/// since the last stamp compaction (at most `4·D` of them, 1.6 MB), a
+/// 25 KB live-stamp bitset and a 13 KB rank tree.
 ///
 /// The stack's line index is a [`wp_mrc::LineTable`];
 /// [`prefetch`](Self::prefetch) hints the slot an upcoming access will

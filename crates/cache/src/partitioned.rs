@@ -61,8 +61,8 @@ impl PartitionedCache {
     }
 
     /// Sets partition `id`'s quota to `lines`, creating it if absent.
-    /// Returns lines evicted if the partition shrank.
-    pub fn set_quota(&mut self, id: u32, lines: usize) -> Vec<u64> {
+    /// Returns how many lines it evicted if the partition shrank.
+    pub fn set_quota(&mut self, id: u32, lines: usize) -> usize {
         let evicted = self.part_or_create(id, lines).resize(lines);
         debug_assert!(
             self.assigned_capacity() <= self.total_capacity,
@@ -111,19 +111,13 @@ impl PartitionedCache {
         self.part(id).is_some_and(|p| p.contains(addr))
     }
 
-    /// Invalidates `addr` in partition `id`.
-    pub fn invalidate(&mut self, id: u32, addr: u64) -> bool {
-        self.part_mut(id).is_some_and(|p| p.invalidate(addr))
-    }
-
-    /// Removes partition `id` entirely, returning its resident lines
+    /// Removes partition `id` entirely, returning how many lines it held
     /// (the whole-VC invalidation used when a VC enters bypass mode).
-    pub fn remove_partition(&mut self, id: u32) -> Vec<u64> {
+    pub fn remove_partition(&mut self, id: u32) -> usize {
         self.parts
             .get_mut(id as usize)
             .and_then(Option::take)
-            .map(|mut p| p.drain())
-            .unwrap_or_default()
+            .map_or(0, |p| p.len())
     }
 }
 
@@ -160,8 +154,7 @@ mod tests {
         for a in 0..4u64 {
             c.access(1, a);
         }
-        let evicted = c.set_quota(1, 1);
-        assert_eq!(evicted.len(), 3);
+        assert_eq!(c.set_quota(1, 1), 3);
         assert_eq!(c.occupancy(1), 1);
         assert!(c.contains(1, 3), "MRU line survives the shrink");
     }
@@ -180,8 +173,7 @@ mod tests {
         c.set_quota(3, 4);
         c.access(3, 7);
         c.access(3, 8);
-        let lines = c.remove_partition(3);
-        assert_eq!(lines.len(), 2);
+        assert_eq!(c.remove_partition(3), 2);
         assert_eq!(c.quota(3), 0);
     }
 
@@ -194,8 +186,7 @@ mod tests {
             assert_eq!(c.quota(id), 0);
             assert_eq!(c.access(id, 1), AccessOutcome::Miss { evicted: None });
             assert!(!c.contains(id, 1));
-            assert!(!c.invalidate(id, 1));
-            assert!(c.remove_partition(id).is_empty());
+            assert_eq!(c.remove_partition(id), 0);
         }
         c.access(9, 42);
         assert!(c.contains(9, 42) && !c.contains(3, 42));
@@ -211,7 +202,7 @@ mod tests {
         let mut c = PartitionedCache::new(8);
         c.set_quota(2, 4);
         c.access(2, 7);
-        assert_eq!(c.remove_partition(2), vec![7]);
+        assert_eq!(c.remove_partition(2), 1);
         assert_eq!(c.parts.iter().flatten().count(), 0);
         c.set_quota_lazy(2, 3);
         assert_eq!(c.quota(2), 3);
@@ -243,5 +234,57 @@ mod tests {
         assert_eq!(c.assigned_capacity(), 10);
         c.set_quota(2, 2);
         assert_eq!(c.assigned_capacity(), 6);
+    }
+
+    #[test]
+    fn hits_are_the_accesses_within_quota_of_an_lru_stack() {
+        // LRU stack inclusion: while quotas are fixed, an access hits
+        // exactly when its distance in its partition's LRU stack (a plain
+        // vector, MRU first) is at most the quota. Between stretches every
+        // quota shrinks eagerly, and one partition restarts empty.
+        let initial = [0usize, 1, 2, 7, 64, 300];
+        let mut quotas = initial;
+        let mut stacks: Vec<Vec<u64>> = vec![Vec::new(); initial.len()];
+        let mut c = PartitionedCache::new(1 << 12);
+        for (id, &q) in quotas.iter().enumerate() {
+            c.set_quota(id as u32, q);
+        }
+        let mut x = 0x5EED_CAFEu64;
+        for stretch in 0..12 {
+            for _ in 0..4_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let id = (x % initial.len() as u64) as usize;
+                let line = (x >> 8) % (2 * initial[id] as u64 + 4);
+                let depth = stacks[id].iter().position(|&l| l == line);
+                let hit = c.access(id as u32, line) == AccessOutcome::Hit;
+                assert_eq!(
+                    hit,
+                    depth.is_some_and(|p| p < quotas[id]),
+                    "stretch {stretch}"
+                );
+                if let Some(p) = depth {
+                    stacks[id].remove(p);
+                }
+                stacks[id].insert(0, line);
+            }
+            for (id, stack) in stacks.iter_mut().enumerate() {
+                let held = stack.len().min(quotas[id]);
+                assert_eq!(c.occupancy(id as u32), held);
+                if id == stretch % initial.len() {
+                    assert_eq!(c.remove_partition(id as u32), held);
+                    stack.clear();
+                    quotas[id] = initial[id];
+                } else {
+                    quotas[id] = quotas[id] * 3 / 4;
+                    assert_eq!(
+                        c.set_quota(id as u32, quotas[id]),
+                        held - held.min(quotas[id])
+                    );
+                }
+                c.set_quota(id as u32, quotas[id]);
+            }
+        }
     }
 }

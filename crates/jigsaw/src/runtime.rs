@@ -318,7 +318,7 @@ impl NucaRuntime {
             let old = self.banks[b.0 as usize].quota(i as u32);
             if new == 0 && old > 0 {
                 let evicted = self.banks[b.0 as usize].remove_partition(i as u32);
-                uncore.reconfiguration_invalidations(b, evicted.len() as u64);
+                uncore.reconfiguration_invalidations(b, evicted as u64);
             } else if new < old as u64 {
                 self.banks[b.0 as usize].set_quota_lazy(i as u32, new as usize);
             }
@@ -539,10 +539,7 @@ impl LlcScheme for NucaRuntime {
                 // Invalidate the VC in the LLC (coherence, Sec. 3.2).
                 for b in 0..self.banks.len() {
                     let lines = self.banks[b].remove_partition(i as u32);
-                    uncore.reconfiguration_invalidations(
-                        wp_noc::BankId(b as u16),
-                        lines.len() as u64,
-                    );
+                    uncore.reconfiguration_invalidations(wp_noc::BankId(b as u16), lines as u64);
                 }
             }
             let _ = exiting_bypass; // L2 invalidation traffic is negligible

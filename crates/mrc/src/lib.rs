@@ -5,11 +5,14 @@
 //!
 //! * [`MissCurve`] — misses-per-kilo-instruction (MPKI) as a function of
 //!   cache capacity, plus the algebra defined on such curves.
+//! * [`StampLru`] — the one stamp-ordered LRU store: the exact-capacity
+//!   bank partitions of `wp-cache` and every stack profiler here are
+//!   policies over it, each keeping only the parts it reads (an order log
+//!   to evict the LRU line, a rank tree to answer stack distances).
 //! * [`StackDistanceHistogram`] and [`MattsonStack`] — exact LRU
 //!   stack-distance profiling, from which miss curves are derived.
-//! * [`LineTable`] — the open-addressed line index under the LRU stacks
-//!   here and the LRU partitions of `wp-cache`, with a prefetchable first
-//!   probe slot.
+//! * [`LineTable`] — the open-addressed line → stamp index under
+//!   [`StampLru`], with a prefetchable first probe slot.
 //! * [`SampledStack`] — the hash-sampled, depth-bounded stack that models
 //!   Jigsaw/Whirlpool's GMON monitors: exact curves up to the capacity it
 //!   reports, in `O(D)` memory.
@@ -61,6 +64,7 @@ mod linetable;
 mod mattson;
 mod partition;
 mod shards;
+mod stamp;
 mod trace;
 
 pub use combine::combine_miss_curves;
@@ -71,12 +75,13 @@ pub use histogram::{
 };
 pub use hull::{convex_hull, convex_hull_points, hull_to_points, HullPoint};
 pub use latency::{AccessLatencyModel, LatencyCurve, UniformLatency};
-pub use linetable::{rank_stamps, LineTable};
+pub use linetable::LineTable;
 pub use mattson::{MattsonStack, SampledStack};
 pub use partition::{
     partition_capacity, partition_capacity_hulled, partitioned_curve, PartitionOutcome,
 };
 pub use shards::{ShardsConfig, ShardsStack, SHARDS_MODULUS};
+pub use stamp::StampLru;
 pub use trace::{
     curve_from_trace, curve_from_trace_sampled, histogram_from_trace, histogram_from_trace_sampled,
     profile_streams, profile_streams_scanned, ProfileMode, StreamProfile,

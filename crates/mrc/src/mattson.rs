@@ -1,269 +1,22 @@
 //! Exact and sampled LRU stack-distance profiling (Mattson's algorithm).
+//!
+//! Both profilers are policies over one counting [`StampLru`]: it keeps
+//! the LRU stack and answers each access's stack distance, and each
+//! profiler keeps only the statistics it reads. [`MattsonStack`] keeps no
+//! order log (it never evicts); [`SampledStack`] keeps one, to forget the
+//! LRU line past its depth bound.
 
 use crate::histogram::StackDistanceHistogram;
-use crate::linetable::{rank_stamps, LineTable};
-
-/// The set of live access timestamps (each holds at most one line), with
-/// `O(log n)` counts of the live timestamps at or before a given time.
-///
-/// Timestamps are bits, 64 to a word, and a Fenwick (binary-indexed) tree
-/// over the words' popcounts answers prefix counts: one tree walk plus a
-/// masked popcount. The tree is 64× smaller than one with a node per
-/// timestamp, so walks stay in cache, and it is rebuilt exactly from the
-/// bits when the time axis grows (zero-extending a Fenwick array is
-/// incorrect once prefix queries cross the old boundary).
-#[derive(Debug, Clone, Default)]
-struct Fenwick {
-    bits: Vec<u64>,
-    /// 1-based Fenwick tree over `bits[w].count_ones()`.
-    tree: Vec<u32>,
-}
-
-impl Fenwick {
-    fn with_capacity(n: usize) -> Self {
-        let words = n.div_ceil(64).max(1);
-        Self {
-            bits: vec![0; words],
-            tree: vec![0; words + 1],
-        }
-    }
-
-    /// Timestamps the set can hold.
-    fn capacity(&self) -> usize {
-        self.bits.len() * 64
-    }
-
-    /// Widens the set to hold `n` timestamps, leaving the tree stale.
-    fn widen(&mut self, n: usize) {
-        let words = (n + 1).next_power_of_two().div_ceil(64);
-        self.bits.resize(words, 0);
-        self.tree.resize(words + 1, 0);
-    }
-
-    /// Returns `true` when the set had to reallocate (the caller counts
-    /// these; a properly pre-sized profiler never grows).
-    fn grow_to(&mut self, n: usize) -> bool {
-        if n <= self.capacity() {
-            return false;
-        }
-        self.widen(n);
-        self.build_tree();
-        true
-    }
-
-    /// O(words) Fenwick build from `bits`: push each node's partial sum to
-    /// its parent.
-    fn build_tree(&mut self) {
-        self.tree.fill(0);
-        let words = self.bits.len();
-        for w in 1..=words {
-            self.tree[w] += self.bits[w - 1].count_ones();
-            let parent = w + (w & w.wrapping_neg());
-            if parent <= words {
-                let v = self.tree[w];
-                self.tree[parent] += v;
-            }
-        }
-    }
-
-    /// Resets the set *in place* to exactly the timestamps `0..n` — the
-    /// shape timestamp compaction needs — growing only if `n` exceeds the
-    /// current capacity. Returns `true` on a reallocation.
-    fn rebuild_ones(&mut self, n: usize) -> bool {
-        let grew = n > self.capacity();
-        if grew {
-            self.widen(n);
-        }
-        let (full, rest) = (n / 64, n % 64);
-        self.bits[..full].fill(u64::MAX);
-        self.bits[full..].fill(0);
-        if rest > 0 {
-            self.bits[full] = (1 << rest) - 1;
-        }
-        self.build_tree();
-        grew
-    }
-
-    /// Whether timestamp `i` is live.
-    fn is_set(&self, i: usize) -> bool {
-        self.bits[i / 64] & (1 << (i % 64)) != 0
-    }
-
-    /// Marks timestamp `i` live.
-    fn set(&mut self, i: usize) {
-        self.bits[i / 64] |= 1 << (i % 64);
-        let mut w = i / 64 + 1;
-        while w < self.tree.len() {
-            self.tree[w] += 1;
-            w += w & w.wrapping_neg();
-        }
-    }
-
-    /// Marks live timestamp `i` dead.
-    fn clear(&mut self, i: usize) {
-        self.bits[i / 64] &= !(1 << (i % 64));
-        let mut w = i / 64 + 1;
-        while w < self.tree.len() {
-            self.tree[w] -= 1;
-            w += w & w.wrapping_neg();
-        }
-    }
-
-    /// Live timestamps in `[0, i]`.
-    fn prefix(&self, i: usize) -> u64 {
-        let mut w = i / 64;
-        let mut s = u64::from((self.bits[w] & (u64::MAX >> (63 - i % 64))).count_ones());
-        while w > 0 {
-            s += u64::from(self.tree[w]);
-            w -= w & w.wrapping_neg();
-        }
-        s
-    }
-}
-
-/// The timestamp + Fenwick-tree LRU stack shared by every profiler in
-/// this module: it maps each live line to the time of its last access and
-/// counts the distinct lines touched since then in `O(log n)`. It records
-/// nothing, so each profiler keeps exactly the statistics it reads.
-///
-/// Timestamps are compacted once the time axis exceeds
-/// [`SLACK`](Self::SLACK) times the live set, so memory stays
-/// proportional to the number of *live* lines rather than total accesses.
-/// The same bound keeps every timestamp below `max(2^16, SLACK · live)`,
-/// so a `u32` holds it and the line → timestamp index is a [`LineTable`].
-#[derive(Debug, Clone)]
-pub(crate) struct LruTimeline {
-    last_time: LineTable,
-    present: Fenwick,
-    /// Per-word popcount prefix reused by [`rank_stamps`], so
-    /// steady-state compaction allocates nothing.
-    scratch: Vec<u32>,
-    time: usize,
-    live: usize,
-    reallocations: u64,
-}
-
-impl LruTimeline {
-    /// Compaction slack: timestamps are compacted once the time axis
-    /// exceeds this multiple of the live set.
-    const SLACK: usize = 4;
-
-    /// An empty stack with a small initial time axis.
-    pub(crate) fn new() -> Self {
-        Self {
-            last_time: LineTable::new(),
-            present: Fenwick::with_capacity(1 << 12),
-            scratch: Vec::new(),
-            time: 0,
-            live: 0,
-            reallocations: 0,
-        }
-    }
-
-    /// A stack pre-sized for up to `expected_lines` live lines (see
-    /// [`MattsonStack::with_line_capacity`]).
-    pub(crate) fn with_line_capacity(expected_lines: usize) -> Self {
-        let lines = expected_lines.max(1);
-        // Timestamps compact once time >= max(2^16, SLACK * live), so the
-        // time axis never exceeds that bound while `live <= lines`.
-        let time_cap = (Self::SLACK * lines).max(1 << 16);
-        Self {
-            last_time: LineTable::with_capacity(lines),
-            present: Fenwick::with_capacity(time_cap),
-            scratch: Vec::with_capacity(time_cap.div_ceil(64)),
-            time: 0,
-            live: 0,
-            reallocations: 0,
-        }
-    }
-
-    /// Compacts if due, then [`touch`](Self::touch)es `line`.
-    pub(crate) fn access(&mut self, line: u64) -> Option<u64> {
-        self.maybe_compact(None);
-        self.touch(line)
-    }
-
-    /// Moves `line` to the top of the stack at the current time and
-    /// returns its stack distance (`None` for a line not in the stack).
-    /// Distances count distinct lines including the accessed line itself.
-    fn touch(&mut self, line: u64) -> Option<u64> {
-        let t = self.time;
-        debug_assert!(
-            t < (1 << 16).max(Self::SLACK * self.live.max(1)),
-            "timestamp {t} escaped the compaction bound"
-        );
-        self.reallocations += u64::from(self.present.grow_to(t + 1));
-        let stamp = u32::try_from(t).expect("under 2^30 live lines, timestamps fit a u32");
-        let dist = match self.last_time.insert(line, stamp) {
-            Some(t0) => {
-                let t0 = t0 as usize;
-                // Every live line sits at a timestamp below `t`, so the
-                // lines touched strictly after `t0` are the live set minus
-                // those at or before `t0` (this line included).
-                let between = self.live as u64 - self.present.prefix(t0);
-                self.present.clear(t0);
-                Some(between + 1)
-            }
-            None => {
-                self.live += 1;
-                None
-            }
-        };
-        self.present.set(t);
-        self.time += 1;
-        dist
-    }
-
-    /// Forgets `line`: its next access is a cold miss and it no longer
-    /// counts towards other lines' stack distances.
-    pub(crate) fn remove(&mut self, line: u64) {
-        if let Some(t0) = self.last_time.remove(line) {
-            self.present.clear(t0 as usize);
-            self.live -= 1;
-        }
-    }
-
-    /// Number of live lines.
-    pub(crate) fn live(&self) -> usize {
-        self.live
-    }
-
-    /// Fenwick reallocations so far.
-    pub(crate) fn reallocations(&self) -> u64 {
-        self.reallocations
-    }
-
-    /// Compacts timestamps to ranks `0..live` (LRU first) when the time
-    /// axis is much larger than the live set, keeping the Fenwick tree
-    /// small on long runs. `order`, if given, is the caller's line-at-
-    /// timestamp list, compacted alongside (see [`rank_stamps`]).
-    /// Compaction reuses the existing buffers (the Fenwick capacity is the
-    /// high-water mark), so a pre-sized stack compacts without allocating.
-    /// Returns whether it compacted.
-    fn maybe_compact(&mut self, order: Option<&mut Vec<u64>>) -> bool {
-        if self.time < (1 << 16) || self.time < Self::SLACK * self.live.max(1) {
-            return false;
-        }
-        let n = rank_stamps(
-            &mut self.last_time,
-            &self.present.bits,
-            order,
-            &mut self.scratch,
-        );
-        self.reallocations += u64::from(self.present.rebuild_ones(n));
-        self.time = n;
-        true
-    }
-}
+use crate::stamp::StampLru;
 
 /// Exact LRU stack-distance profiler.
 ///
 /// Feed it line addresses with [`access`](MattsonStack::access); it returns
 /// the stack distance of each access (or `None` for a cold first touch) and
-/// accumulates a [`StackDistanceHistogram`]. The implementation is the
-/// classic timestamp + Fenwick-tree formulation: `O(log n)` per access,
-/// with periodic timestamp compaction so memory stays proportional to the
-/// number of *distinct* lines rather than total accesses.
+/// accumulates a [`StackDistanceHistogram`]. The stack is a counting
+/// [`StampLru`] without an order log: `O(log n)` per access, with
+/// periodic stamp compaction so memory stays proportional to the number of
+/// *distinct* lines rather than total accesses.
 ///
 /// # Example
 ///
@@ -276,7 +29,7 @@ impl LruTimeline {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MattsonStack {
-    stack: LruTimeline,
+    stack: StampLru<false>,
     hist: StackDistanceHistogram,
 }
 
@@ -289,22 +42,20 @@ impl Default for MattsonStack {
 impl MattsonStack {
     /// Creates an empty profiler.
     pub fn new() -> Self {
-        Self {
-            stack: LruTimeline::new(),
-            hist: StackDistanceHistogram::new(),
-        }
+        Self::with_line_capacity(0)
     }
 
     /// Creates a profiler pre-sized for a stream expected to touch up to
     /// `expected_lines` distinct lines — e.g. a recorded trace's
-    /// [`line_span`](wp_trace::StreamInfo::line_span). The Fenwick tree
-    /// is sized for the worst pre-compaction time axis and the reuse map
-    /// for the full line set, so steady-state profiling performs zero
-    /// reallocations ([`reallocations`](Self::reallocations) stays 0) as
-    /// long as the estimate holds.
+    /// [`line_span`](wp_trace::StreamInfo::line_span). The stamp bitset
+    /// and rank tree are sized for the most stamps the stack holds between
+    /// compactions and the line table for the full line set, so
+    /// steady-state profiling performs zero reallocations
+    /// ([`reallocations`](Self::reallocations) stays 0) as long as the
+    /// estimate holds.
     pub fn with_line_capacity(expected_lines: usize) -> Self {
         Self {
-            stack: LruTimeline::with_line_capacity(expected_lines),
+            stack: StampLru::counting(expected_lines),
             hist: StackDistanceHistogram::new(),
         }
     }
@@ -314,7 +65,7 @@ impl MattsonStack {
     /// the accessed line itself, so a hit immediately after the previous
     /// access to the same line has distance 1.
     pub fn access(&mut self, line: u64) -> Option<u64> {
-        let dist = self.stack.access(line);
+        let dist = self.stack.touch(line);
         match dist {
             Some(d) => self.hist.record(d),
             None => self.hist.record_cold(),
@@ -324,10 +75,10 @@ impl MattsonStack {
 
     /// Number of distinct lines seen so far.
     pub fn distinct_lines(&self) -> usize {
-        self.stack.live()
+        self.stack.len()
     }
 
-    /// Buffer reallocations performed so far (Fenwick growths). A stack
+    /// Buffer reallocations performed so far (stamp bitset growths). A stack
     /// built with [`with_line_capacity`](Self::with_line_capacity) whose
     /// estimate holds reports 0 after any number of accesses.
     pub fn reallocations(&self) -> u64 {
@@ -370,15 +121,12 @@ impl MattsonStack {
 ///   an unbounded stack truncated to `curve_points` points.
 ///
 /// Memory per monitor is `O(D)` whatever the footprint of the observed
-/// stream; time per sampled access is `O(log D)`.
+/// stream; time per sampled access is `O(log D)`. The stack is a counting
+/// [`StampLru`] with an order log, whose
+/// [`evict_oldest`](StampLru::evict_oldest) forgets the LRU line.
 #[derive(Debug, Clone)]
 pub struct SampledStack {
-    stack: LruTimeline,
-    /// Line last touched at each timestamp (slots of lines touched again
-    /// later are stale), so the LRU line can be found and forgotten.
-    line_at: Vec<u64>,
-    /// No live line has a timestamp below this cursor.
-    oldest: usize,
+    stack: StampLru<true>,
     max_depth: usize,
     rate_log2: u32,
     granule_lines: u64,
@@ -399,9 +147,7 @@ impl SampledStack {
         let curve_points = curve_points.max(1);
         let reach = (curve_points as u64 - 1) * granule_lines;
         Self {
-            stack: LruTimeline::new(),
-            line_at: Vec::new(),
-            oldest: 0,
+            stack: StampLru::counting(0),
             max_depth: (reach >> rate_log2) as usize,
             rate_log2,
             granule_lines,
@@ -424,19 +170,16 @@ impl SampledStack {
         if !self.sampled(line) {
             return;
         }
-        if self.stack.maybe_compact(Some(&mut self.line_at)) {
-            // Compaction renumbered the live lines 0..live, LRU first.
-            self.oldest = 0;
-        }
         let scale = 1u64 << self.rate_log2;
         let dist = self.stack.touch(line);
-        self.line_at.push(line);
         self.weight += scale;
         match dist {
             Some(d) => {
                 self.buckets[(d << self.rate_log2).div_ceil(self.granule_lines) as usize] += scale
             }
-            None if self.stack.live() > self.max_depth => self.forget_lru(),
+            None if self.stack.len() > self.max_depth => {
+                self.stack.evict_oldest();
+            }
             None => {}
         }
     }
@@ -446,18 +189,7 @@ impl SampledStack {
     /// not sample, whose access reads no table at all.
     #[inline]
     pub fn first_slot(&self, line: u64) -> Option<&impl Sized> {
-        self.sampled(line)
-            .then(|| self.stack.last_time.first_slot(line))
-    }
-
-    /// Forgets the least recently used line. The cursor only moves
-    /// forward between compactions, so the scan is amortized `O(1)`.
-    fn forget_lru(&mut self) {
-        while !self.stack.present.is_set(self.oldest) {
-            self.oldest += 1;
-        }
-        self.stack.remove(self.line_at[self.oldest]);
-        self.oldest += 1;
+        self.sampled(line).then(|| self.stack.first_slot(line))
     }
 
     /// Ends an interval: the miss curve (MPKI over `instructions`, at
@@ -484,7 +216,7 @@ impl SampledStack {
     /// Sampled lines currently in the stack (never above
     /// [`max_depth`](Self::max_depth)).
     pub fn tracked_lines(&self) -> usize {
-        self.stack.live()
+        self.stack.len()
     }
 
     /// The depth bound `D`: the most sampled lines the stack holds.

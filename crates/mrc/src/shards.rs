@@ -30,7 +30,7 @@
 use std::collections::BinaryHeap;
 
 use crate::histogram::StackDistanceHistogram;
-use crate::mattson::LruTimeline;
+use crate::stamp::StampLru;
 
 /// The hash modulus `P`: thresholds live in `[1, P]` and the sampling
 /// rate is `T / P`. 2^24 matches the SHARDS paper and gives rate
@@ -158,7 +158,7 @@ impl Default for ShardsConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardsStack {
-    inner: LruTimeline,
+    inner: StampLru<false>,
     config: ShardsConfig,
     /// Current hash threshold `T`; a line is tracked iff
     /// `spatial_hash(line) < T`. Only ever decreases.
@@ -180,12 +180,8 @@ impl ShardsStack {
     /// pre-sized to `s_max` when one is set (the tracked set can never
     /// outgrow it).
     pub fn new(config: ShardsConfig) -> Self {
-        let inner = match config.s_max {
-            Some(cap) => LruTimeline::with_line_capacity(cap),
-            None => LruTimeline::new(),
-        };
         Self {
-            inner,
+            inner: StampLru::counting(config.s_max.unwrap_or(0)),
             config,
             threshold: config.threshold(),
             tracked: BinaryHeap::new(),
@@ -206,7 +202,7 @@ impl ShardsStack {
         }
         // Weight and expansion use the rate in effect *now*.
         let weight = SHARDS_MODULUS as f64 / self.threshold as f64;
-        match self.inner.access(line) {
+        match self.inner.touch(line) {
             Some(d) => {
                 // A sampled distance d estimates true distance d / R.
                 let expanded = (d.saturating_mul(SHARDS_MODULUS) / self.threshold).max(1);
@@ -224,7 +220,7 @@ impl ShardsStack {
                     }
                     self.peak_tracked = self.peak_tracked.max(self.tracked.len());
                 } else {
-                    self.peak_tracked = self.inner.live();
+                    self.peak_tracked = self.inner.len();
                 }
             }
         }
@@ -256,7 +252,7 @@ impl ShardsStack {
     /// Lines currently tracked (the sampled LRU stack's distinct-line
     /// set; the eviction heap mirrors it only in `s_max` mode).
     pub fn tracked(&self) -> usize {
-        self.inner.live()
+        self.inner.len()
     }
 
     /// The largest tracked-set size ever reached — bounded by `s_max`

@@ -409,9 +409,9 @@ mod tests {
 
     #[test]
     fn exact_profiling_from_trace_never_reallocates() {
-        // The pre-sizing satellite: a pre-sized stack profiles a trace
-        // with zero Fenwick growths, while a default stack on the same
-        // footprint must grow.
+        // A pre-sized stack profiles a trace with zero growths of its
+        // stamp bitset, while a default stack on the same footprint must
+        // grow.
         let path = temp("presize.wpt");
         let mut w = TraceWriter::create(&path).unwrap();
         let s = w.add_stream("big", &[]).unwrap();
