@@ -49,7 +49,7 @@ pub enum AccessOutcome {
 /// access will probe first.
 #[derive(Debug, Clone)]
 pub struct LruCache {
-    lines: StampLru<true>,
+    lines: StampLru<true, false>,
     capacity: usize,
 }
 
@@ -59,7 +59,7 @@ impl LruCache {
     /// that is how a bypassed VC's residual footprint is modelled.
     pub fn new(capacity: usize) -> Self {
         Self {
-            lines: StampLru::new(),
+            lines: StampLru::with_capacity(0),
             capacity,
         }
     }

@@ -1,7 +1,7 @@
 //! Exact and sampled LRU stack-distance profiling (Mattson's algorithm).
 //!
-//! Both profilers are policies over one counting [`StampLru`]: it keeps
-//! the LRU stack and answers each access's stack distance, and each
+//! Both profilers are policies over a [`StampLru`] with a rank tree: it
+//! keeps the LRU stack and answers each access's stack distance, and each
 //! profiler keeps only the statistics it reads. [`MattsonStack`] keeps no
 //! order log (it never evicts); [`SampledStack`] keeps one, to forget the
 //! LRU line past its depth bound.
@@ -13,8 +13,8 @@ use crate::stamp::StampLru;
 ///
 /// Feed it line addresses with [`access`](MattsonStack::access); it returns
 /// the stack distance of each access (or `None` for a cold first touch) and
-/// accumulates a [`StackDistanceHistogram`]. The stack is a counting
-/// [`StampLru`] without an order log: `O(log n)` per access, with
+/// accumulates a [`StackDistanceHistogram`]. The stack is a [`StampLru`]
+/// with a rank tree and no order log: `O(log n)` per access, with
 /// periodic stamp compaction so memory stays proportional to the number of
 /// *distinct* lines rather than total accesses.
 ///
@@ -29,7 +29,7 @@ use crate::stamp::StampLru;
 /// ```
 #[derive(Debug, Clone)]
 pub struct MattsonStack {
-    stack: StampLru<false>,
+    stack: StampLru<false, true>,
     hist: StackDistanceHistogram,
 }
 
@@ -55,7 +55,7 @@ impl MattsonStack {
     /// estimate holds.
     pub fn with_line_capacity(expected_lines: usize) -> Self {
         Self {
-            stack: StampLru::counting(expected_lines),
+            stack: StampLru::with_capacity(expected_lines),
             hist: StackDistanceHistogram::new(),
         }
     }
@@ -121,12 +121,12 @@ impl MattsonStack {
 ///   an unbounded stack truncated to `curve_points` points.
 ///
 /// Memory per monitor is `O(D)` whatever the footprint of the observed
-/// stream; time per sampled access is `O(log D)`. The stack is a counting
-/// [`StampLru`] with an order log, whose
+/// stream; time per sampled access is `O(log D)`. The stack is a
+/// [`StampLru`] with a rank tree and an order log, whose
 /// [`evict_oldest`](StampLru::evict_oldest) forgets the LRU line.
 #[derive(Debug, Clone)]
 pub struct SampledStack {
-    stack: StampLru<true>,
+    stack: StampLru<true, true>,
     max_depth: usize,
     rate_log2: u32,
     granule_lines: u64,
@@ -147,7 +147,7 @@ impl SampledStack {
         let curve_points = curve_points.max(1);
         let reach = (curve_points as u64 - 1) * granule_lines;
         Self {
-            stack: StampLru::counting(0),
+            stack: StampLru::with_capacity(0),
             max_depth: (reach >> rate_log2) as usize,
             rate_log2,
             granule_lines,

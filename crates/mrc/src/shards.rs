@@ -158,7 +158,7 @@ impl Default for ShardsConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardsStack {
-    inner: StampLru<false>,
+    inner: StampLru<false, true>,
     config: ShardsConfig,
     /// Current hash threshold `T`; a line is tracked iff
     /// `spatial_hash(line) < T`. Only ever decreases.
@@ -181,7 +181,7 @@ impl ShardsStack {
     /// outgrow it).
     pub fn new(config: ShardsConfig) -> Self {
         Self {
-            inner: StampLru::counting(config.s_max.unwrap_or(0)),
+            inner: StampLru::with_capacity(config.s_max.unwrap_or(0)),
             config,
             threshold: config.threshold(),
             tracked: BinaryHeap::new(),

@@ -21,14 +21,14 @@ use crate::linetable::LineTable;
 ///   [`first_slot`](Self::first_slot) gives for a prefetch hint.
 /// - A bitset marks the *live* stamps, one per resident line (a line's
 ///   older stamps are dead), 64 stamps to a word.
-/// - The *order log* (`ORDER` stores only) names the line at each stamp.
+/// - The *order log* (`ORDER` stores) names the line at each stamp.
 ///   The LRU line is the lowest live stamp, and none lies below the
 ///   `oldest` cursor, so [`evict_oldest`](StampLru::evict_oldest) scans
 ///   the bitset forward from it a word at a time; the cursor never moves
 ///   back between compactions.
-/// - The *rank tree* ([`counting`](Self::counting) stores only) is a
-///   Fenwick tree over the words' popcounts: the live stamps at or below
-///   a stamp, and so a line's stack distance, take one tree walk and one
+/// - The *rank tree* (`RANKS` stores) is a Fenwick tree over the words'
+///   popcounts: the live stamps at or below a stamp, and so a line's stack
+///   distance ([`touch`](StampLru::touch)), take one tree walk and one
 ///   masked popcount. A new word's node is summed from the nodes it
 ///   covers, so the tree grows with the bitset and is never rebuilt but
 ///   by compaction.
@@ -43,16 +43,16 @@ use crate::linetable::LineTable;
 ///
 /// # Parts
 ///
-/// Each user keeps only the parts it reads. The order log is in the type:
-/// a `StampLru<false>` pushes nothing per access. The rank tree is in the
-/// constructor: the tree of a [`new`](Self::new) store is empty, so its
-/// update loops stop at their first bound check.
+/// Each user keeps only the parts it reads, and the parts are the type, so
+/// a store without one compiles its upkeep away: no runtime mode, and
+/// [`touch`](StampLru::touch) and [`evict_oldest`](StampLru::evict_oldest)
+/// exist only where their part does.
 ///
-/// | user | order log | rank tree |
-/// |---|---|---|
-/// | `LruCache` (bank partitions) | yes | no |
-/// | `SampledStack` (GMON) | yes | yes |
-/// | `MattsonStack`, `ShardsStack` | no | yes |
+/// | user | type | order log | rank tree |
+/// |---|---|---|---|
+/// | `LruCache` (bank partitions) | `StampLru<true, false>` | yes | no |
+/// | `SampledStack` (GMON) | `StampLru<true, true>` | yes | yes |
+/// | `MattsonStack`, `ShardsStack` | `StampLru<false, true>` | no | yes |
 ///
 /// # Memory
 ///
@@ -61,8 +61,8 @@ use crate::linetable::LineTable;
 /// byte of bitset, 8 to 32 bytes of order log and a quarter byte of tree
 /// where kept. A pre-sized table of a profiler holds its slots for the
 /// lines it was sized for.
-#[derive(Debug, Clone, Default)]
-pub struct StampLru<const ORDER: bool> {
+#[derive(Debug, Clone)]
+pub struct StampLru<const ORDER: bool, const RANKS: bool> {
     /// Line → stamp of its last access.
     index: LineTable,
     /// Live stamps: bit `t % 64` of word `t / 64`, one word per 64 stamps
@@ -72,9 +72,9 @@ pub struct StampLru<const ORDER: bool> {
     /// unless `ORDER`.
     order: Vec<u64>,
     /// 1-based Fenwick tree over `live[w].count_ones()`, one node per word
-    /// after a dummy `tree[0]`; empty in a store that counts no distances.
+    /// after a dummy `tree[0]`; empty unless `RANKS`.
     tree: Vec<u32>,
-    /// The next stamp.
+    /// The next stamp, unless `ORDER`: then it is the log's length.
     time: usize,
     /// No live stamp lies below this one.
     oldest: usize,
@@ -84,33 +84,33 @@ pub struct StampLru<const ORDER: bool> {
     reallocations: u64,
 }
 
-impl<const ORDER: bool> StampLru<ORDER> {
+impl<const ORDER: bool, const RANKS: bool> StampLru<ORDER, RANKS> {
     /// Stamps are compacted once they reach this multiple of the resident
     /// lines...
     const SLACK: usize = 4;
     /// ...or this many, whichever is larger.
     const FLOOR: usize = 256;
 
-    /// An empty store without a rank tree: it tells [`hit`](Self::hit)s
-    /// from misses, but not their distances.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty store that counts stack distances ([`touch`](Self::touch)),
-    /// sized so that holding up to `lines` resident lines reallocates
-    /// neither its table nor its bitset and tree
+    /// An empty store, sized so that holding up to `lines` resident lines
+    /// reallocates neither its table nor its bitset, tree and log
     /// ([`reallocations`](Self::reallocations) stays 0).
-    pub fn counting(lines: usize) -> Self {
-        let words = (Self::SLACK * lines).max(Self::FLOOR).div_ceil(64);
-        let mut tree = Vec::with_capacity(words + 1);
-        tree.push(0);
+    pub fn with_capacity(lines: usize) -> Self {
+        let stamps = (Self::SLACK * lines).max(Self::FLOOR);
+        let words = stamps.div_ceil(64);
+        let mut tree = Vec::new();
+        if RANKS {
+            tree.reserve(words + 1);
+            tree.push(0);
+        }
         Self {
             index: LineTable::with_capacity(lines),
             live: Vec::with_capacity(words),
+            order: Vec::with_capacity(if ORDER { stamps } else { 0 }),
             tree,
+            time: 0,
+            oldest: 0,
             ranks: Vec::with_capacity(words),
-            ..Self::default()
+            reallocations: 0,
         }
     }
 
@@ -146,7 +146,7 @@ impl<const ORDER: bool> StampLru<ORDER> {
     #[inline]
     pub fn hit(&mut self, line: u64) -> bool {
         self.maybe_compact();
-        match self.index.update(line, self.time as u32) {
+        match self.index.update(line, self.time() as u32) {
             Some(old) => {
                 self.kill(old as usize);
                 self.push(line);
@@ -160,29 +160,9 @@ impl<const ORDER: bool> StampLru<ORDER> {
     #[inline]
     pub fn insert(&mut self, line: u64) {
         self.maybe_compact();
-        let old = self.index.insert(line, self.time as u32);
+        let old = self.index.insert(line, self.time() as u32);
         debug_assert!(old.is_none(), "line {line} was resident");
         self.push(line);
-    }
-
-    /// Makes `line` the most recently used and returns its stack distance:
-    /// the distinct lines accessed since its last access, itself included
-    /// (`None` if it was not resident; it is now). Needs the rank tree of
-    /// a [`counting`](Self::counting) store.
-    #[inline]
-    pub fn touch(&mut self, line: u64) -> Option<u64> {
-        debug_assert!(!self.tree.is_empty(), "touch needs a counting store");
-        self.maybe_compact();
-        let dist = self.index.insert(line, self.time as u32).map(|old| {
-            // Every resident line's stamp is below the new one, so the
-            // lines accessed after `old` are the resident lines less those
-            // at or below it (this line included).
-            let after = self.len() as u64 - self.rank(old as usize);
-            self.kill(old as usize);
-            after + 1
-        });
-        self.push(line);
-        dist
     }
 
     /// Forgets `line`; returns whether it was resident.
@@ -206,11 +186,11 @@ impl<const ORDER: bool> StampLru<ORDER> {
     }
 
     /// Adds `delta` (wrapping, so `u32::MAX` subtracts one) to the tree
-    /// nodes that cover stamp `t`; nothing without a tree.
+    /// nodes that cover stamp `t`.
     #[inline]
     fn count(&mut self, t: usize, delta: u32) {
         let mut w = t / 64 + 1;
-        while w < self.tree.len() {
+        while RANKS && w < self.tree.len() {
             self.tree[w] = self.tree[w].wrapping_add(delta);
             w += w & w.wrapping_neg();
         }
@@ -227,20 +207,37 @@ impl<const ORDER: bool> StampLru<ORDER> {
     /// marks it live.
     #[inline]
     fn push(&mut self, line: u64) {
-        let t = self.time;
+        let t = self.time();
         if t % 64 == 0 {
-            self.reallocations += u64::from(self.live.len() == self.live.capacity());
-            self.live.push(0);
-            if !self.tree.is_empty() {
-                self.push_node();
-            }
+            self.open_word();
         }
         self.live[t / 64] |= 1 << (t % 64);
         self.count(t, 1);
         if ORDER {
             self.order.push(line);
+        } else {
+            self.time = t + 1;
         }
-        self.time = t + 1;
+    }
+
+    /// The next stamp: the length of the order log where there is one.
+    #[inline]
+    fn time(&self) -> usize {
+        if ORDER {
+            self.order.len()
+        } else {
+            self.time
+        }
+    }
+
+    /// Appends the bitset word of the next 64 stamps, and its tree node.
+    #[cold]
+    fn open_word(&mut self) {
+        self.reallocations += u64::from(self.live.len() == self.live.capacity());
+        self.live.push(0);
+        if RANKS {
+            self.push_node();
+        }
     }
 
     /// Appends the tree node of the last bitset word: its popcount plus
@@ -258,7 +255,7 @@ impl<const ORDER: bool> StampLru<ORDER> {
 
     #[inline]
     fn maybe_compact(&mut self) {
-        if self.time >= (Self::SLACK * self.len()).max(Self::FLOOR) {
+        if self.time() >= (Self::SLACK * self.len()).max(Self::FLOOR) {
             self.compact();
         }
     }
@@ -305,7 +302,7 @@ impl<const ORDER: bool> StampLru<ORDER> {
         if n % 64 != 0 {
             self.live[n / 64] = (1 << (n % 64)) - 1;
         }
-        if !self.tree.is_empty() {
+        if RANKS {
             self.tree.truncate(1);
             (0..self.live.len()).for_each(|_| self.push_node());
         }
@@ -314,8 +311,29 @@ impl<const ORDER: bool> StampLru<ORDER> {
     }
 }
 
-impl StampLru<true> {
+impl<const ORDER: bool> StampLru<ORDER, true> {
+    /// Makes `line` the most recently used and returns its stack distance:
+    /// the distinct lines accessed since its last access, itself included
+    /// (`None` if it was not resident; it is now).
+    #[inline]
+    pub fn touch(&mut self, line: u64) -> Option<u64> {
+        self.maybe_compact();
+        let dist = self.index.insert(line, self.time() as u32).map(|old| {
+            // Every resident line's stamp is below the new one, so the
+            // lines accessed after `old` are the resident lines less those
+            // at or below it (this line included).
+            let after = self.len() as u64 - self.rank(old as usize);
+            self.kill(old as usize);
+            after + 1
+        });
+        self.push(line);
+        dist
+    }
+}
+
+impl<const RANKS: bool> StampLru<true, RANKS> {
     /// Evicts the least recently used line, returning it.
+    #[inline]
     pub fn evict_oldest(&mut self) -> Option<u64> {
         if self.is_empty() {
             return None;
@@ -342,16 +360,20 @@ mod tests {
     use super::*;
     use std::collections::VecDeque;
 
+    type Touch<S> = Option<fn(&mut S, u64) -> Option<u64>>;
+    type Evict<S> = Option<fn(&mut S) -> Option<u64>>;
+
     /// Checks a store against a naive LRU stack (MRU first, distance =
     /// position + 1) under random touch, remove and evict-oldest
     /// operations, with hit-only stretches that force compaction after
-    /// compaction. `evict` is `evict_oldest` for a store with an order log.
-    fn check_against_a_deque<const ORDER: bool>(
-        mut s: StampLru<ORDER>,
-        evict: Option<fn(&mut StampLru<ORDER>) -> Option<u64>>,
+    /// compaction. `touch` and `evict` are the store's own where its type
+    /// has them.
+    fn check_against_a_deque<const ORDER: bool, const RANKS: bool>(
+        mut s: StampLru<ORDER, RANKS>,
+        touch: Touch<StampLru<ORDER, RANKS>>,
+        evict: Evict<StampLru<ORDER, RANKS>>,
         seed: u64,
     ) {
-        let counts = !s.tree.is_empty();
         let mut m: VecDeque<u64> = VecDeque::new();
         let mut x = seed.wrapping_mul(0x2545_F491_4F6C_DD1D) | 1;
         let mut next = move |n: u64| {
@@ -369,7 +391,7 @@ mod tests {
                     n if step >= 1_000 && n > 0 => m[next(n as u64) as usize],
                     _ => next(universe) * 64,
                 };
-                let time = s.time;
+                let time = s.time();
                 match next(32) {
                     0 if step < 1_000 => {
                         assert_eq!(s.remove(line), m.contains(&line));
@@ -380,24 +402,29 @@ mod tests {
                     }
                     _ => {
                         let at = m.iter().position(|&l| l == line);
-                        if counts {
-                            assert_eq!(s.touch(line), at.map(|p| p as u64 + 1));
+                        if let Some(touch) = touch {
+                            assert_eq!(touch(&mut s, line), at.map(|p| p as u64 + 1));
                         } else if !s.hit(line) {
                             assert_eq!(at, None);
                             s.insert(line);
                         }
                         m.retain(|&l| l != line);
                         m.push_front(line);
-                        let bound =
-                            (StampLru::<ORDER>::SLACK * s.len()).max(StampLru::<ORDER>::FLOOR);
-                        assert!(s.time <= bound, "{} stamps for {} lines", s.time, s.len());
+                        let bound = (StampLru::<ORDER, RANKS>::SLACK * s.len())
+                            .max(StampLru::<ORDER, RANKS>::FLOOR);
+                        assert!(
+                            s.time() <= bound,
+                            "{} stamps for {} lines",
+                            s.time(),
+                            s.len()
+                        );
                     }
                 }
                 assert_eq!(s.len(), m.len());
-                assert_eq!(s.live.len(), s.time.div_ceil(64));
-                assert_eq!(s.tree.len(), if counts { s.live.len() + 1 } else { 0 });
-                assert_eq!(s.order.len(), if ORDER { s.time } else { 0 });
-                let compacted = s.time < time;
+                assert_eq!(s.live.len(), s.time().div_ceil(64));
+                assert_eq!(s.tree.len(), if RANKS { s.live.len() + 1 } else { 0 });
+                assert!(ORDER || s.order.is_empty());
+                let compacted = s.time() < time;
                 compactions += usize::from(compacted);
                 if compacted || step % 128 == 0 {
                     // Stamps rise in LRU order; right after a compaction
@@ -408,13 +435,13 @@ mod tests {
                         .map(|&l| s.index.get(l).expect("resident") as usize)
                         .collect();
                     assert!(stamps.windows(2).all(|w| w[0] < w[1]), "LRU order");
-                    assert!(stamps.last().map_or(true, |&t| t < s.time));
+                    assert!(stamps.last().map_or(true, |&t| t < s.time()));
                     assert!(
-                        !compacted || s.time <= s.len() + 1,
+                        !compacted || s.time() <= s.len() + 1,
                         "ranks after compaction"
                     );
                     for (p, (&t, &l)) in stamps.iter().zip(lru_first).enumerate() {
-                        if counts {
+                        if RANKS {
                             assert_eq!(s.rank(t), p as u64 + 1, "rank tree at {t}");
                         }
                         if ORDER {
@@ -436,22 +463,25 @@ mod tests {
     #[test]
     fn the_cache_parts_match_a_deque() {
         for seed in 1..4 {
-            check_against_a_deque(StampLru::<true>::new(), Some(StampLru::evict_oldest), seed);
+            let s = StampLru::<true, false>::with_capacity(0);
+            check_against_a_deque(s, None, Some(StampLru::evict_oldest), seed);
         }
     }
 
     #[test]
     fn the_gmon_parts_match_a_deque() {
         for seed in 1..4 {
-            let s = StampLru::<true>::counting(0);
-            check_against_a_deque(s, Some(StampLru::evict_oldest), seed);
+            let s = StampLru::<true, true>::with_capacity(0);
+            let (touch, evict) = (StampLru::touch, StampLru::evict_oldest);
+            check_against_a_deque(s, Some(touch), Some(evict), seed);
         }
     }
 
     #[test]
     fn the_profiler_parts_match_a_deque() {
         for (seed, lines) in [(1, 0), (2, 700), (3, 40)] {
-            check_against_a_deque(StampLru::<false>::counting(lines), None, seed);
+            let s = StampLru::<false, true>::with_capacity(lines);
+            check_against_a_deque(s, Some(StampLru::touch), None, seed);
         }
     }
 }
