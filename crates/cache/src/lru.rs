@@ -79,11 +79,6 @@ impl LruCache {
         self.capacity
     }
 
-    /// Whether `addr` is resident (does not touch recency).
-    pub fn contains(&self, addr: u64) -> bool {
-        self.lines.contains(addr)
-    }
-
     /// Hints the host CPU to fetch the index slot an access to `addr`
     /// probes first. Purely a performance hint; no state changes.
     #[inline]
@@ -155,7 +150,7 @@ mod tests {
         assert_eq!(c.access(10), AccessOutcome::Hit);
         assert_eq!(c.access(30), AccessOutcome::Miss { evicted: Some(20) });
         assert_eq!(c.len(), 2);
-        assert!(c.contains(10) && c.contains(30) && !c.contains(20));
+        assert_eq!(lru_order(&c), vec![10, 30]);
     }
 
     #[test]
@@ -184,7 +179,7 @@ mod tests {
         c.access(1);
         assert_eq!(c.resize(8), 0);
         c.access(2);
-        assert!(c.contains(1) && c.contains(2));
+        assert_eq!(lru_order(&c), vec![1, 2]);
     }
 
     #[test]
@@ -275,7 +270,6 @@ mod tests {
                     _ => assert_eq!(c.access(addr), m.access(addr), "access at {step}"),
                 }
                 assert_eq!(c.len(), m.lines.len());
-                assert_eq!(c.contains(addr), m.position(addr).is_some());
                 if step % 64 == 0 {
                     assert!(
                         lru_order(&c).iter().eq(m.lines.iter().rev()),

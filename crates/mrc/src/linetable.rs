@@ -1,8 +1,6 @@
-//! An open-addressed line → `u32` table for the simulator's hottest
-//! index: the line → stamp map of [`StampLru`](crate::StampLru), the one
-//! LRU store under the partitions of every NUCA bank and the Mattson,
-//! GMON and SHARDS stacks. Stamp compaction rewrites its values in place
-//! ([`LineTable::map_values`]).
+//! An open-addressed line → `u32` table: the line → stamp index of
+//! [`StampLru`](crate::StampLru), the one LRU store under the NUCA bank
+//! partitions and the Mattson, GMON and SHARDS stacks.
 
 /// `(line + 1, value)`; a zero key is an empty slot. A tuple of integers,
 /// so `vec!` allocates a fresh table zeroed rather than writing it.
@@ -44,12 +42,6 @@ pub struct LineTable {
     len: usize,
 }
 
-impl Default for LineTable {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Slots for `lines` entries at a load of at most 3/4.
 fn slots_for(lines: usize) -> usize {
     (lines * 4).div_ceil(3).next_power_of_two().max(MIN_SLOTS)
@@ -66,11 +58,6 @@ fn fmix64(mut h: u64) -> u64 {
 }
 
 impl LineTable {
-    /// An empty table of the minimum size.
-    pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
     /// An empty table that holds `lines` entries without growing.
     pub fn with_capacity(lines: usize) -> Self {
         Self {
@@ -127,12 +114,6 @@ impl LineTable {
     #[inline]
     pub fn get(&self, line: u64) -> Option<u32> {
         self.find(line).ok().map(|i| self.slots[i].1)
-    }
-
-    /// Whether `line` has an entry.
-    #[inline]
-    pub fn contains(&self, line: u64) -> bool {
-        self.find(line).is_ok()
     }
 
     /// Replaces the value of `line`'s entry with `value`, returning the
@@ -268,7 +249,7 @@ mod tests {
         // wrap-around at the array end, and deletions mid-chain.
         for (seed, keys, ops) in [(1u64, 12u64, 4_000), (7, 300, 40_000), (99, 5_000, 60_000)] {
             let mut x = seed.wrapping_mul(0x2545_F491_4F6C_DD1D) | 1;
-            let mut t = LineTable::new();
+            let mut t = LineTable::with_capacity(0);
             let mut m: HashMap<u64, u32> = HashMap::new();
             for op in 0..ops {
                 let line = xorshift(&mut x) % keys * 64;
@@ -297,10 +278,10 @@ mod tests {
         // Lines whose home is the last slot of an 8-slot table: their
         // chain wraps to slot 0, and removing its head must pull the
         // wrapped entries back across the end of the array.
-        let t = LineTable::new();
+        let t = LineTable::with_capacity(0);
         let last: Vec<u64> = (0..).filter(|&l| t.home(l) == 7).take(3).collect();
         let first = (0..).find(|&l| t.home(l) == 0).unwrap();
-        let mut t = LineTable::new();
+        let mut t = LineTable::with_capacity(0);
         for (v, &l) in last.iter().enumerate() {
             t.insert(l, v as u32);
         }
@@ -319,7 +300,7 @@ mod tests {
 
     #[test]
     fn grows_past_three_quarters_and_presizes() {
-        let mut t = LineTable::new();
+        let mut t = LineTable::with_capacity(0);
         for l in 0..6 {
             t.insert(l, l as u32);
         }
@@ -366,7 +347,7 @@ mod tests {
             // workloads have, into tables about 3/4 full.
             for stride in [1u64, 64, 4096, 65_536] {
                 for lines in [12_000, 48_000] {
-                    let mut t = LineTable::new();
+                    let mut t = LineTable::with_capacity(0);
                     for line in (0..).map(|i| i * stride).filter(|&l| keep(l)).take(lines) {
                         t.insert(line, 0);
                     }
@@ -382,7 +363,7 @@ mod tests {
 
     #[test]
     fn update_touches_only_present_lines() {
-        let mut t = LineTable::new();
+        let mut t = LineTable::with_capacity(0);
         t.insert(5, 1);
         assert_eq!(t.update(5, 9), Some(1));
         assert_eq!(t.update(6, 9), None);
@@ -393,12 +374,12 @@ mod tests {
     fn fresh_table_is_all_zero_bytes() {
         let t = LineTable::with_capacity(1000);
         assert!(t.slots.iter().all(|&s| s == (0, 0)));
-        assert!(t.is_empty() && t.get(0).is_none() && !t.contains(0));
+        assert!(t.is_empty() && t.get(0).is_none());
     }
 
     #[test]
     #[should_panic(expected = "not a valid line")]
     fn max_line_is_rejected() {
-        LineTable::new().insert(u64::MAX, 1);
+        LineTable::with_capacity(0).insert(u64::MAX, 1);
     }
 }

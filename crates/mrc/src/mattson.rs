@@ -223,11 +223,6 @@ impl SampledStack {
     pub fn max_depth(&self) -> usize {
         self.max_depth
     }
-
-    /// One in `2^rate_log2` lines are tracked.
-    pub fn rate_log2(&self) -> u32 {
-        self.rate_log2
-    }
 }
 
 #[cfg(test)]

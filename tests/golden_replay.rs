@@ -21,7 +21,7 @@
 use std::path::{Path, PathBuf};
 
 use whirlpool_repro::harness::{Classification, Experiment, SchemeKind};
-use wp_mrc::{profile_streams, ProfileMode, ShardsConfig, StreamProfile};
+use wp_mrc::{profile_streams, ProfileMode, ShardsConfig};
 
 const APPS: [&str; 4] = ["mcf", "lbm", "delaunay", "milc"];
 const SEED: u64 = 11;
@@ -58,49 +58,42 @@ fn capture_digest(bytes: &[u8]) -> String {
     format!("bytes {} crc32 {:08x}\n", bytes.len(), crc32_bitwise(bytes))
 }
 
-/// One digest line per stream profile: its counts, final rate and peak
-/// tracked set, and the CRC-32 of every `(distance, count)` pair.
-fn profile_digest(label: &str, p: &StreamProfile) -> String {
-    let h = &p.histogram;
-    let pairs: Vec<u8> = h
-        .iter_finite()
-        .flat_map(|(d, c)| d.to_le_bytes().into_iter().chain(c.to_le_bytes()))
-        .collect();
-    format!(
-        "{label} stream {} events {} instructions {} rate {:?} peak {:?} \
-         total {} cold {} distances {} crc32 {:08x}\n",
-        p.stream,
-        p.events,
-        p.instructions,
-        p.sampled_rate.map(f64::to_bits),
-        p.peak_tracked,
-        h.total(),
-        h.cold_misses(),
-        pairs.len() / 16,
-        crc32_bitwise(&pairs)
-    )
-}
-
-/// The exact, fixed-rate and adaptive profiles of every stream.
+/// One line per stream and profile mode (exact, fixed-rate, adaptive):
+/// the profile's counts, final rate and peak tracked set, and the CRC-32
+/// of every `(distance, count)` pair of its histogram.
 fn profiles_digest(capture: &Path) -> String {
     let streams: Vec<u16> = (0..APPS.len() as u16).collect();
-    [
+    let mut out = String::new();
+    for (label, mode) in [
         ("exact", ProfileMode::Exact),
         ("fixed-0.1", ProfileMode::Sampled(ShardsConfig::fixed(0.1))),
         (
             "adaptive-0.2:512",
             ProfileMode::Sampled(ShardsConfig::adaptive(0.2, 512)),
         ),
-    ]
-    .into_iter()
-    .flat_map(|(label, mode)| {
-        profile_streams(capture, &streams, mode)
-            .expect("profile run")
-            .iter()
-            .map(|p| profile_digest(label, p))
-            .collect::<Vec<_>>()
-    })
-    .collect()
+    ] {
+        for p in profile_streams(capture, &streams, mode).expect("profile run") {
+            let h = &p.histogram;
+            let pairs: Vec<u8> = h
+                .iter_finite()
+                .flat_map(|(d, c)| d.to_le_bytes().into_iter().chain(c.to_le_bytes()))
+                .collect();
+            out += &format!(
+                "{label} stream {} events {} instructions {} rate {:?} peak {:?} \
+                 total {} cold {} distances {} crc32 {:08x}\n",
+                p.stream,
+                p.events,
+                p.instructions,
+                p.sampled_rate.map(f64::to_bits),
+                p.peak_tracked,
+                h.total(),
+                h.cold_misses(),
+                pairs.len() / 16,
+                crc32_bitwise(&pairs)
+            );
+        }
+    }
+    out
 }
 
 #[test]
@@ -116,19 +109,20 @@ fn every_scheme_replays_its_golden_summary() {
         .expect("capture run");
     let bless = std::env::var_os("WP_BLESS").is_some();
     let mut mismatched = Vec::new();
-    let digest = capture_digest(&std::fs::read(&capture).expect("read capture"));
-    let digest_path = golden_dir().join("capture.digest");
-    if bless {
-        std::fs::write(&digest_path, &digest).expect("write capture digest");
-    } else if std::fs::read_to_string(&digest_path).expect("read capture digest") != digest {
-        mismatched.push("capture.digest");
-    }
-    let profiles = profiles_digest(&capture);
-    let profiles_path = golden_dir().join("profiles.digest");
-    if bless {
-        std::fs::write(&profiles_path, &profiles).expect("write profiles digest");
-    } else if std::fs::read_to_string(&profiles_path).expect("read profiles digest") != profiles {
-        mismatched.push("profiles.digest");
+    let digests = [
+        (
+            "capture.digest",
+            capture_digest(&std::fs::read(&capture).expect("read")),
+        ),
+        ("profiles.digest", profiles_digest(&capture)),
+    ];
+    for (name, digest) in digests {
+        let path = golden_dir().join(name);
+        if bless {
+            std::fs::write(&path, &digest).expect("write digest");
+        } else if std::fs::read_to_string(&path).expect("read digest") != digest {
+            mismatched.push(name);
+        }
     }
     for kind in SchemeKind::ALL {
         let json = Experiment::replay(kind, &capture)
