@@ -4,6 +4,7 @@
 use whirlpool_repro::harness::*;
 use wp_bench::measure_budget;
 use wp_jigsaw::{NucaConfig, NucaRuntime};
+use wp_sim::LlcScheme;
 
 fn main() {
     let sys = four_core_config();
@@ -28,18 +29,19 @@ fn main() {
         "{:>9} {:>10} {:>10} {:>10} {:>8}",
         "cycle(M)", "vertices", "triangles", "misc", "thread"
     );
-    let hist = scheme.reconfig_history();
-    for (cyc, allocs) in hist {
+    let hist = scheme.reconfig_log();
+    for event in &hist {
         let find = |name: &str| {
-            allocs
+            event
+                .pools
                 .iter()
-                .find(|(l, _, _)| l == name)
-                .map(|(_, g, b)| format!("{g}{}", if *b { "B" } else { "" }))
+                .find(|p| p.pool == name)
+                .map(|p| format!("{}{}", p.new_granules, if p.bypassed { "B" } else { "" }))
                 .unwrap_or_else(|| "-".into())
         };
         println!(
             "{:>9.1} {:>10} {:>10} {:>10} {:>8}",
-            *cyc as f64 / 1e6,
+            event.cycle as f64 / 1e6,
             find("vertices"),
             find("triangles"),
             find("misc"),
@@ -49,7 +51,8 @@ fn main() {
     // Changes in the vertices allocation mark adaptation events.
     let vertices_series: Vec<usize> = hist
         .iter()
-        .filter_map(|(_, a)| a.iter().find(|(l, _, _)| l == "vertices").map(|x| x.1))
+        .filter_map(|e| e.pools.iter().find(|p| p.pool == "vertices"))
+        .map(|p| p.new_granules)
         .collect();
     let changes = vertices_series.windows(2).filter(|w| w[0] != w[1]).count();
     println!(

@@ -30,7 +30,6 @@ fn dendrogram(app: &str) {
             total_instrs: 14_000_000,
             granule_lines: 1024,
             curve_points: 201,
-            sample: None,
         },
     );
     let tree = cluster(&data, 200);

@@ -13,14 +13,10 @@
 //! * `WP_JOBS` — worker threads for the [`sweep`] engine (default: all
 //!   available cores). Output is bit-identical at any job count.
 //! * `WP_TRACE_CACHE` — the sweep engine's `.wpt` cache directory
-//!   (default `target/wp-trace-cache`).
-//! * `WP_MRC_SAMPLE` — `R` or `R:SMAX` (e.g. `0.01` or `0.01:16384`):
-//!   WhirlTool classification cells profile with SHARDS-sampled MRC
-//!   stacks at rate `R` (optionally `s_max`-capped) instead of exact
-//!   Mattson — the Fig. 16/21 opt-in for long traces (default: exact).
+//!   (default `target/wp-trace-cache`). A capture is warm exactly when
+//!   its `<app>-w<warmup>-m<measure>.wpt` is there.
 #![forbid(unsafe_code)]
 
-pub mod store;
 pub mod sweep;
 
 use whirlpool_repro::harness::{run_budget, SchemeKind};

@@ -10,6 +10,10 @@
 //!    `target/wp-trace-cache`; key = app name + warmup + measure budgets,
 //!    which fold in `RUN_SCALE`). The pulled event stream is independent
 //!    of the scheme and classification, so one capture serves every cell.
+//!    The directory is the only record of what is warm: a key is warm
+//!    exactly when `<key>.wpt` exists, so batch sweeps and the `wp-serve`
+//!    daemon sharing one directory always agree, and a file deleted
+//!    behind their backs is an honest miss.
 //! 2. **Replay everywhere, in parallel.** Replay is read-only and the
 //!    whole sim/scheme/workload stack is `Send`, so (scheme × app) cells
 //!    fan out across a `WP_JOBS`-sized pool of `std::thread::scope`
@@ -39,7 +43,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use whirlpool_repro::harness::{
@@ -49,7 +53,6 @@ use wp_sim::{RunSummary, TraceWorkload, WorkloadBundle};
 use wp_workloads::{registry, AppModel};
 
 use crate::measure_budget;
-use crate::store::{capture_key, DirStore, TraceStore};
 
 /// Whether the opt-in `WP_PROGRESS=1` stderr heartbeat is on. Off by
 /// default: a sweep then writes nothing per cell, and stdout (the JSON
@@ -76,6 +79,15 @@ pub fn default_cache_dir() -> PathBuf {
     std::env::var_os("WP_TRACE_CACHE")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("target/wp-trace-cache"))
+}
+
+/// The capture key for `(app, warmup, measure)`: the budgets are the
+/// invalidation key — changing `RUN_SCALE` changes the measurement
+/// budget and therefore the file name, so stale captures are never
+/// replayed. The key's capture lives at `<cache dir>/<key>.wpt`, and it
+/// is warm exactly when that file exists.
+pub fn capture_key(app: &str, warmup: u64, measure: u64) -> String {
+    format!("{app}-w{warmup}-m{measure}")
 }
 
 /// What one sweep cell runs.
@@ -144,7 +156,6 @@ pub struct SweepSpec {
     cache_dir: PathBuf,
     warmup_override: Option<u64>,
     measure_override: Option<u64>,
-    store: Option<Arc<dyn TraceStore>>,
     cancel: Option<CancelToken>,
 }
 
@@ -163,7 +174,6 @@ impl SweepSpec {
             cache_dir: default_cache_dir(),
             warmup_override: None,
             measure_override: None,
-            store: None,
             cancel: None,
         }
     }
@@ -213,21 +223,10 @@ impl SweepSpec {
     }
 
     /// Overrides the trace-cache directory (`WP_TRACE_CACHE` otherwise).
-    /// Ignored when a full [`store`](Self::store) is attached.
+    /// The resident `wp-serve` daemon passes its own directory here.
     #[must_use]
     pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = dir.into();
-        self
-    }
-
-    /// Attaches a [`TraceStore`] that owns warm-capture lookups (the
-    /// default is a fresh [`DirStore`] over
-    /// [`cache_dir`](Self::cache_dir)). The resident `wp-serve` daemon
-    /// hands every sweep its long-lived store so lookups hit the warm
-    /// in-memory index instead of the filesystem.
-    #[must_use]
-    pub fn store(mut self, store: Arc<dyn TraceStore>) -> Self {
-        self.store = Some(store);
         self
     }
 
@@ -269,13 +268,12 @@ impl SweepSpec {
         (warmup, measure)
     }
 
-    /// The [`TraceStore`] this sweep will run over: the attached one, or
-    /// a fresh [`DirStore`] over the cache directory.
-    fn resolve_store(&self) -> Arc<dyn TraceStore> {
-        match &self.store {
-            Some(s) => Arc::clone(s),
-            None => Arc::new(DirStore::new(self.cache_dir.clone())),
-        }
+    /// Where `key`'s completed capture lives, whether or not it exists
+    /// yet. In-flight temp files (`<key>.wpt.tmp.<pid>-<seq>`) never
+    /// match this name, so only the atomic rename that finishes a
+    /// capture makes a key warm.
+    fn capture_path(&self, key: &str) -> PathBuf {
+        self.cache_dir.join(format!("{key}.wpt"))
     }
 
     /// Runs the sweep: captures missing traces (in parallel), then fans
@@ -300,9 +298,8 @@ impl SweepSpec {
                 }
             }
         }
-        // Plan the captures: each registry app once per distinct budget,
-        // with the store deciding which keys are already warm.
-        let store = self.resolve_store();
+        // Plan the captures: each registry app once per distinct budget;
+        // a key is warm when its `.wpt` is in the cache directory.
         let mut captures: Vec<(String, u64, u64, String)> = Vec::new();
         for cell in &self.cells {
             if let CellWork::Single { app, .. } = &cell.work {
@@ -317,17 +314,17 @@ impl SweepSpec {
         }
         let (missing, warm): (Vec<_>, Vec<_>) = captures
             .into_iter()
-            .partition(|(_, _, _, k)| !store.contains(k));
+            .partition(|(_, _, _, k)| !self.capture_path(k).exists());
         let cache_hits = warm.len();
         let cache_misses = missing.len();
         wp_obs::add(wp_obs::Counter::TraceCacheHits, cache_hits as u64);
         wp_obs::add(wp_obs::Counter::TraceCacheMisses, cache_misses as u64);
         if !missing.is_empty() {
-            std::fs::create_dir_all(store.dir()).map_err(wp_trace::TraceError::from)?;
+            std::fs::create_dir_all(&self.cache_dir).map_err(wp_trace::TraceError::from)?;
             eprintln!(
                 "[sweep] capturing {} app(s) into {} ({} warm)",
                 missing.len(),
-                store.dir().display(),
+                self.cache_dir.display(),
                 cache_hits,
             );
             parallel_map(self.jobs, missing.len(), |i| {
@@ -339,11 +336,9 @@ impl SweepSpec {
                     app,
                     *warmup,
                     *measure,
-                    &store.path(key),
+                    &self.capture_path(key),
                     self.cancel.as_ref(),
-                )?;
-                store.note_captured(key);
-                Ok(())
+                )
             })?;
         }
         // Fan the cells out.
@@ -372,7 +367,7 @@ impl SweepSpec {
             // residue a previous cell (or capture) left on this thread.
             let _ = wp_obs::take_thread_phases();
             let cell_start = Instant::now();
-            let summary = self.run_cell(cell, &store)?;
+            let summary = self.run_cell(cell)?;
             let phases = wp_obs::take_thread_phases();
             wp_obs::add(wp_obs::Counter::SweepCellsCompleted, 1);
             let n = done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -423,11 +418,7 @@ impl SweepSpec {
         exp
     }
 
-    fn run_cell(
-        &self,
-        cell: &SweepCell,
-        store: &Arc<dyn TraceStore>,
-    ) -> Result<RunSummary, HarnessError> {
+    fn run_cell(&self, cell: &SweepCell) -> Result<RunSummary, HarnessError> {
         match &cell.work {
             CellWork::Single {
                 app,
@@ -452,11 +443,12 @@ impl SweepSpec {
                 // 2/3/4-pool variants) replay against the same stream.
                 let (w, m) = self.budgets_for(app);
                 let key = capture_key(app, w, m);
+                let path = self.capture_path(&key);
                 let attempt = || -> Result<RunSummary, HarnessError> {
                     let model = AppModel::new(registry::spec(app));
                     let pools = descriptors_for(&model, app, *classification);
                     let bundle = WorkloadBundle {
-                        trace: Box::new(TraceWorkload::open(&store.path(&key))?),
+                        trace: Box::new(TraceWorkload::open(&path)?),
                         pools,
                         name: app.clone(),
                     };
@@ -470,7 +462,7 @@ impl SweepSpec {
                 match attempt() {
                     // Self-healing: a cached capture that fails to open
                     // or validate (truncated, bit-flipped, vanished) is
-                    // evicted and re-captured once, then the cell
+                    // removed and re-captured once, then the cell
                     // retries — the stream is deterministic, so the
                     // healed output is byte-identical to a clean-cache
                     // run. A second failure surfaces as usual. Replay
@@ -482,10 +474,9 @@ impl SweepSpec {
                             "[sweep] cached capture '{key}' failed ({e}); \
                              evicting and re-capturing"
                         );
-                        store.evict(&key);
+                        let _ = std::fs::remove_file(&path);
                         wp_obs::add(wp_obs::Counter::TraceCacheEvictions, 1);
-                        capture_app(app, w, m, &store.path(&key), self.cancel.as_ref())?;
-                        store.note_captured(&key);
+                        capture_app(app, w, m, &path, self.cancel.as_ref())?;
                         attempt()
                     }
                     r => r,
@@ -772,17 +763,13 @@ mod tests {
 
     #[test]
     fn cache_path_keys_on_app_and_budgets() {
-        let store = SweepSpec::new().cache_dir("/tmp/c").resolve_store();
-        let a = store.path(&capture_key("delaunay", 100, 200));
-        let b = store.path(&capture_key("delaunay", 100, 300));
-        let c = store.path(&capture_key("mcf", 100, 200));
+        let spec = SweepSpec::new().cache_dir("/tmp/c");
+        let a = spec.capture_path(&capture_key("delaunay", 100, 200));
+        assert_eq!(a, Path::new("/tmp/c/delaunay-w100-m200.wpt"));
+        let b = spec.capture_path(&capture_key("delaunay", 100, 300));
+        let c = spec.capture_path(&capture_key("mcf", 100, 200));
         assert_ne!(a, b, "measure budget is part of the key");
         assert_ne!(a, c, "app name is part of the key");
-        assert_eq!(
-            a,
-            store.path(&capture_key("delaunay", 100, 200)),
-            "key is stable"
-        );
     }
 
     #[test]

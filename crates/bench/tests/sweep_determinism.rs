@@ -127,7 +127,7 @@ fn parallel_sweep_cells_match_golden() {
 /// poison later replays.
 #[test]
 fn partial_temp_capture_is_ignored_and_recaptured() {
-    use wp_bench::store::{capture_key, DirStore, TraceStore};
+    use wp_bench::sweep::capture_key;
     let cache = tmp_cache("partial");
     let _ = std::fs::remove_dir_all(&cache);
     std::fs::create_dir_all(&cache).expect("cache dir");
@@ -137,8 +137,7 @@ fn partial_temp_capture_is_ignored_and_recaptured() {
     let key = capture_key("delaunay", WARMUP, MEASURE);
     let partial = cache.join(format!("{key}.wpt.tmp.99999-0"));
     std::fs::write(&partial, b"truncated garbage, not a wpt header").expect("partial");
-    let store = DirStore::new(&cache);
-    assert!(!store.contains(&key), "a temp file must never read as warm");
+    let complete = cache.join(format!("{key}.wpt"));
 
     let mut spec = SweepSpec::new().cache_dir(&cache).budgets(WARMUP, MEASURE);
     spec.push(
@@ -148,7 +147,7 @@ fn partial_temp_capture_is_ignored_and_recaptured() {
     let result = spec.run().expect("sweep over a poisoned cache dir");
     assert_eq!(result.cache_misses, 1, "the app was re-captured");
     assert_eq!(result.cache_hits, 0);
-    assert!(store.contains(&key), "the completed capture landed");
+    assert!(complete.exists(), "the completed capture landed");
     assert!(result.cells[0].summary.cores[0].instructions >= MEASURE);
     // The stale temp file is inert; nothing replayed it.
     assert!(partial.exists());

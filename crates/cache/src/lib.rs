@@ -10,8 +10,8 @@
 //!   to the stamp of its last access, the LRU line is the lowest live
 //!   stamp, and stamps are compacted to ranks as they grow.
 //! * [`SetAssocCache`] — a set-associative cache with pluggable
-//!   [`ReplacementPolicy`] (LRU, Random, SRRIP, DRRIP with set dueling),
-//!   used for private L1/L2s and the S-NUCA / IdealSPD baselines.
+//!   [`ReplacementPolicy`] (LRU, or DRRIP with set dueling), used for
+//!   the S-NUCA / IdealSPD baselines.
 //! * [`PartitionedCache`] — a capacity-partitioned cache with per-partition
 //!   quotas and LRU within each quota; the model of a Jigsaw bank shared by
 //!   several virtual caches.
@@ -71,6 +71,6 @@ mod setassoc;
 pub use lru::{AccessOutcome, LruCache};
 pub use monitor::{MonitorConfig, UtilityMonitor};
 pub use partitioned::PartitionedCache;
-pub use policy::{DrripPolicy, LruPolicy, RandomPolicy, ReplacementPolicy, SrripPolicy};
+pub use policy::{DrripPolicy, LruPolicy, ReplacementPolicy};
 pub use prefetch::{advise_hugepages, prefetch_read};
 pub use setassoc::{CacheStats, SetAssocCache};

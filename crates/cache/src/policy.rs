@@ -1,8 +1,8 @@
 //! Replacement policies for set-associative caches.
 //!
-//! The paper's S-NUCA baselines use LRU and DRRIP (Fig. 10/21); SRRIP and
-//! Random are provided for ablations. Policies are per-*cache* objects that
-//! keep whatever per-set state they need, addressed by `(set, way)`.
+//! The paper's S-NUCA baselines use LRU and DRRIP (Fig. 10/21). Policies
+//! are per-*cache* objects that keep whatever per-set state they need,
+//! addressed by `(set, way)`.
 
 /// A replacement policy driven by the containing [`crate::SetAssocCache`].
 ///
@@ -168,104 +168,6 @@ impl ReplacementPolicy for LruPolicy {
             crate::prefetch_read(&self.stamp[base]);
             crate::prefetch_read(&self.stamp[base + self.ways - 1]);
         }
-    }
-}
-
-/// Pseudo-random replacement (xorshift; deterministic for reproducibility).
-#[derive(Debug)]
-pub struct RandomPolicy {
-    ways: usize,
-    state: u64,
-}
-
-impl RandomPolicy {
-    /// Creates a random policy with a fixed seed.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            ways: 1,
-            state: seed | 1,
-        }
-    }
-}
-
-impl ReplacementPolicy for RandomPolicy {
-    fn configure(&mut self, _sets: usize, ways: usize) {
-        self.ways = ways;
-    }
-
-    fn on_hit(&mut self, _set: usize, _way: usize) {}
-
-    fn on_insert(&mut self, _set: usize, _way: usize) {}
-
-    fn victim(&mut self, _set: usize) -> usize {
-        self.state ^= self.state << 13;
-        self.state ^= self.state >> 7;
-        self.state ^= self.state << 17;
-        (self.state % self.ways as u64) as usize
-    }
-}
-
-/// SRRIP-HP (Jaleel et al., ISCA'10) with M-bit re-reference prediction
-/// values. Insertions use RRPV = 2^M - 2 ("long"); hits promote to 0.
-#[derive(Debug)]
-pub struct SrripPolicy {
-    rrpv: Vec<u8>,
-    ways: usize,
-    max: u8,
-}
-
-impl SrripPolicy {
-    /// Creates an SRRIP policy with `m_bits` of RRPV state (paper uses 2).
-    pub fn new(m_bits: u8) -> Self {
-        Self {
-            rrpv: Vec::new(),
-            ways: 1,
-            max: (1u8 << m_bits) - 1,
-        }
-    }
-
-    fn insert_with(&mut self, set: usize, way: usize, rrpv: u8) {
-        self.rrpv[set * self.ways + way] = rrpv;
-    }
-}
-
-impl ReplacementPolicy for SrripPolicy {
-    fn configure(&mut self, sets: usize, ways: usize) {
-        self.ways = ways;
-        self.rrpv = Vec::with_capacity(sets * ways);
-        crate::advise_hugepages(&mut self.rrpv);
-        self.rrpv.resize(sets * ways, self.max);
-    }
-
-    fn on_hit(&mut self, set: usize, way: usize) {
-        self.rrpv[set * self.ways + way] = 0;
-    }
-
-    fn on_insert(&mut self, set: usize, way: usize) {
-        self.insert_with(set, way, self.max - 1);
-    }
-
-    fn victim(&mut self, set: usize) -> usize {
-        let base = set * self.ways;
-        loop {
-            for w in 0..self.ways {
-                if self.rrpv[base + w] >= self.max {
-                    return w;
-                }
-            }
-            for w in 0..self.ways {
-                self.rrpv[base + w] += 1;
-            }
-        }
-    }
-
-    fn on_invalidate(&mut self, set: usize, way: usize) {
-        self.rrpv[set * self.ways + way] = self.max;
-    }
-
-    fn prefetch(&self, set: usize) {
-        // A set's RRPVs are 1 B × ways: one line covers them.
-        crate::prefetch_read(&self.rrpv[set * self.ways]);
     }
 }
 
@@ -470,29 +372,6 @@ mod tests {
         }
         p.on_hit(0, 0);
         assert_eq!(p.victim(0), 1);
-    }
-
-    #[test]
-    fn random_victim_in_range() {
-        let mut p = RandomPolicy::new(42);
-        p.configure(4, 8);
-        for _ in 0..100 {
-            assert!(p.victim(0) < 8);
-        }
-    }
-
-    #[test]
-    fn srrip_scan_resistance() {
-        // A reused line at RRPV 0 survives a one-pass scan that inserts at
-        // max-1.
-        let mut p = SrripPolicy::new(2);
-        p.configure(1, 4);
-        for w in 0..4 {
-            p.on_insert(0, w);
-        }
-        p.on_hit(0, 2); // way 2 promoted to 0
-        let v = p.victim(0);
-        assert_ne!(v, 2, "reused way must not be the victim");
     }
 
     #[test]

@@ -82,12 +82,9 @@ pub struct NucaRuntime {
     pools_per_core: Vec<usize>,
     bootstrapped: bool,
     reconfigurations: u64,
-    /// `(cycle, per-VC (label, granules, bypassed))` at each
-    /// reconfiguration — the allocation trace of Fig. 11a.
-    history: Vec<(u64, VcAllocations)>,
-    /// The richer observability log: one event per reconfiguration with
-    /// old→new allocations and the curve signal that drove each sizing
-    /// decision (exported through [`LlcScheme::reconfig_log`]).
+    /// One event per reconfiguration with old→new allocations and the
+    /// curve signal that drove each sizing decision — the allocation
+    /// trace of Fig. 11a (exported through [`LlcScheme::reconfig_log`]).
     obs_log: Vec<wp_obs::ReconfigEvent>,
     /// The current quantum's VC indices, filled by
     /// [`LlcScheme::prepare`]; reused so batched runs allocate nothing in
@@ -124,7 +121,6 @@ impl NucaRuntime {
             pools_per_core: vec![0; num_cores],
             bootstrapped: false,
             reconfigurations: 0,
-            history: Vec::new(),
             obs_log: Vec::new(),
             vc_scratch: Vec::new(),
             config,
@@ -154,12 +150,6 @@ impl NucaRuntime {
             .iter()
             .map(|v| (v.label(), v.allocated_granules, v.bypassed))
             .collect()
-    }
-
-    /// The allocation decisions of every reconfiguration so far:
-    /// `(cycle, per-VC (label, granules, bypassed))` — Fig. 11a's trace.
-    pub fn reconfig_history(&self) -> &[(u64, VcAllocations)] {
-        &self.history
     }
 
     /// Appends one [`wp_obs::ReconfigEvent`] for the reconfiguration that
@@ -487,7 +477,6 @@ impl LlcScheme for NucaRuntime {
                 }
             }
             if !any_changed {
-                self.history.push((uncore.now, self.allocations()));
                 let apki: Vec<f64> = inputs.iter().map(|i| i.apki).collect();
                 self.log_reconfig(uncore.now, &old_alloc, &apki);
                 return;
@@ -546,7 +535,6 @@ impl LlcScheme for NucaRuntime {
             self.apply_shares(i, placement.shares_of(i), uncore);
         }
         self.bootstrapped = true;
-        self.history.push((uncore.now, self.allocations()));
         let apki: Vec<f64> = inputs.iter().map(|i| i.apki).collect();
         self.log_reconfig(uncore.now, &old_alloc, &apki);
     }

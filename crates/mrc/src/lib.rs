@@ -83,8 +83,8 @@ pub use partition::{
 pub use shards::{ShardsConfig, ShardsStack, SHARDS_MODULUS};
 pub use stamp::StampLru;
 pub use trace::{
-    curve_from_trace, curve_from_trace_sampled, histogram_from_trace, histogram_from_trace_sampled,
-    profile_streams, profile_streams_scanned, ProfileMode, StreamProfile,
+    curve_from_trace, histogram_from_trace, histogram_from_trace_sampled, profile_streams,
+    profile_streams_scanned, ProfileMode, StreamProfile,
 };
 
 /// A cache line is 64 bytes throughout the reproduction (Table 3).

@@ -87,42 +87,6 @@ impl ShardsConfig {
         }
     }
 
-    /// Parses the `WP_MRC_SAMPLE` spelling: `"R"` (fixed rate) or
-    /// `"R:SMAX"` (adaptive). Returns `None` for anything unparsable or
-    /// out of range, matching the forgiving env-knob convention
-    /// (`RUN_SCALE` etc.).
-    ///
-    /// ```
-    /// use wp_mrc::ShardsConfig;
-    /// assert_eq!(ShardsConfig::parse("0.01"), Some(ShardsConfig::fixed(0.01)));
-    /// assert_eq!(
-    ///     ShardsConfig::parse("0.1:8192"),
-    ///     Some(ShardsConfig::adaptive(0.1, 8192))
-    /// );
-    /// assert_eq!(ShardsConfig::parse("banana"), None);
-    /// ```
-    pub fn parse(s: &str) -> Option<Self> {
-        let s = s.trim();
-        let (rate_s, smax_s) = match s.split_once(':') {
-            Some((r, m)) => (r, Some(m)),
-            None => (s, None),
-        };
-        let rate: f64 = rate_s.parse().ok()?;
-        if !(rate > 0.0 && rate <= 1.0) {
-            return None;
-        }
-        let s_max = match smax_s {
-            Some(m) => Some(
-                m.replace('_', "")
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)?,
-            ),
-            None => None,
-        };
-        Some(Self { rate, s_max })
-    }
-
     fn threshold(&self) -> u64 {
         let t = (self.rate.clamp(0.0, 1.0) * SHARDS_MODULUS as f64).round() as u64;
         t.clamp(1, SHARDS_MODULUS)
@@ -459,18 +423,6 @@ mod tests {
         assert_eq!(s.peak_tracked(), s.tracked());
         // …while the heap (only needed for s_max eviction) stays empty.
         assert_eq!(s.tracked_heap_len(), 0);
-    }
-
-    #[test]
-    fn config_parse_spellings() {
-        assert_eq!(ShardsConfig::parse(" 0.5 "), Some(ShardsConfig::fixed(0.5)));
-        assert_eq!(
-            ShardsConfig::parse("0.01:16_384"),
-            Some(ShardsConfig::adaptive(0.01, 16_384))
-        );
-        for bad in ["", "0", "-0.1", "1.5", "0.1:", "0.1:0", "0.1:x", "nan"] {
-            assert_eq!(ShardsConfig::parse(bad), None, "{bad:?} should not parse");
-        }
     }
 
     #[test]

@@ -255,25 +255,6 @@ pub fn curve_from_trace(
     ))
 }
 
-/// [`curve_from_trace`] with SHARDS sampling.
-///
-/// # Errors
-///
-/// Propagates any [`TraceError`] from the file.
-pub fn curve_from_trace_sampled(
-    path: &Path,
-    stream: u16,
-    granule_lines: u64,
-    config: ShardsConfig,
-) -> Result<MissCurve, TraceError> {
-    let (hist, instrs) = histogram_from_trace_sampled(path, stream, config)?;
-    Ok(MissCurve::from_histogram(
-        &hist,
-        instrs.max(1),
-        granule_lines,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,13 +309,6 @@ mod tests {
             curve_from_trace(Path::new("/nonexistent/trace.wpt"), 0, 64),
             Err(TraceError::Io(_))
         ));
-        assert!(curve_from_trace_sampled(
-            Path::new("/nonexistent/trace.wpt"),
-            0,
-            64,
-            ShardsConfig::fixed(0.1)
-        )
-        .is_err());
     }
 
     /// Writes a 3-stream mix-like trace; returns the path.

@@ -199,6 +199,9 @@ impl Dispatcher {
     /// The `status` verb's payload: queue/runtime counts, the live job
     /// table, and store occupancy.
     pub fn status_json(&self) -> String {
+        // Read the cache directory before taking the state lock, so a slow
+        // directory never holds up submits.
+        let warm_traces = self.inner.store.warm_traces();
         let s = self.inner.state.lock().expect("dispatcher state");
         let mut jobs: Vec<(u64, &String)> = s.verbs.iter().map(|(id, v)| (*id, v)).collect();
         jobs.sort_by_key(|(id, _)| *id);
@@ -219,7 +222,7 @@ impl Dispatcher {
             s.running,
             s.completed,
             s.cancelled,
-            self.inner.store.warm_traces(),
+            warm_traces,
             self.inner.store.curves_held(),
             rows.join(","),
         )

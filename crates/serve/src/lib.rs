@@ -14,9 +14,9 @@
 //!   `Experiment` and the sweep cell loops, optional per-job wall-clock
 //!   timeouts, and `catch_unwind` isolation so a panicking job becomes
 //!   one typed error frame instead of a dead worker.
-//! * [`store`] — the warm state worth being resident for: the
-//!   `WP_TRACE_CACHE` index, memoized MRC curve payloads, and the
-//!   append-only JSONL result log.
+//! * [`store`] — the state worth being resident for: memoized MRC
+//!   curve payloads and the append-only JSONL result log, next to the
+//!   `WP_TRACE_CACHE` directory served sweeps capture into.
 //!
 //! The [`ops`] layer is the refactor's hinge: every `trace_tool`
 //! subcommand body lives there once, returning stdout *lines*, so the

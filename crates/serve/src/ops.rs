@@ -10,7 +10,7 @@
 //!
 //! Every op takes an [`OpCtx`]: offline callers pass
 //! [`OpCtx::offline`]; the dispatcher passes the daemon's
-//! [`ServeStore`] (warm trace index + curve memo) and the job's
+//! [`ServeStore`] (trace-cache directory + curve memo) and the job's
 //! [`CancelToken`], which is threaded into [`Experiment`] runs and
 //! sweep cell loops.
 
@@ -20,7 +20,6 @@ use std::sync::Arc;
 use whirlpool_repro::harness::{
     sixteen_core_config, CancelToken, Classification, Experiment, SchemeKind, MIX_WARMUP_INSTRS,
 };
-use wp_bench::store::TraceStore;
 use wp_bench::sweep::SweepSpec;
 use wp_mrc::{
     max_miss_ratio_error_with_slack, profile_streams, profile_streams_scanned, ProfileMode,
@@ -435,42 +434,6 @@ fn check_streams(path: &Path, ids: impl Iterator<Item = u16>) -> Result<(), Trac
 ///
 /// Bad flags, missing/corrupt traces, a failed `--verify-exact` gate.
 pub fn profile(rest: &[String], ctx: &OpCtx) -> Result<Vec<String>, String> {
-    let memo_key = match (&ctx.store, rest.first()) {
-        (Some(_), Some(_)) => {
-            // Key on the positional (the trace file) when present; flag
-            // order differences produce distinct keys, which only costs
-            // a duplicate entry, never a wrong hit.
-            let args = Args::parse(
-                rest,
-                &[
-                    "--stream",
-                    "--sample-rate",
-                    "--s-max",
-                    "--granule",
-                    "--max-err",
-                    "--capacity-slack",
-                ],
-                &["--all-streams", "--exact", "--json", "--verify-exact"],
-            )?;
-            args.positional
-                .first()
-                .map(|file| ServeStore::curve_key(rest, Path::new(file)))
-        }
-        _ => None,
-    };
-    if let (Some(store), Some(key)) = (&ctx.store, &memo_key) {
-        if let Some(payload) = store.curve_lookup(key) {
-            return Ok(payload.lines().map(str::to_string).collect());
-        }
-    }
-    let lines = profile_uncached(rest)?;
-    if let (Some(store), Some(key)) = (&ctx.store, memo_key) {
-        store.curve_insert(key, lines.join("\n"));
-    }
-    Ok(lines)
-}
-
-fn profile_uncached(rest: &[String]) -> Result<Vec<String>, String> {
     let args = Args::parse(
         rest,
         &[
@@ -483,6 +446,26 @@ fn profile_uncached(rest: &[String]) -> Result<Vec<String>, String> {
         ],
         &["--all-streams", "--exact", "--json", "--verify-exact"],
     )?;
+    // Key on the positional (the trace file) when present; flag order
+    // differences produce distinct keys, which only costs a duplicate
+    // entry, never a wrong hit.
+    let memo = ctx.store.as_ref().and_then(|store| {
+        let file = args.positional.first()?;
+        Some((store, ServeStore::curve_key(rest, Path::new(file))))
+    });
+    if let Some((store, key)) = &memo {
+        if let Some(payload) = store.curve_lookup(key) {
+            return Ok(payload.lines().map(str::to_string).collect());
+        }
+    }
+    let lines = profile_uncached(&args)?;
+    if let Some((store, key)) = memo {
+        store.curve_insert(key, lines.join("\n"));
+    }
+    Ok(lines)
+}
+
+fn profile_uncached(args: &Args) -> Result<Vec<String>, String> {
     let [file] = args.positional[..] else {
         return Err("profile takes exactly one trace file".into());
     };
@@ -843,10 +826,7 @@ pub fn sweep(rest: &[String], ctx: &OpCtx) -> Result<Vec<String>, String> {
         (Some(_), Some(_)) => {
             return Err("--cache-dir applies to offline sweeps; the daemon owns its cache".into())
         }
-        (Some(store), None) => {
-            let shared: Arc<dyn TraceStore> = Arc::clone(store) as Arc<dyn TraceStore>;
-            spec = spec.store(shared);
-        }
+        (Some(store), None) => spec = spec.cache_dir(store.cache_dir()),
         (None, Some(dir)) => spec = spec.cache_dir(dir),
         (None, None) => {}
     }

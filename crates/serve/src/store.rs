@@ -1,13 +1,11 @@
-//! The daemon's warm state: trace-cache index, memoized MRC curves,
+//! The daemon's state: trace-cache directory, memoized MRC curves,
 //! append-only result log.
 //!
-//! Everything a batch run rebuilds per process, the resident store keeps
-//! hot across requests:
-//!
-//! * **Trace index** — an in-memory set of warm capture keys over the
-//!   shared `WP_TRACE_CACHE` layout, seeded by one directory scan at
-//!   startup and updated as captures land. Sweeps run over it via the
-//!   [`TraceStore`] trait, so warm lookups skip the filesystem entirely.
+//! * **Trace cache** — the shared `WP_TRACE_CACHE` directory. The store
+//!   keeps no index of it: served sweeps get the directory through
+//!   [`ServeStore::cache_dir`] and, like batch sweeps, count a capture
+//!   warm exactly when its `<key>.wpt` exists. `status` counts the
+//!   `.wpt` files at call time ([`ServeStore::warm_traces`]).
 //! * **Curve memo** — profiled MRC curves keyed by the profile request
 //!   (file, streams, rate, `s_max`, granule — i.e. the whole argv) plus
 //!   the trace file's length and mtime, so an overwritten trace can
@@ -21,12 +19,10 @@
 //!   long-lived daemon's log stays bounded at two generations and no
 //!   record is ever lost or duplicated across the boundary.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-
-use wp_bench::store::TraceStore;
 
 /// Default result-log size limit before rotation kicks in.
 const DEFAULT_LOG_LIMIT: u64 = 16 * 1024 * 1024;
@@ -82,17 +78,14 @@ fn recover_torn_tail(log_path: &Path) {
 #[derive(Debug)]
 pub struct ServeStore {
     cache_dir: PathBuf,
-    warm: Mutex<HashSet<String>>,
     curves: Mutex<HashMap<String, Arc<String>>>,
     log: Mutex<LogState>,
     log_path: PathBuf,
 }
 
 impl ServeStore {
-    /// Opens the store: scans `cache_dir` for completed `.wpt` captures
-    /// (temp files are skipped by construction — they end in
-    /// `.tmp.<pid>-<seq>`) and opens `state_dir/results.jsonl` for
-    /// append.
+    /// Opens the store: creates `cache_dir` and `state_dir`, and opens
+    /// `state_dir/results.jsonl` for append.
     ///
     /// # Errors
     ///
@@ -104,16 +97,6 @@ impl ServeStore {
             .map_err(|e| format!("cannot create trace cache {}: {e}", cache_dir.display()))?;
         std::fs::create_dir_all(state_dir)
             .map_err(|e| format!("cannot create state dir {}: {e}", state_dir.display()))?;
-        let mut warm = HashSet::new();
-        let entries = std::fs::read_dir(&cache_dir)
-            .map_err(|e| format!("cannot scan trace cache {}: {e}", cache_dir.display()))?;
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(key) = name.strip_suffix(".wpt") {
-                warm.insert(key.to_string());
-            }
-        }
         let log_path = state_dir.join("results.jsonl");
         recover_torn_tail(&log_path);
         let file = std::fs::OpenOptions::new()
@@ -124,7 +107,6 @@ impl ServeStore {
         let bytes = file.metadata().map(|m| m.len()).unwrap_or(0);
         Ok(Self {
             cache_dir,
-            warm: Mutex::new(warm),
             curves: Mutex::new(HashMap::new()),
             log: Mutex::new(LogState {
                 writer: std::io::BufWriter::new(file),
@@ -135,9 +117,23 @@ impl ServeStore {
         })
     }
 
-    /// Number of warm capture keys in the index.
+    /// The trace-cache directory served sweeps capture into and replay
+    /// from.
+    pub fn cache_dir(&self) -> &Path {
+        &self.cache_dir
+    }
+
+    /// Number of completed captures in the cache directory right now: the
+    /// entries ending in `.wpt`. In-flight temp files
+    /// (`<key>.wpt.tmp.<pid>-<seq>`) do not end in `.wpt`, so they never
+    /// count. An unreadable directory counts as empty.
     pub fn warm_traces(&self) -> usize {
-        self.warm.lock().expect("warm index").len()
+        std::fs::read_dir(&self.cache_dir).map_or(0, |entries| {
+            entries
+                .flatten()
+                .filter(|e| e.file_name().to_str().is_some_and(|n| n.ends_with(".wpt")))
+                .count()
+        })
     }
 
     /// Number of memoized curves.
@@ -249,42 +245,6 @@ impl ServeStore {
     }
 }
 
-impl TraceStore for ServeStore {
-    fn dir(&self) -> &Path {
-        &self.cache_dir
-    }
-
-    /// Warm iff indexed — with a filesystem fallback so captures made by
-    /// concurrent *batch* processes sharing the cache directory are
-    /// picked up (and indexed) rather than re-run.
-    fn contains(&self, key: &str) -> bool {
-        let mut warm = self.warm.lock().expect("warm index");
-        if warm.contains(key) {
-            return true;
-        }
-        if self.path(key).exists() {
-            warm.insert(key.to_string());
-            return true;
-        }
-        false
-    }
-
-    fn note_captured(&self, key: &str) {
-        self.warm
-            .lock()
-            .expect("warm index")
-            .insert(key.to_string());
-    }
-
-    /// Evicts a corrupt capture: the file *and* its warm-index entry,
-    /// so the next `contains` check honestly reports cold and the
-    /// sweep's self-healing re-capture path takes over.
-    fn evict(&self, key: &str) {
-        self.warm.lock().expect("warm index").remove(key);
-        let _ = std::fs::remove_file(self.path(key));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,19 +255,19 @@ mod tests {
     }
 
     #[test]
-    fn open_seeds_the_warm_index_and_skips_temp_files() {
-        let (cache, state) = tmp_dirs("seed");
+    fn warm_traces_counts_completed_captures_at_call_time() {
+        let (cache, state) = tmp_dirs("warm");
         std::fs::create_dir_all(&cache).unwrap();
         std::fs::write(cache.join("a-w1-m2.wpt"), b"x").unwrap();
         std::fs::write(cache.join("b-w1-m2.wpt.tmp.1-0"), b"partial").unwrap();
         let store = ServeStore::open(&cache, &state).unwrap();
-        assert_eq!(store.warm_traces(), 1);
-        assert!(store.contains("a-w1-m2"));
-        assert!(!store.contains("b-w1-m2"));
-        // A capture landing on disk behind the index's back is adopted.
+        assert_eq!(store.cache_dir(), cache);
+        assert_eq!(store.warm_traces(), 1, "a temp file is not a capture");
+        // Files that land or vanish after open are seen on the next call.
         std::fs::write(cache.join("c-w1-m2.wpt"), b"x").unwrap();
-        assert!(store.contains("c-w1-m2"));
         assert_eq!(store.warm_traces(), 2);
+        std::fs::remove_file(cache.join("a-w1-m2.wpt")).unwrap();
+        assert_eq!(store.warm_traces(), 1);
         let _ = std::fs::remove_dir_all(cache.parent().unwrap());
     }
 
@@ -400,22 +360,6 @@ mod tests {
         std::fs::write(&log, b"{\"type\":\"res").unwrap();
         let _store = ServeStore::open(&cache, &state).unwrap();
         assert_eq!(std::fs::read(&log).unwrap(), b"");
-        let _ = std::fs::remove_dir_all(cache.parent().unwrap());
-    }
-
-    #[test]
-    fn evict_drops_both_the_file_and_the_warm_index_entry() {
-        let (cache, state) = tmp_dirs("evict");
-        std::fs::create_dir_all(&cache).unwrap();
-        std::fs::write(cache.join("mcf-w1-m2.wpt"), b"corrupt").unwrap();
-        let store = ServeStore::open(&cache, &state).unwrap();
-        assert!(store.contains("mcf-w1-m2"));
-        store.evict("mcf-w1-m2");
-        assert!(
-            !store.contains("mcf-w1-m2"),
-            "the index must not resurrect an evicted key"
-        );
-        assert!(!cache.join("mcf-w1-m2.wpt").exists());
         let _ = std::fs::remove_dir_all(cache.parent().unwrap());
     }
 

@@ -25,7 +25,6 @@
 mod config;
 mod driver;
 mod energy;
-mod hierarchy;
 mod memory;
 mod replay;
 mod scheme;
@@ -35,7 +34,6 @@ mod uncore;
 pub use config::SystemConfig;
 pub use driver::{CoreRunner, MultiCoreSim, RunSummary, SimConfig};
 pub use energy::{EnergyBreakdown, EnergyMeter, EnergyParams};
-pub use hierarchy::{PrivateHierarchy, PrivateLookup};
 pub use memory::MemoryChannels;
 pub use replay::{stream_bundle, trace_bundle, trace_pools, TraceWorkload};
 pub use scheme::{

@@ -9,10 +9,6 @@ pub struct CoreStats {
     pub instructions: u64,
     /// Cycles elapsed (base CPI + data stalls).
     pub cycles: f64,
-    /// L1 hits (only populated when the private hierarchy is simulated).
-    pub l1_hits: u64,
-    /// L2 hits.
-    pub l2_hits: u64,
     /// Accesses that reached the LLC scheme.
     pub llc_accesses: u64,
     /// LLC hits.
@@ -32,8 +28,6 @@ impl CoreStats {
         CoreStats {
             instructions: self.instructions - base.instructions,
             cycles: self.cycles - base.cycles,
-            l1_hits: self.l1_hits - base.l1_hits,
-            l2_hits: self.l2_hits - base.l2_hits,
             llc_accesses: self.llc_accesses - base.llc_accesses,
             llc_hits: self.llc_hits - base.llc_hits,
             llc_misses: self.llc_misses - base.llc_misses,

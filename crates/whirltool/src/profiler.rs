@@ -24,12 +24,6 @@ pub struct ProfilerConfig {
     pub granule_lines: u64,
     /// Points per emitted curve.
     pub curve_points: usize,
-    /// SHARDS sampling of the per-callpoint stacks: `None` profiles
-    /// exactly (and bit-identically to the historical profiler); `Some`
-    /// samples every callpoint's stack at the configured rate/`s_max`,
-    /// which is how WhirlTool classification stays tractable on
-    /// full-length traces.
-    pub sample: Option<ShardsConfig>,
 }
 
 impl Default for ProfilerConfig {
@@ -39,22 +33,7 @@ impl Default for ProfilerConfig {
             total_instrs: 16_000_000,
             granule_lines: 1024,
             curve_points: 201,
-            sample: None,
         }
-    }
-}
-
-impl ProfilerConfig {
-    /// This configuration with SHARDS sampling enabled.
-    #[must_use]
-    pub fn sampled(mut self, config: ShardsConfig) -> Self {
-        self.sample = Some(config);
-        self
-    }
-
-    /// The per-callpoint stack this configuration calls for.
-    fn stack(&self) -> ShardsStack {
-        ShardsStack::new(self.sample.unwrap_or_else(ShardsConfig::exact))
     }
 }
 
@@ -109,7 +88,7 @@ pub fn profile(
             .unwrap_or(UNKNOWN);
         let stack = stacks.entry(cp).or_insert_with(|| {
             order.push(cp);
-            cfg.stack()
+            ShardsStack::new(ShardsConfig::exact())
         });
         stack.access(ev.line.0);
         *accesses.entry(cp).or_insert(0) += 1;
@@ -224,7 +203,6 @@ mod tests {
             total_instrs: 200_000,
             granule_lines: 64,
             curve_points: 32,
-            sample: None,
         };
         let data = profile(&mut t, &page_map(), cfg);
         assert!(data.callpoints.contains(&CallpointId(1)));
@@ -239,29 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_profiler_sees_the_same_structure() {
-        // SHARDS-sampled profiling must classify the same way the exact
-        // profiler does: the hot callpoint's curve still collapses, the
-        // streaming one stays flat, and tracked state stays under the cap.
-        let mut t = toy_trace();
-        let cfg = ProfilerConfig {
-            interval_instrs: 50_000,
-            total_instrs: 400_000,
-            granule_lines: 64,
-            curve_points: 32,
-            sample: None,
-        }
-        .sampled(ShardsConfig::adaptive(0.5, 1024));
-        let data = profile(&mut t, &page_map(), cfg);
-        assert!(data.callpoints.contains(&CallpointId(1)));
-        assert!(data.callpoints.contains(&CallpointId(2)));
-        let hot = &data.intervals[1][&CallpointId(1)];
-        assert!(hot.mpki_at(31) < 0.3 * hot.at_zero());
-        let cold = &data.intervals[1][&CallpointId(2)];
-        assert!(cold.mpki_at(31) > 0.7 * cold.at_zero());
-    }
-
-    #[test]
     fn access_counts_tracked() {
         let mut t = toy_trace();
         let data = profile(
@@ -272,7 +227,6 @@ mod tests {
                 total_instrs: 40_000,
                 granule_lines: 64,
                 curve_points: 16,
-                sample: None,
             },
         );
         let a1 = data.accesses[&CallpointId(1)];
@@ -305,7 +259,6 @@ mod tests {
                 total_instrs: 200_000,
                 granule_lines: 64,
                 curve_points: 201,
-                sample: None,
             },
         );
         // The paper reports 200 KB–1.25 MB; the toy profile is far smaller
@@ -346,7 +299,6 @@ mod tests {
             total_instrs: 200_000,
             granule_lines: 64,
             curve_points: 32,
-            sample: None,
         };
         let (data, legend) = profile_trace_file(&path, cfg).unwrap();
         assert_eq!(legend.len(), 2);

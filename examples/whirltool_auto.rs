@@ -33,7 +33,6 @@ fn main() {
             total_instrs: 10_000_000,
             granule_lines: 1024,
             curve_points: 201,
-            sample: None,
         },
     );
     println!(

@@ -275,9 +275,8 @@ impl CancelToken {
 // ---------------------------------------------------------------------------
 
 /// Memo key: everything that determines a WhirlTool classification run's
-/// output, including the `WP_MRC_SAMPLE` configuration in effect (keyed
-/// by bit pattern so `0.01` and `0.0100000001` never alias).
-type ClassifyKey = (String, usize, bool, Option<(u64, Option<usize>)>);
+/// output — `(app, pools, train)`.
+type ClassifyKey = (String, usize, bool);
 
 /// Memoized classification result, shared across experiments by `Arc`.
 type ClassifyMemo = Mutex<HashMap<ClassifyKey, Arc<HashMap<CallpointId, usize>>>>;
@@ -502,25 +501,12 @@ pub fn sixteen_core_config() -> SystemConfig {
     sys
 }
 
-/// The SHARDS sampling configuration the `WP_MRC_SAMPLE` environment
-/// knob selects (`"R"` or `"R:SMAX"`, e.g. `0.01` or `0.01:16384`), or
-/// `None` when unset/unparsable — the same forgiving convention as
-/// `RUN_SCALE`. WhirlTool profiling (and therefore the Fig. 16/21 sweep
-/// cells that classify with it) opts into sampled MRC profiling through
-/// this.
-pub fn mrc_sample_from_env() -> Option<wp_mrc::ShardsConfig> {
-    std::env::var("WP_MRC_SAMPLE")
-        .ok()
-        .and_then(|s| wp_mrc::ShardsConfig::parse(&s))
-}
-
-/// Runs WhirlTool end to end for `app`: profile (train or ref input),
-/// cluster, return the callpoint→pool assignment. Set `WP_MRC_SAMPLE`
-/// (see [`mrc_sample_from_env`]) to profile with SHARDS sampling instead
-/// of exact Mattson stacks.
+/// Runs WhirlTool end to end for `app`: profile (train or ref input)
+/// with exact Mattson stacks, cluster, return the callpoint→pool
+/// assignment.
 ///
-/// Classification is pure in `(app, pools, train)` plus the sampling
-/// config, so results are memoized process-wide: repeat invocations —
+/// Classification is pure in `(app, pools, train)`, so results are
+/// memoized process-wide: repeat invocations —
 /// every cell of a sweep, every request a resident `wp-serve` daemon
 /// handles — reuse the first run's assignment instead of re-profiling
 /// 10 M instructions. Hits and misses are tallied under
@@ -530,13 +516,7 @@ pub fn classify_with_whirltool(
     pools: usize,
     train: bool,
 ) -> HashMap<CallpointId, usize> {
-    let sample = mrc_sample_from_env();
-    let key: ClassifyKey = (
-        app.to_string(),
-        pools,
-        train,
-        sample.as_ref().map(|s| (s.rate.to_bits(), s.s_max)),
-    );
+    let key: ClassifyKey = (app.to_string(), pools, train);
     if let Some(hit) = classify_memo()
         .lock()
         .expect("classification memo poisoned")
@@ -566,7 +546,6 @@ pub fn classify_with_whirltool(
             total_instrs: 10_000_000,
             granule_lines: 1024,
             curve_points: 201,
-            sample,
         },
     );
     let tree = cluster(&data, 200);

@@ -16,6 +16,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 
+use wp_obs::json::Json;
 use wp_serve::client::is_shutdown_error;
 use wp_serve::ops::{self, OpCtx};
 use wp_serve::protocol::Request;
@@ -169,9 +170,9 @@ fn corrupted_cache_heals_through_the_daemon_and_its_warm_index() {
     let req = served_sweep_req();
     let baseline = daemon.client().run(&req).expect("warming served sweep");
 
-    // Corrupt the daemon's own cached capture behind its back. The warm
-    // index still says "cached", so the healing path must run: evict
-    // (file AND index entry), re-capture, retry.
+    // Corrupt the daemon's own cached capture behind its back. The file
+    // still exists, so the sweep counts it warm and the healing path must
+    // run: remove the file, re-capture, retry.
     flip_one_bit(&cached_trace(&daemon.base.join("cache")));
     let healed = daemon
         .client()
@@ -182,10 +183,81 @@ fn corrupted_cache_heals_through_the_daemon_and_its_warm_index() {
         "daemon recovery must reproduce the fault-free bytes"
     );
 
-    // And again from warm state, proving the index was re-seeded
-    // honestly rather than left pointing at the evicted file.
+    // And again from warm state, replaying the re-captured file.
     let warm = daemon.client().run(&req).expect("follow-up served sweep");
     assert_eq!(warm.lines, baseline.lines);
+}
+
+/// The daemon's `trace_cache_evictions` counter, read through `metrics`.
+fn evictions(daemon: &Daemon) -> f64 {
+    let frame = daemon.client().call(&Request::Metrics).expect("metrics");
+    let json = wp_obs::json::parse(&frame).expect("metrics frame is JSON");
+    json.get("snapshot")
+        .and_then(|s| s.get("counters"))
+        .and_then(|c| c.get("trace_cache_evictions"))
+        .and_then(Json::as_f64)
+        .expect("trace_cache_evictions counter")
+}
+
+#[test]
+fn capture_deleted_behind_the_daemon_is_an_honest_miss() {
+    let _guard = wp_fault::test_guard();
+    let daemon = Daemon::start("vanish", 1);
+    let req = Request::Sweep {
+        argv: strs(&[
+            "--apps",
+            "mcf",
+            "--schemes",
+            "LRU",
+            "--warmup",
+            "20000",
+            "--measure",
+            "150000",
+            "--full-json",
+        ]),
+    };
+    let run = || {
+        let reply = daemon.client().run(&req).expect("served sweep");
+        let [line] = &reply.lines[..] else {
+            panic!("one JSON line: {:?}", reply.lines)
+        };
+        wp_obs::json::parse(line).expect("sweep JSON")
+    };
+    let env = |json: &Json, field: &str| json.get("env").and_then(|e| e.get(field)).cloned();
+    // The cells minus their wall-clock `phases`, which the daemon's
+    // enabled registry adds and which vary run to run.
+    let cells = |json: &Json| -> Vec<Vec<Option<Json>>> {
+        let Some(Json::Arr(cells)) = json.get("cells") else {
+            panic!("cells array: {json:?}")
+        };
+        cells
+            .iter()
+            .map(|c| {
+                ["scheme", "work", "summary"]
+                    .iter()
+                    .map(|k| c.get(k).cloned())
+                    .collect()
+            })
+            .collect()
+    };
+    let status = || daemon.client().call(&Request::Status).expect("status");
+    let num = |n: f64| Some(Json::Num(n));
+
+    let first = run();
+    assert!(status().contains("\"warm_traces\":1,"), "{}", status());
+
+    // Delete the capture behind the daemon's back: it is gone from
+    // `status` at once, and the next sweep re-captures it as a plain miss
+    // without taking the corrupt-capture heal path.
+    std::fs::remove_file(cached_trace(&daemon.base.join("cache"))).expect("delete capture");
+    assert!(status().contains("\"warm_traces\":0,"), "{}", status());
+    let evicted = evictions(&daemon);
+    let second = run();
+    assert_eq!(env(&second, "trace_cache_hits"), num(0.0));
+    assert_eq!(env(&second, "trace_cache_misses"), num(1.0));
+    assert_eq!(evictions(&daemon), evicted, "no heal path ran");
+    assert_eq!(cells(&second), cells(&first));
+    assert!(status().contains("\"warm_traces\":1,"), "{}", status());
 }
 
 #[test]

@@ -100,7 +100,6 @@ fn whirltool_recovers_the_manual_classification() {
             total_instrs: 3_000_000,
             granule_lines: 256,
             curve_points: 101,
-            sample: None,
         },
     );
     let tree = cluster(&data, 100);

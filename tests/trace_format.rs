@@ -91,7 +91,6 @@ fn offline_consumers_read_trace_files() {
             total_instrs: 400_000,
             granule_lines: 1024,
             curve_points: 64,
-            sample: None,
         },
     )
     .expect("profile");
