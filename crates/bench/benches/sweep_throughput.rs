@@ -42,7 +42,7 @@ fn bench(c: &mut Criterion) {
         .expect("capture");
     c.bench_function("warm_replay", |b| {
         b.iter(|| {
-            Experiment::replay(SchemeKind::SNucaLru, &path)
+            Experiment::replay(SchemeKind::SNucaLru, &path, 0)
                 .warmup(100_000)
                 .measure(400_000)
                 .run()
@@ -110,8 +110,7 @@ fn smoke() {
     let (all_streams, replayed) = run_cell(
         "all_streams",
         total,
-        Experiment::replay(SchemeKind::SNucaLru, &cap)
-            .all_streams()
+        Experiment::replay_all(SchemeKind::SNucaLru, &cap)
             .system(sixteen_core_config())
             .warmup(MIX_WARMUP_INSTRS)
             .measure(measure),
@@ -125,7 +124,7 @@ fn smoke() {
     for s in &info.streams {
         let k = s.meta.id;
         let name = format!("stream{k}:{}", s.meta.name);
-        let exp = Experiment::replay(SchemeKind::SNucaLru, &cap).stream(k);
+        let exp = Experiment::replay(SchemeKind::SNucaLru, &cap, k);
         cells.push(run_cell(&name, s.events, exp).0);
     }
     let _ = std::fs::remove_file(&cap);

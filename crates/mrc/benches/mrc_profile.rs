@@ -17,8 +17,8 @@ use std::time::Instant;
 
 use criterion::{criterion_group, Criterion};
 use wp_mrc::{
-    histogram_from_trace, histogram_from_trace_sampled, max_miss_ratio_error,
-    max_miss_ratio_error_with_slack, ShardsConfig, StackDistanceHistogram,
+    max_miss_ratio_error, max_miss_ratio_error_with_slack, profile_streams, ProfileMode,
+    ShardsConfig, StackDistanceHistogram,
 };
 use wp_sim::Workload;
 use wp_trace::TraceWriter;
@@ -50,13 +50,12 @@ fn capture_model_stream(app: &str, events: u64, tag: &str) -> PathBuf {
 fn bench(c: &mut Criterion) {
     let path = capture_model_stream("mcf", 2_000_000, "criterion");
     c.bench_function("profile_trace/exact", |b| {
-        b.iter(|| histogram_from_trace(&path, 0).unwrap())
+        b.iter(|| profile_streams(&path, &[0], ProfileMode::Exact).unwrap())
     });
     for rate in [1.0, 0.1, 0.01] {
         c.bench_function(&format!("profile_trace/sampled-{rate}"), |b| {
-            b.iter(|| {
-                histogram_from_trace_sampled(&path, 0, ShardsConfig::adaptive(rate, S_MAX)).unwrap()
-            })
+            let mode = ProfileMode::Sampled(ShardsConfig::adaptive(rate, S_MAX));
+            b.iter(|| profile_streams(&path, &[0], mode).unwrap())
         });
     }
     let _ = std::fs::remove_file(&path);
@@ -86,15 +85,16 @@ fn smoke() {
     let path = capture_model_stream(&app, events, "smoke");
 
     let t0 = Instant::now();
-    let (exact_hist, instrs) = histogram_from_trace(&path, 0).expect("exact profile");
+    let exact = profile_streams(&path, &[0], ProfileMode::Exact).expect("exact profile");
     let exact_ns = t0.elapsed().as_nanos();
+    let (exact_hist, instrs) = (&exact[0].histogram, exact[0].instructions);
 
     let mut rows = Vec::new();
     for rate in [0.1, 0.02, 0.01] {
         let cfg = ShardsConfig::adaptive(rate, S_MAX);
         let t0 = Instant::now();
-        let profiles = wp_mrc::profile_streams(&path, &[0], wp_mrc::ProfileMode::Sampled(cfg))
-            .expect("sampled profile");
+        let profiles =
+            profile_streams(&path, &[0], ProfileMode::Sampled(cfg)).expect("sampled profile");
         let ns = t0.elapsed().as_nanos();
         let p = profiles.into_iter().next().expect("one stream");
         rows.push(SampledRow {
@@ -116,8 +116,8 @@ fn smoke() {
                 r.rate,
                 r.ns,
                 exact_ns as f64 / r.ns as f64,
-                max_miss_ratio_error(&exact_hist, &r.hist, GRANULE),
-                max_miss_ratio_error_with_slack(&exact_hist, &r.hist, GRANULE, 0.05),
+                max_miss_ratio_error(exact_hist, &r.hist, GRANULE),
+                max_miss_ratio_error_with_slack(exact_hist, &r.hist, GRANULE, 0.05),
                 r.peak,
             )
         })

@@ -19,8 +19,11 @@
 //! * [`ShardsStack`] — SHARDS spatial-hash sampling over the Mattson
 //!   machinery: ~constant-memory miss curves over whole traces at a small,
 //!   bounded miss-ratio error, with fixed-rate and `s_max`-adaptive modes
-//!   (see [`ShardsConfig`]); [`profile_streams`] profiles any set of a
-//!   trace's streams, exact or sampled, in one file scan.
+//!   (see [`ShardsConfig`]).
+//! * [`profile_streams`] — the one trace-profiling entry point: any set of
+//!   a `.wpt` capture's streams, exact or sampled, in one file scan, each
+//!   returned as a [`StreamProfile`] whose [`curve`](StreamProfile::curve)
+//!   is the stream's miss curve.
 //! * [`convex_hull`] — the lower convex hull of a miss or latency curve
 //!   (Jigsaw partitions on hulls; convex performance is realizable via
 //!   Talus-style partitioning within a VC, per Sec. 4.2 of the paper).
@@ -82,10 +85,7 @@ pub use partition::{
 };
 pub use shards::{ShardsConfig, ShardsStack, SHARDS_MODULUS};
 pub use stamp::StampLru;
-pub use trace::{
-    curve_from_trace, histogram_from_trace, histogram_from_trace_sampled, profile_streams,
-    profile_streams_scanned, ProfileMode, StreamProfile,
-};
+pub use trace::{profile_streams, profile_streams_scanned, ProfileMode, StreamProfile};
 
 /// A cache line is 64 bytes throughout the reproduction (Table 3).
 pub const LINE_BYTES: u64 = 64;

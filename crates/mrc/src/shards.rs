@@ -63,17 +63,9 @@ pub struct ShardsConfig {
 }
 
 impl ShardsConfig {
-    /// Exact profiling: rate 1, no cap. A [`ShardsStack`] so configured
-    /// produces histograms identical to a plain
+    /// Fixed-rate sampling at `rate` (clamped into `(0, 1]`). At rate 1 a
+    /// [`ShardsStack`] produces histograms identical to a plain
     /// [`MattsonStack`](crate::MattsonStack).
-    pub fn exact() -> Self {
-        Self {
-            rate: 1.0,
-            s_max: None,
-        }
-    }
-
-    /// Fixed-rate sampling at `rate` (clamped into `(0, 1]`).
     pub fn fixed(rate: f64) -> Self {
         Self { rate, s_max: None }
     }
@@ -90,12 +82,6 @@ impl ShardsConfig {
     fn threshold(&self) -> u64 {
         let t = (self.rate.clamp(0.0, 1.0) * SHARDS_MODULUS as f64).round() as u64;
         t.clamp(1, SHARDS_MODULUS)
-    }
-}
-
-impl Default for ShardsConfig {
-    fn default() -> Self {
-        Self::exact()
     }
 }
 
@@ -328,7 +314,7 @@ mod tests {
     fn rate_one_matches_exact_mattson_exactly() {
         let trace = xorshift_stream(20_000, 700);
         let mut exact = MattsonStack::new();
-        let mut shards = ShardsStack::new(ShardsConfig::exact());
+        let mut shards = ShardsStack::new(ShardsConfig::fixed(1.0));
         for &l in &trace {
             exact.access(l);
             shards.access(l);
@@ -383,7 +369,7 @@ mod tests {
 
     #[test]
     fn take_histogram_resets_counts_not_stack() {
-        let mut s = ShardsStack::new(ShardsConfig::exact());
+        let mut s = ShardsStack::new(ShardsConfig::fixed(1.0));
         s.access(1);
         s.access(2);
         let h = s.take_histogram();

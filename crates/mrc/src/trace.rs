@@ -2,11 +2,10 @@
 //! from a recorded `.wpt` trace, no live workload model required.
 //!
 //! Everything funnels through [`profile_streams`], which profiles any set
-//! of a trace's streams — exact or SHARDS-sampled — in **one** file scan.
-//! The single-stream helpers ([`histogram_from_trace`],
-//! [`curve_from_trace`] and their `_sampled` variants) are thin wrappers
-//! over it; profiling a whole mix capture no longer costs one decode pass
-//! per stream.
+//! of a trace's streams — exact or SHARDS-sampled — in **one** file scan,
+//! so profiling a whole mix capture costs one decode pass, not one per
+//! stream. One stream is `profile_streams(path, &[k], mode)`, and
+//! [`StreamProfile::curve`] turns its histogram into a miss curve.
 
 use std::path::Path;
 
@@ -201,60 +200,6 @@ fn run_profile(
         .collect())
 }
 
-/// Runs an exact Mattson stack over stream `stream` of the trace at
-/// `path`, returning the stack-distance histogram and the instruction
-/// count the stream covers (for MPKI normalization).
-///
-/// # Errors
-///
-/// Propagates any [`TraceError`] from the file (missing, truncated,
-/// corrupt, undefined stream).
-pub fn histogram_from_trace(
-    path: &Path,
-    stream: u16,
-) -> Result<(StackDistanceHistogram, u64), TraceError> {
-    let mut profiles = profile_streams(path, &[stream], ProfileMode::Exact)?;
-    let p = profiles.pop().expect("one stream requested");
-    Ok((p.histogram, p.instructions))
-}
-
-/// [`histogram_from_trace`] with SHARDS sampling: the histogram is
-/// expanded and SHARDS_adj-corrected, so totals and miss ratios are
-/// directly comparable to the exact ones.
-///
-/// # Errors
-///
-/// As for [`histogram_from_trace`].
-pub fn histogram_from_trace_sampled(
-    path: &Path,
-    stream: u16,
-    config: ShardsConfig,
-) -> Result<(StackDistanceHistogram, u64), TraceError> {
-    let mut profiles = profile_streams(path, &[stream], ProfileMode::Sampled(config))?;
-    let p = profiles.pop().expect("one stream requested");
-    Ok((p.histogram, p.instructions))
-}
-
-/// The miss curve of stream `stream` of the trace at `path`, at
-/// `granule_lines` capacity granularity — the trace-driven analogue of
-/// the profiler's per-callpoint curves, over the whole stream.
-///
-/// # Errors
-///
-/// Propagates any [`TraceError`] from the file.
-pub fn curve_from_trace(
-    path: &Path,
-    stream: u16,
-    granule_lines: u64,
-) -> Result<MissCurve, TraceError> {
-    let (hist, instrs) = histogram_from_trace(path, stream)?;
-    Ok(MissCurve::from_histogram(
-        &hist,
-        instrs.max(1),
-        granule_lines,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,6 +207,11 @@ mod tests {
 
     fn temp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("wp-mrc-trace-{}-{name}", std::process::id()))
+    }
+
+    /// The profile of stream `stream` alone.
+    fn one(path: &Path, stream: u16, mode: ProfileMode) -> Result<StreamProfile, TraceError> {
+        Ok(profile_streams(path, &[stream], mode)?.remove(0))
     }
 
     #[test]
@@ -277,12 +227,12 @@ mod tests {
         }
         w.finish().unwrap();
 
-        let (hist, instrs) = histogram_from_trace(&path, 0).unwrap();
-        assert_eq!(instrs, 819_200);
-        assert_eq!(hist.total(), 8192);
-        assert_eq!(hist.cold_misses(), 1024);
+        let p = one(&path, 0, ProfileMode::Exact).unwrap();
+        assert_eq!(p.instructions, 819_200);
+        assert_eq!(p.histogram.total(), 8192);
+        assert_eq!(p.histogram.cold_misses(), 1024);
 
-        let curve = curve_from_trace(&path, 0, 64).unwrap();
+        let curve = p.curve(64);
         // Below the working set everything misses (10 APKI); at ≥1024
         // lines only the cold misses remain.
         assert!(curve.at_zero() > 9.9);
@@ -297,16 +247,17 @@ mod tests {
         let mut w = TraceWriter::create(&path).unwrap();
         let _ = w.add_stream("only", &[]).unwrap();
         w.finish().unwrap();
-        assert!(histogram_from_trace(&path, 5).is_err());
-        assert!(histogram_from_trace(&path, 0).is_ok());
-        assert!(histogram_from_trace_sampled(&path, 5, ShardsConfig::fixed(0.5)).is_err());
+        assert!(one(&path, 5, ProfileMode::Exact).is_err());
+        assert!(one(&path, 0, ProfileMode::Exact).is_ok());
+        let sampled = ProfileMode::Sampled(ShardsConfig::fixed(0.5));
+        assert!(one(&path, 5, sampled).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn missing_file_is_an_error() {
         assert!(matches!(
-            curve_from_trace(Path::new("/nonexistent/trace.wpt"), 0, 64),
+            one(Path::new("/nonexistent/trace.wpt"), 0, ProfileMode::Exact),
             Err(TraceError::Io(_))
         ));
     }
@@ -334,14 +285,14 @@ mod tests {
     }
 
     #[test]
-    fn multi_stream_single_pass_matches_per_stream_wrappers() {
+    fn multi_stream_single_pass_matches_per_stream_runs() {
         let path = mix_trace("mix.wpt");
         let all = profile_streams(&path, &[0, 1, 2], ProfileMode::Exact).unwrap();
         assert_eq!(all.len(), 3);
         for p in &all {
-            let (hist, instrs) = histogram_from_trace(&path, p.stream).unwrap();
-            assert_eq!(p.histogram, hist, "stream {}", p.stream);
-            assert_eq!(p.instructions, instrs);
+            let alone = one(&path, p.stream, ProfileMode::Exact).unwrap();
+            assert_eq!(p.histogram, alone.histogram, "stream {}", p.stream);
+            assert_eq!(p.instructions, alone.instructions);
             assert_eq!(p.events, 6000);
             assert_eq!(p.sampled_rate, None);
         }

@@ -70,9 +70,27 @@ fn main() -> ExitCode {
         }
     };
     let result = match args.first().map(String::as_str) {
-        Some("record") => run_op(connect, ExpOp::Record.into_request(&args[1..])),
-        Some("replay") => run_op(connect, ExpOp::Replay.into_request(&args[1..])),
-        Some("obs") => run_op(connect, ExpOp::Obs.into_request(&args[1..])),
+        Some("record") => run_op(
+            connect,
+            Request::Experiment {
+                op: ExpOp::Record,
+                argv: args[1..].to_vec(),
+            },
+        ),
+        Some("replay") => run_op(
+            connect,
+            Request::Experiment {
+                op: ExpOp::Replay,
+                argv: args[1..].to_vec(),
+            },
+        ),
+        Some("obs") => run_op(
+            connect,
+            Request::Experiment {
+                op: ExpOp::Obs,
+                argv: args[1..].to_vec(),
+            },
+        ),
         Some("profile") => run_op(
             connect,
             Request::Profile {
@@ -212,19 +230,6 @@ fn strip_connect(argv: Vec<String>) -> Result<(Option<PathBuf>, Vec<String>), St
         }
     }
     Ok((connect, out))
-}
-
-trait IntoRequest {
-    fn into_request(self, rest: &[String]) -> Request;
-}
-
-impl IntoRequest for ExpOp {
-    fn into_request(self, rest: &[String]) -> Request {
-        Request::Experiment {
-            op: self,
-            argv: rest.to_vec(),
-        }
-    }
 }
 
 /// Runs a work verb: locally through the ops layer, or — with

@@ -97,17 +97,13 @@ impl std::fmt::Debug for Dispatcher {
 
 impl Dispatcher {
     /// Starts `workers` worker threads over a queue bounded at
-    /// `capacity` pending jobs, with no per-job timeout.
-    pub fn start(store: Arc<ServeStore>, workers: usize, capacity: usize) -> Self {
-        Self::start_with_timeout(store, workers, capacity, None)
-    }
-
-    /// [`start`](Self::start) plus a per-job wall-clock budget: each
-    /// job's cancel token is armed with the deadline as a worker picks
-    /// it up, so a runaway run aborts at its next cooperative
-    /// checkpoint and the client gets a typed "timed out" error frame
-    /// (distinct from a user cancel) while the daemon keeps serving.
-    pub fn start_with_timeout(
+    /// `capacity` pending jobs. `job_timeout` is an optional per-job
+    /// wall-clock budget: each job's cancel token is armed with the
+    /// deadline as a worker picks it up, so a runaway run aborts at its
+    /// next cooperative checkpoint and the client gets a typed "timed
+    /// out" error frame (distinct from a user cancel) while the daemon
+    /// keeps serving.
+    pub fn start(
         store: Arc<ServeStore>,
         workers: usize,
         capacity: usize,
@@ -393,7 +389,7 @@ mod tests {
     #[test]
     fn bad_argv_jobs_report_errors_without_killing_workers() {
         let _guard = wp_fault::test_guard();
-        let d = Dispatcher::start(test_store("bad"), 1, 4);
+        let d = Dispatcher::start(test_store("bad"), 1, 4, None);
         let (id, rx) = d
             .submit(Request::Experiment {
                 op: ExpOp::Replay,
@@ -419,7 +415,7 @@ mod tests {
     #[test]
     fn queue_capacity_and_shutdown_reject_new_work() {
         let _guard = wp_fault::test_guard();
-        let d = Dispatcher::start(test_store("cap"), 1, 1);
+        let d = Dispatcher::start(test_store("cap"), 1, 1, None);
         // Saturate the single worker with a job that blocks long enough
         // to let a second one sit in the queue (a real-but-tiny run
         // would race; a pre-cancelled one is deterministic and instant,
@@ -437,7 +433,7 @@ mod tests {
     fn injected_worker_panic_fails_one_job_and_keeps_the_daemon_serving() {
         let _guard = wp_fault::test_guard();
         wp_fault::install(wp_fault::FaultPlan::parse("worker-panic@1:1").unwrap());
-        let d = Dispatcher::start(test_store("panic"), 1, 4);
+        let d = Dispatcher::start(test_store("panic"), 1, 4, None);
         let (_, rx) = d.submit(Request::Profile { argv: vec![] }).unwrap();
         match rx.recv().unwrap() {
             JobEvent::Error { cancelled, message } => {
@@ -468,12 +464,7 @@ mod tests {
     fn slow_jobs_blow_the_wall_clock_budget_with_a_typed_timeout() {
         let _guard = wp_fault::test_guard();
         wp_fault::install(wp_fault::FaultPlan::parse("worker-slow@1=150:1").unwrap());
-        let d = Dispatcher::start_with_timeout(
-            test_store("timeout"),
-            1,
-            4,
-            Some(Duration::from_millis(40)),
-        );
+        let d = Dispatcher::start(test_store("timeout"), 1, 4, Some(Duration::from_millis(40)));
         let (id, rx) = d
             .submit(Request::Sweep {
                 argv: vec![
@@ -503,7 +494,7 @@ mod tests {
     #[test]
     fn cancel_hits_queued_jobs_before_a_worker_runs_them() {
         let _guard = wp_fault::test_guard();
-        let d = Dispatcher::start(test_store("cxl"), 1, 8);
+        let d = Dispatcher::start(test_store("cxl"), 1, 8, None);
         // Submit, immediately cancel, and verify the job reports
         // `cancelled` regardless of whether the worker had started it:
         // the ops layer's first checkpoint fires before any real work.

@@ -100,7 +100,7 @@ impl Server {
         listener
             .set_nonblocking(true)
             .map_err(|e| format!("cannot set {} non-blocking: {e}", config.socket.display()))?;
-        let dispatcher = Arc::new(Dispatcher::start_with_timeout(
+        let dispatcher = Arc::new(Dispatcher::start(
             Arc::clone(&store),
             config.workers,
             config.queue_capacity,

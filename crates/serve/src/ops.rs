@@ -375,34 +375,27 @@ pub fn replay(rest: &[String], ctx: &OpCtx) -> Result<Vec<String>, String> {
     };
     // Each replay validates the chunks of the streams it replays as it
     // decodes them (see `Experiment::run`), so nothing scans the file
-    // first. The stream table is read once for all schemes, by a frame
-    // walk that decodes no chunk. A damaged file reports the scan's error.
-    let scan_error = |e| TraceInfo::scan_error(path, e).to_string();
-    let table = wp_trace::stream_table(path).map_err(scan_error)?;
-    let mix_streams: Option<Vec<u16>> = if args.flag("--mix") {
-        if table.is_empty() {
-            return Err(format!("{file} defines no streams"));
-        }
-        Some(table.iter().map(|m| m.id).collect())
-    } else {
+    // first. A damaged file reports the scan's error.
+    let replayed = stream.unwrap_or(0);
+    if !args.flag("--mix") {
         // One stream replays; the others are decoded here, once, so a
-        // damaged chunk anywhere still fails the command.
-        let replayed = stream.unwrap_or(0);
+        // damaged chunk anywhere still fails the command. The stream
+        // table comes from a frame walk that decodes no chunk.
+        let scan_error = |e| TraceInfo::scan_error(path, e).to_string();
+        let table = wp_trace::stream_table(path).map_err(scan_error)?;
         let rest = table.iter().filter(|m| u64::from(m.id) != replayed);
         check_streams(path, rest.map(|m| m.id)).map_err(scan_error)?;
-        None
-    };
+    }
+    let stream = u16::try_from(replayed)
+        .map_err(|_| format!("stream index {replayed} is out of range (max 65535)"))?;
     let mut lines = Vec::with_capacity(kinds.len());
     for kind in kinds {
-        let mut exp = Experiment::replay(kind, path).classification(classification);
-        if let Some(ids) = &mix_streams {
-            exp = exp.streams(ids.clone());
-        } else if let Some(k) = stream {
-            let k = u16::try_from(k)
-                .map_err(|_| format!("stream index {k} is out of range (max 65535)"))?;
-            exp = exp.stream(k);
-        }
-        let exp = apply_common(exp, &args, ctx)?;
+        let exp = if args.flag("--mix") {
+            Experiment::replay_all(kind, path)
+        } else {
+            Experiment::replay(kind, path, stream)
+        };
+        let exp = apply_common(exp.classification(classification), &args, ctx)?;
         let summary = exp.run().map_err(|e| e.to_string())?;
         lines.push(summary.to_json());
     }
@@ -734,7 +727,7 @@ pub fn obs(rest: &[String], ctx: &OpCtx) -> Result<Vec<String>, String> {
     let exp = if path.exists() {
         // Replays restore the recorded pools unless told otherwise, same
         // as `replay` without `--no-pools`.
-        Experiment::replay(kind, path)
+        Experiment::replay(kind, path, 0)
     } else {
         whirlpool_repro::harness::resolve_app(target).map_err(|e| e.to_string())?;
         Experiment::single(kind, target)

@@ -66,6 +66,26 @@ fn cli_bad_trace_exits_nonzero_one_line() {
 }
 
 #[test]
+fn cli_mix_replay_of_a_capture_without_streams_exits_2_one_line() {
+    let path = temp("no-streams");
+    wp_trace::TraceWriter::create(&path)
+        .expect("create")
+        .finish()
+        .expect("finish");
+    let out = Command::new(env!("CARGO_BIN_EXE_trace_tool"))
+        .args(["replay", path.to_str().unwrap(), "--mix"])
+        .output()
+        .expect("run trace_tool");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    let lines: Vec<&str> = err.lines().filter(|l| !l.is_empty()).collect();
+    assert_eq!(lines.len(), 1, "one-line message, no usage dump: {err}");
+    assert!(lines[0].starts_with("trace_tool:"), "{err}");
+    assert!(lines[0].contains("defines no streams"), "{err}");
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
 fn cli_colliding_trace_mix_exits_nonzero() {
     let path = capture_small("cli-collide");
     let uri = format!("trace:{}", path.display());

@@ -171,9 +171,8 @@ fn assert_replays_fail_like_the_scan(case: &str, path: &Path, budget: &[&str]) {
         .to_string();
     let file = path.to_str().unwrap();
 
-    let mut exp = Experiment::replay(SchemeKind::SNucaLru, path)
-        .classification(Classification::None)
-        .all_streams();
+    let mut exp =
+        Experiment::replay_all(SchemeKind::SNucaLru, path).classification(Classification::None);
     if let ["--measure", n] = budget {
         exp = exp.measure(n.parse().unwrap());
     }

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use wp_mem::{CallpointId, PageId};
-use wp_mrc::{MissCurve, ShardsConfig, ShardsStack};
+use wp_mrc::{MattsonStack, MissCurve};
 use wp_sim::Workload;
 
 /// Profiler configuration.
@@ -72,7 +72,7 @@ pub fn profile(
 ) -> ProfileData {
     let _span = wp_obs::span(wp_obs::Phase::Profile);
     const UNKNOWN: CallpointId = CallpointId(0);
-    let mut stacks: HashMap<CallpointId, ShardsStack> = HashMap::new();
+    let mut stacks: HashMap<CallpointId, MattsonStack> = HashMap::new();
     let mut order: Vec<CallpointId> = Vec::new();
     let mut accesses: HashMap<CallpointId, u64> = HashMap::new();
     let mut intervals = Vec::new();
@@ -88,7 +88,7 @@ pub fn profile(
             .unwrap_or(UNKNOWN);
         let stack = stacks.entry(cp).or_insert_with(|| {
             order.push(cp);
-            ShardsStack::new(ShardsConfig::exact())
+            MattsonStack::new()
         });
         stack.access(ev.line.0);
         *accesses.entry(cp).or_insert(0) += 1;
@@ -140,7 +140,7 @@ pub fn profile_trace_file(
 }
 
 fn flush_interval(
-    stacks: &mut HashMap<CallpointId, ShardsStack>,
+    stacks: &mut HashMap<CallpointId, MattsonStack>,
     instrs: u64,
     cfg: ProfilerConfig,
 ) -> HashMap<CallpointId, MissCurve> {

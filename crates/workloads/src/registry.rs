@@ -57,9 +57,9 @@ pub fn all_apps() -> Vec<&'static str> {
 
 /// The file path of a `trace:<path>` app name, or `None` for registry
 /// names. Anywhere an app name is accepted, `trace:/path/to/run.wpt`
-/// names a recorded `.wpt` trace instead of a synthetic model; resolution
-/// happens in the harness (`whirlpool_repro::harness::app_bundle`), since
-/// traces carry their own pool tables rather than an [`AppSpec`].
+/// names a recorded `.wpt` trace instead of a synthetic model; the
+/// harness replays it (`whirlpool_repro::harness::Experiment::single`),
+/// since traces carry their own pool tables rather than an [`AppSpec`].
 pub fn trace_path(name: &str) -> Option<&std::path::Path> {
     name.strip_prefix("trace:").map(std::path::Path::new)
 }

@@ -3,7 +3,7 @@
 //! `trace_tool` CLI, and the integration tests.
 //!
 //! [`Experiment`] is the single builder every consumer goes through: a
-//! [`Placement`] (one app, a multi-program mix, a task-parallel app, a
+//! placement (one app, a multi-program mix, a task-parallel app, a
 //! trace replay, or pre-built bundles) plus the knobs that used to be
 //! scattered across free functions — classification, warmup/measure
 //! budgets, system configuration, RNG seed, and capture. Misuse surfaces
@@ -627,29 +627,16 @@ pub fn run_budget(app: &str) -> (u64, u64) {
     (warmup, measure)
 }
 
-/// Builds the workload bundle for `app` under a classification — the one
-/// shared app-lookup path. `app` is a registry name (`"delaunay"`) or a
-/// `trace:<path>` URI naming a recorded `.wpt` file.
-///
-/// For traces, [`Classification::None`] strips the recorded pools and any
-/// other classification replays them as recorded (a trace carries its
-/// producer's classification; WhirlTool cannot re-profile a registry
-/// model that is not there).
+/// Builds the workload bundle for registry app `app` under a
+/// classification. `trace:` apps never reach here: [`Experiment::single`]
+/// replays them.
 ///
 /// # Errors
 ///
 /// [`HarnessError::UnknownApp`] for unresolvable names (with a
-/// did-you-mean suggestion) and [`HarnessError::Trace`] for `trace:` apps
-/// whose file is missing or malformed.
-pub fn app_bundle(
-    app: &str,
-    classification: Classification,
-) -> Result<WorkloadBundle, HarnessError> {
+/// did-you-mean suggestion).
+fn app_bundle(app: &str, classification: Classification) -> Result<WorkloadBundle, HarnessError> {
     resolve_app(app)?;
-    if let Some(path) = registry::trace_path(app) {
-        let with_pools = !matches!(classification, Classification::None);
-        return Ok(wp_sim::trace_bundle(path, 0, with_pools)?);
-    }
     let model = AppModel::new(registry::spec(app));
     let pools = descriptors_for(&model, app, classification);
     Ok(model.bundle(pools))
@@ -683,19 +670,6 @@ pub fn mix_base_page(core: usize) -> u64 {
     (core as u64 + 1) * (TB / wp_mem::PAGE_BYTES)
 }
 
-/// Which streams of a trace capture a [`Placement::Replay`] re-attaches.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StreamSelect {
-    /// One stream, attached to core 0.
-    One(u16),
-    /// Every stream of the capture, each to its own core — the way to
-    /// replay a whole mix or parallel capture. The streams are listed by
-    /// [`wp_trace::stream_table`], a frame walk that decodes no chunk.
-    All,
-    /// An explicit stream list, attached to cores 0..n in order.
-    Set(Vec<u16>),
-}
-
 /// What an [`Experiment`] runs and where.
 ///
 /// The first three variants cover the paper's scenarios (single-app
@@ -703,8 +677,8 @@ pub enum StreamSelect {
 /// recorded capture streams; `Bundles` accepts pre-built
 /// [`WorkloadBundle`]s for bespoke models (tests, sweep-cache replays).
 #[derive(Debug)]
-pub enum Placement {
-    /// One app (registry name or `trace:<path>`) alone on core 0.
+enum Placement {
+    /// One registry app alone on core 0.
     Single(String),
     /// A multi-program mix: one app per core, fixed-work (Appendix A).
     Mix(Vec<String>),
@@ -715,32 +689,16 @@ pub enum Placement {
     Replay {
         /// The capture file.
         trace: PathBuf,
-        /// Which streams to attach.
-        select: StreamSelect,
+        /// The one stream to attach to core 0, or `None` for every
+        /// stream, each to its own core.
+        stream: Option<u16>,
     },
     /// Pre-built workload bundles, one per core in order.
     Bundles(Vec<WorkloadBundle>),
 }
 
-impl Placement {
-    /// Short display label ("delaunay", "mcf+lbm", "fft/paws", …).
-    pub fn label(&self) -> String {
-        match self {
-            Placement::Single(app) => app.clone(),
-            Placement::Mix(apps) => apps.join("+"),
-            Placement::Parallel(spec, policy) => format!("{}/{policy:?}", spec.name),
-            Placement::Replay { trace, .. } => format!("replay:{}", trace.display()),
-            Placement::Bundles(bundles) => bundles
-                .iter()
-                .map(|b| b.name.as_str())
-                .collect::<Vec<_>>()
-                .join("+"),
-        }
-    }
-}
-
 /// Result of an [`Experiment`]: the run summary plus, for
-/// [`Placement::Parallel`], the task schedule that produced it and, when
+/// [`Experiment::parallel`] runs, the task schedule that produced it and, when
 /// [`Experiment::observe`] was set, the run's observability report.
 #[derive(Debug, Clone)]
 pub struct ExperimentRun {
@@ -866,9 +824,13 @@ impl Experiment {
     }
 
     /// One app (registry name or `trace:<path>`) alone on core 0 of the
-    /// 4-core chip, with the app's [`run_budget`].
+    /// 4-core chip, with the app's [`run_budget`]. A `trace:<path>` app is
+    /// [`replay(kind, path, 0)`](Self::replay).
     pub fn single(kind: SchemeKind, app: &str) -> Self {
-        Self::with_placement(kind, Placement::Single(app.to_string()))
+        match registry::trace_path(app) {
+            Some(path) => Self::replay(kind, path, 0),
+            None => Self::with_placement(kind, Placement::Single(app.to_string())),
+        }
     }
 
     /// A multi-program mix, one app per core (registry names or `trace:`
@@ -888,15 +850,28 @@ impl Experiment {
         Self::with_placement(kind, Placement::Parallel(spec, policy))
     }
 
-    /// Replays stream 0 of a recorded capture on core 0. Select another
-    /// stream with [`stream`](Self::stream) or re-attach every stream
-    /// (mix/parallel captures) with [`all_streams`](Self::all_streams).
-    pub fn replay(kind: SchemeKind, trace: impl Into<PathBuf>) -> Self {
+    /// Replays stream `stream` of a recorded capture on core 0. The
+    /// capture's other streams are stepped over, not checked (see
+    /// [`run`](Self::run)).
+    pub fn replay(kind: SchemeKind, trace: impl Into<PathBuf>, stream: u16) -> Self {
         Self::with_placement(
             kind,
             Placement::Replay {
                 trace: trace.into(),
-                select: StreamSelect::One(0),
+                stream: Some(stream),
+            },
+        )
+    }
+
+    /// Replays every stream of a recorded capture, each on its own core
+    /// in stream order — the way to replay a whole mix or parallel
+    /// capture.
+    pub fn replay_all(kind: SchemeKind, trace: impl Into<PathBuf>) -> Self {
+        Self::with_placement(
+            kind,
+            Placement::Replay {
+                trace: trace.into(),
+                stream: None,
             },
         )
     }
@@ -907,50 +882,6 @@ impl Experiment {
     /// [`classification`](Self::classification) is ignored.
     pub fn bundles(kind: SchemeKind, bundles: Vec<WorkloadBundle>) -> Self {
         Self::with_placement(kind, Placement::Bundles(bundles))
-    }
-
-    /// Selects one stream of a replay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the placement is not [`Placement::Replay`].
-    #[must_use]
-    pub fn stream(mut self, stream: u16) -> Self {
-        match &mut self.placement {
-            Placement::Replay { select, .. } => *select = StreamSelect::One(stream),
-            other => panic!("stream() applies to replay experiments, not {other:?}"),
-        }
-        self
-    }
-
-    /// Re-attaches every stream of a replay to its own core.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the placement is not [`Placement::Replay`].
-    #[must_use]
-    pub fn all_streams(mut self) -> Self {
-        match &mut self.placement {
-            Placement::Replay { select, .. } => *select = StreamSelect::All,
-            other => panic!("all_streams() applies to replay experiments, not {other:?}"),
-        }
-        self
-    }
-
-    /// Attaches an explicit stream list of a replay to cores 0..n in
-    /// order. Chunks of streams left off the list are stepped over, not
-    /// checked (see [`run`](Self::run)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the placement is not [`Placement::Replay`].
-    #[must_use]
-    pub fn streams(mut self, ids: Vec<u16>) -> Self {
-        match &mut self.placement {
-            Placement::Replay { select, .. } => *select = StreamSelect::Set(ids),
-            other => panic!("streams() applies to replay experiments, not {other:?}"),
-        }
-        self
     }
 
     /// Overrides the classification (default: the scheme's
@@ -1068,17 +999,18 @@ impl Experiment {
     /// A replay validates its capture in the pass that simulates it, with
     /// no scan first. Opening it reads the stream definitions by a frame
     /// walk that decodes no chunk ([`wp_trace::stream_table`] for
-    /// [`all_streams`](Self::all_streams), which also checks the `End`
-    /// block; [`wp_trace::stream_defs`] otherwise). Each replayed stream's
-    /// reader then checks the block framing, every chunk of its stream
-    /// and that stream's `End` totals, and drains whatever tail the
-    /// budgets left unread ([`wp_sim::TraceWorkload`]). So a damaged
-    /// stream fails its replay however short the run. A partial replay
-    /// ([`stream`](Self::stream), [`streams`](Self::streams)) does not
-    /// check the chunks of the streams it leaves out; `trace_tool
-    /// replay` decodes those once per invocation, before its schemes run.
-    /// A failed replay's error is the one [`TraceInfo::scan`] reports for
-    /// the file; the scan runs on this error path only.
+    /// [`replay_all`](Self::replay_all), which also checks the `End`
+    /// block; [`wp_trace::stream_defs`] up to the one stream of
+    /// [`replay`](Self::replay)). Each replayed stream's reader then
+    /// checks the block framing, every chunk of its stream and that
+    /// stream's `End` totals, and drains whatever tail the budgets left
+    /// unread ([`wp_sim::TraceWorkload`]). So a damaged stream fails its
+    /// replay however short the run. A one-stream replay does not check
+    /// the chunks of the streams it leaves out; `trace_tool replay`
+    /// decodes those once per invocation, before its schemes run. A
+    /// failed replay's error, `trace:` single apps included, is the one
+    /// [`TraceInfo::scan`] reports for the file; the scan runs on this
+    /// error path only.
     pub fn run(self) -> Result<RunSummary, HarnessError> {
         self.run_full().map(|r| r.summary)
     }
@@ -1175,44 +1107,38 @@ impl Experiment {
                     .map(|(c, b)| (CoreId(c as u16), b))
                     .collect()
             }
-            Placement::Replay { trace, select } => {
+            Placement::Replay { trace, stream } => {
                 let with_pools = !matches!(classification, Classification::None);
                 // Each bundle is built from its stream's definition, read
-                // by one frame walk: over the whole file for all streams,
-                // else only up to the last replayed stream's definition.
-                let (streams, mut table) = match select {
-                    StreamSelect::One(k) => (vec![k], Vec::new()),
-                    StreamSelect::Set(ids) => (ids, Vec::new()),
-                    StreamSelect::All => {
-                        let table = wp_trace::stream_table(&trace)?;
-                        if table.is_empty() {
-                            return Err(HarnessError::Trace(TraceError::Corrupt(format!(
-                                "{} defines no streams",
-                                trace.display()
-                            ))));
-                        }
-                        (table.iter().map(|m| m.id).collect::<Vec<u16>>(), table)
+                // by one frame walk: over the whole file for every stream,
+                // else only up to the replayed stream's definition.
+                let table = match stream {
+                    None => wp_trace::stream_table(&trace)?,
+                    Some(k) => {
+                        let defs = wp_trace::stream_defs(&trace, k)?;
+                        let meta = defs.into_iter().find(|m| m.id == k).ok_or_else(|| {
+                            TraceError::Corrupt(format!("stream {k} is not defined in the trace"))
+                        })?;
+                        vec![meta]
                     }
                 };
-                if streams.len() > cores {
+                if table.is_empty() {
+                    return Err(TraceError::Corrupt(format!(
+                        "{} defines no streams",
+                        trace.display()
+                    ))
+                    .into());
+                }
+                if table.len() > cores {
                     return Err(HarnessError::TooManyWorkloads {
-                        workloads: streams.len(),
+                        workloads: table.len(),
                         cores,
                     });
                 }
-                // (`table` is only empty here when not all streams replay.)
-                if table.is_empty() {
-                    if let Some(&last) = streams.iter().max() {
-                        table = wp_trace::stream_defs(&trace, last)?;
-                    }
-                }
                 // Every stream's reader shares one image of the file.
                 let image = Arc::new(wp_trace::TraceData::open(&trace).map_err(TraceError::from)?);
-                let mut out = Vec::with_capacity(streams.len());
-                for (c, sid) in streams.into_iter().enumerate() {
-                    let meta = table.iter().find(|m| m.id == sid).ok_or_else(|| {
-                        TraceError::Corrupt(format!("stream {sid} is not defined in the trace"))
-                    })?;
+                let mut out = Vec::with_capacity(table.len());
+                for (c, meta) in table.iter().enumerate() {
                     out.push((
                         CoreId(c as u16),
                         wp_sim::stream_bundle(&trace, &image, meta, with_pools)?,
@@ -1626,13 +1552,41 @@ mod tests {
             .unwrap();
         assert_eq!(live.to_json(), replayed.to_json());
         // The Replay placement drives the same stream to the same result.
-        let via_replay = Experiment::replay(SchemeKind::SNucaLru, &path)
+        let via_replay = Experiment::replay(SchemeKind::SNucaLru, &path, 0)
             .warmup(100_000)
             .measure(200_000)
             .classification(Classification::None)
             .run()
             .unwrap();
         assert_eq!(live.to_json(), via_replay.to_json());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn trace_single_app_is_a_stream_zero_replay() {
+        let path =
+            std::env::temp_dir().join(format!("wp-harness-single-{}.wpt", std::process::id()));
+        Experiment::single(SchemeKind::Whirlpool, "delaunay")
+            .warmup(100_000)
+            .measure(200_000)
+            .capture_to(&path)
+            .run()
+            .unwrap();
+        let uri = format!("trace:{}", path.display());
+        let both = || {
+            let single = Experiment::single(SchemeKind::Whirlpool, &uri).run();
+            let replay = Experiment::replay(SchemeKind::Whirlpool, &path, 0).run();
+            (single, replay)
+        };
+        let (single, replay) = both();
+        assert_eq!(single.unwrap().to_json(), replay.unwrap().to_json());
+        // A cut capture fails both with the same text.
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        let (single, replay) = both();
+        let single = single.unwrap_err().to_string();
+        assert_eq!(single, replay.unwrap_err().to_string());
+        assert_eq!(single, TraceInfo::scan(&path).unwrap_err().to_string());
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -125,8 +125,7 @@ fn every_scheme_replays_its_golden_summary() {
         }
     }
     for kind in SchemeKind::ALL {
-        let json = Experiment::replay(kind, &capture)
-            .all_streams()
+        let json = Experiment::replay_all(kind, &capture)
             .warmup(WARMUP)
             .measure(MEASURE)
             .run()

@@ -76,7 +76,8 @@ fn oversubscribed_floorplan_yields_typed_error() {
 fn missing_trace_yields_trace_error() {
     for result in [
         Experiment::single(SchemeKind::SNucaLru, "trace:/nonexistent/x.wpt").run(),
-        Experiment::replay(SchemeKind::SNucaLru, "/nonexistent/x.wpt").run(),
+        Experiment::replay(SchemeKind::SNucaLru, "/nonexistent/x.wpt", 0).run(),
+        Experiment::replay_all(SchemeKind::SNucaLru, "/nonexistent/x.wpt").run(),
     ] {
         assert!(matches!(result, Err(HarnessError::Trace(_))), "{result:?}");
     }
@@ -162,15 +163,13 @@ fn colliding_traces_are_caught_even_when_pool_tables_dont_overlap() {
 }
 
 #[test]
-fn replay_with_too_many_streams_for_the_chip_is_typed() {
-    // A 2-stream mix capture re-attached with --all-streams fits the
-    // 4-core chip; the same capture cannot oversubscribe, so exercise the
-    // error by replaying on a chip smaller than the stream count is
-    // impossible with stock floorplans — instead verify the stream-select
-    // error path: a stream id the capture does not define.
+fn replay_of_an_undefined_stream_is_typed() {
+    // A stream id the capture does not define is a typed trace error
+    // naming the stream. (A capture with more streams than the chip has
+    // cores is `parallel_capture.rs`'s
+    // `oversubscribed_replay_of_a_parallel_capture_is_typed`.)
     let path = capture_small("stream-range");
-    let result = Experiment::replay(SchemeKind::SNucaLru, &path)
-        .stream(9)
+    let result = Experiment::replay(SchemeKind::SNucaLru, &path, 9)
         .classification(Classification::None)
         .run();
     match result {

@@ -51,8 +51,7 @@ fn parallel_capture_replays_bit_identically() {
         assert!(live.summary.total_instructions() > 0);
 
         // Re-attach every stream to its own core on the same chip.
-        let replayed = Experiment::replay(kind, &path)
-            .all_streams()
+        let replayed = Experiment::replay_all(kind, &path)
             .system(sixteen_core_config())
             .run()
             .expect("parallel replay");
@@ -92,8 +91,7 @@ fn replaying_one_core_of_a_parallel_capture_works() {
         .expect("capture");
     // Core 3's stream alone on core 0 of the 4-core chip: a valid
     // single-stream replay (the stream is finite; run to exhaustion).
-    let out = Experiment::replay(SchemeKind::SNucaLru, &path)
-        .stream(3)
+    let out = Experiment::replay(SchemeKind::SNucaLru, &path, 3)
         .classification(Classification::None)
         .run()
         .expect("single-stream replay");
@@ -110,10 +108,7 @@ fn oversubscribed_replay_of_a_parallel_capture_is_typed() {
         .run()
         .expect("capture");
     // 16 streams do not fit the default 4-core chip.
-    match Experiment::replay(SchemeKind::Whirlpool, &path)
-        .all_streams()
-        .run()
-    {
+    match Experiment::replay_all(SchemeKind::Whirlpool, &path).run() {
         Err(HarnessError::TooManyWorkloads { workloads, cores }) => {
             assert_eq!((workloads, cores), (16, 4));
         }

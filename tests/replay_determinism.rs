@@ -81,19 +81,13 @@ fn replay_without_pools_strips_classification() {
         .expect("replay");
     // Same instruction stream either way.
     assert_eq!(live.cores[0].instructions, stripped.cores[0].instructions);
-    // Structurally: None strips the recorded pools, Manual restores them.
-    use whirlpool_repro::harness::app_bundle;
-    assert!(app_bundle(&uri, Classification::None)
+    // Structurally: a bundle without pools strips the recorded ones, one
+    // with pools restores them.
+    assert!(wp_sim::trace_bundle(&path, 0, false)
         .unwrap()
         .pools
         .is_empty());
-    assert_eq!(
-        app_bundle(&uri, Classification::Manual)
-            .unwrap()
-            .pools
-            .len(),
-        3
-    );
+    assert_eq!(wp_sim::trace_bundle(&path, 0, true).unwrap().pools.len(), 3);
     // Behaviourally: without its per-pool VCs Whirlpool degenerates to
     // the thread-VC-only configuration and places/bypasses differently.
     assert_ne!(live.to_json(), stripped.to_json());

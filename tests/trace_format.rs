@@ -3,7 +3,7 @@
 //! and offline consumers (WhirlTool profiling, Mattson curves) reading
 //! trace files directly.
 
-use whirlpool_repro::harness::{app_bundle, Classification, Experiment, SchemeKind};
+use whirlpool_repro::harness::{Experiment, SchemeKind};
 use wp_trace::TraceInfo;
 
 fn temp(tag: &str) -> std::path::PathBuf {
@@ -57,8 +57,7 @@ fn capture_is_self_contained_pools_round_trip() {
         assert_eq!(g.pages, w.pages);
     }
     // And the bundle built from the trace carries the recorded name.
-    let bundle =
-        app_bundle(&format!("trace:{}", path.display()), Classification::Manual).expect("bundle");
+    let bundle = wp_sim::trace_bundle(&path, 0, true).expect("bundle");
     assert_eq!(bundle.name, "delaunay");
     assert_eq!(bundle.pools.len(), want.len());
     std::fs::remove_file(&path).unwrap();
@@ -78,7 +77,8 @@ fn offline_consumers_read_trace_files() {
 
     // Mattson: MIS streams edges far past the LLC, so the whole-app curve
     // keeps missing at large capacities.
-    let curve = wp_mrc::curve_from_trace(&path, 0, 1024).expect("curve");
+    let profile = wp_mrc::profile_streams(&path, &[0], wp_mrc::ProfileMode::Exact);
+    let curve = profile.expect("profile")[0].curve(1024);
     assert!(curve.at_zero() > 50.0, "MIS is memory-intensive");
     assert!(curve.floor() > 0.0, "streaming edges never fully cache");
 
