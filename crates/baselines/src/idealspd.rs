@@ -14,10 +14,12 @@
 
 use wp_cache::{AccessOutcome, LruPolicy, SetAssocCache};
 use wp_mem::LineAddr;
-use wp_noc::{BankId, CoreId};
+use wp_noc::CoreId;
 use wp_sim::{
     AccessContext, LlcOutcome, LlcResponse, LlcScheme, PoolDescriptor, SystemConfig, Uncore,
 };
+
+use crate::hashed_bank;
 
 /// Private L3 capacity: 3 × 512 KB = 1.5 MB per core.
 const L3_BANKS_REPLICATED: u64 = 3;
@@ -55,14 +57,6 @@ impl IdealSpdScheme {
             num_banks: num_banks as u64,
         }
     }
-
-    fn l4_bank_of(&self, line: LineAddr) -> BankId {
-        let mut h = line.0;
-        h ^= h >> 31;
-        h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 29;
-        BankId((h % self.num_banks) as u16)
-    }
 }
 
 impl LlcScheme for IdealSpdScheme {
@@ -86,7 +80,7 @@ impl LlcScheme for IdealSpdScheme {
                 let l3_lookup = uncore.bank_lookup_miss(ctx.core, near_bank);
                 // Exclusive hierarchy: the L3 victim spills into its L4 bank.
                 if let Some(victim) = evicted {
-                    let vbank = self.l4_bank_of(LineAddr(victim));
+                    let vbank = hashed_bank(LineAddr(victim), self.num_banks);
                     uncore.charge_core_bank_data(ctx.core, vbank);
                     uncore.charge_bank_insert();
                     if let AccessOutcome::Miss {
@@ -99,7 +93,7 @@ impl LlcScheme for IdealSpdScheme {
                 // 2. L4 victim bank, in parallel with the directory.
                 //    (Tag probe only: an exclusive L4 never fills on the
                 //    demand path — lines enter it solely via L3 victims.)
-                let l4_bank = self.l4_bank_of(ctx.line);
+                let l4_bank = hashed_bank(ctx.line, self.num_banks);
                 if self.l4[l4_bank.0 as usize].contains(ctx.line.0) {
                     // Exclusive: promote to L3 (already filled above by the
                     // `access` that brought the line in), remove from L4.

@@ -33,3 +33,14 @@ pub use awasthi::{AwasthiParams, AwasthiScheme};
 pub use idealspd::IdealSpdScheme;
 pub use memshare::MemshareScheme;
 pub use snuca::{SNucaScheme, SnucaReplacement};
+
+/// The multiply-xor home bank of `line` among `num_banks` banks: where
+/// Memshare's logically global capacity and IdealSPD's S-NUCA L4 place
+/// a line, so every access pays the distance to a hashed bank.
+fn hashed_bank(line: wp_mem::LineAddr, num_banks: u64) -> wp_noc::BankId {
+    let mut h = line.0;
+    h ^= h >> 31;
+    h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    h ^= h >> 29;
+    wp_noc::BankId((h % num_banks) as u16)
+}

@@ -17,13 +17,14 @@
 //! apportioning alone.
 
 use wp_cache::{AccessOutcome, MonitorConfig, PartitionedCache, UtilityMonitor};
-use wp_mem::LineAddr;
 use wp_mrc::MissCurve;
-use wp_noc::{BankId, CoreId};
+use wp_noc::CoreId;
 use wp_sim::{
     AccessContext, EventBatch, LlcOutcome, LlcResponse, LlcScheme, PoolDescriptor, SystemConfig,
     Uncore,
 };
+
+use crate::hashed_bank;
 
 /// Per-core bookkeeping: cumulative demand plus the last blended curve.
 #[derive(Debug, Default)]
@@ -95,17 +96,6 @@ impl MemshareScheme {
             reconfigs: 0,
             log: Vec::new(),
         }
-    }
-
-    /// S-NUCA-style home bank: capacity is logically global, so every
-    /// access pays the distance to a hashed bank (same multiply-xor hash
-    /// as IdealSPD's L4).
-    fn bank_of(&self, line: LineAddr) -> BankId {
-        let mut h = line.0;
-        h ^= h >> 31;
-        h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 29;
-        BankId((h % self.num_banks) as u16)
     }
 
     /// Greedy from-zero reallocation with lookahead: repeatedly grant
@@ -193,7 +183,7 @@ impl LlcScheme for MemshareScheme {
 
     fn access(&mut self, ctx: AccessContext, uncore: &mut Uncore) -> LlcResponse {
         let core_idx = ctx.core.0 as usize;
-        let bank = self.bank_of(ctx.line);
+        let bank = hashed_bank(ctx.line, self.num_banks);
         self.monitors[core_idx].record(ctx.line.0);
         self.tenants[core_idx].accesses += 1;
         match self.parts.access(core_idx as u32, ctx.line.0) {
@@ -293,6 +283,7 @@ impl LlcScheme for MemshareScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wp_mem::LineAddr;
 
     fn sys() -> SystemConfig {
         SystemConfig::four_core()

@@ -44,7 +44,6 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use whirlpool_repro::harness::{
     descriptors_for, run_budget, CancelToken, Classification, Experiment, HarnessError, SchemeKind,
@@ -53,13 +52,6 @@ use wp_sim::{RunSummary, TraceWorkload, WorkloadBundle};
 use wp_workloads::{registry, AppModel};
 
 use crate::measure_budget;
-
-/// Whether the opt-in `WP_PROGRESS=1` stderr heartbeat is on. Off by
-/// default: a sweep then writes nothing per cell, and stdout (the JSON
-/// emission) is bit-identical either way.
-fn progress_enabled() -> bool {
-    matches!(std::env::var("WP_PROGRESS").as_deref(), Ok("1") | Ok("on"))
-}
 
 /// Worker-thread count: `WP_JOBS`, defaulting to every available core.
 pub fn default_jobs() -> usize {
@@ -127,14 +119,6 @@ impl CellWork {
             apps: apps.iter().map(|a| a.to_string()).collect(),
             instrs,
             cores16,
-        }
-    }
-
-    /// Short display label ("delaunay", "mcf+lbm+…").
-    fn label(&self) -> String {
-        match self {
-            CellWork::Single { app, .. } => app.clone(),
-            CellWork::Mix { apps, .. } => apps.join("+"),
         }
     }
 }
@@ -342,11 +326,7 @@ impl SweepSpec {
             })?;
         }
         // Fan the cells out.
-        let total = self.cells.len();
-        let done = AtomicUsize::new(0);
-        let progress = progress_enabled();
-        let sweep_start = Instant::now();
-        let summaries = parallel_map(self.jobs, total, |i| {
+        let summaries = parallel_map(self.jobs, self.cells.len(), |i| {
             // Worker fault probes, before the cancel check so an
             // injected stall composes with a wall-clock deadline the
             // way a genuinely slow cell would.
@@ -366,28 +346,9 @@ impl SweepSpec {
             // delta across the cell is the cell's breakdown; drain any
             // residue a previous cell (or capture) left on this thread.
             let _ = wp_obs::take_thread_phases();
-            let cell_start = Instant::now();
             let summary = self.run_cell(cell)?;
             let phases = wp_obs::take_thread_phases();
             wp_obs::add(wp_obs::Counter::SweepCellsCompleted, 1);
-            let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-            if progress {
-                let events: u64 = summary
-                    .cores
-                    .iter()
-                    .map(|c| c.llc_accesses + c.llc_bypasses)
-                    .sum();
-                let rate = events as f64 / cell_start.elapsed().as_secs_f64().max(1e-9);
-                let elapsed = sweep_start.elapsed().as_secs_f64();
-                let eta = elapsed / n as f64 * (total - n) as f64;
-                eprintln!(
-                    "[sweep] {n}/{total} {}/{} {:.2} Mev/s eta {:.0}s",
-                    cell.scheme.label(),
-                    cell.work.label(),
-                    rate / 1e6,
-                    eta,
-                );
-            }
             Ok((summary, phases))
         })?;
         let jobs = self.jobs;
@@ -748,7 +709,10 @@ mod tests {
         let labels: Vec<String> = spec
             .cells
             .iter()
-            .map(|c| format!("{}/{}", c.scheme.label(), c.work.label()))
+            .map(|c| match &c.work {
+                CellWork::Single { app, .. } => format!("{}/{app}", c.scheme.label()),
+                CellWork::Mix { .. } => panic!("a grid holds single-app cells"),
+            })
             .collect();
         assert_eq!(
             labels,

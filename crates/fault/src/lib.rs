@@ -118,9 +118,9 @@ pub const DEFAULT_DELAY_MS: u64 = 75;
 pub const DEFAULT_OCCURRENCE_SPREAD: u64 = 3;
 
 /// The classic splitmix64 mixer — the workspace's stock seeded-
-/// determinism primitive (the shard and tenant engines use the same
-/// construction). Public so call sites can derive jitter and offsets
-/// from a [`Shot`] without adding an RNG dependency.
+/// determinism primitive (the tenant engine's churn synthesis calls it
+/// too). Public so call sites can derive jitter and offsets from a
+/// [`Shot`] without adding an RNG dependency.
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -85,7 +85,7 @@ pub use partition::{
 };
 pub use shards::{ShardsConfig, ShardsStack, SHARDS_MODULUS};
 pub use stamp::StampLru;
-pub use trace::{profile_streams, profile_streams_scanned, ProfileMode, StreamProfile};
+pub use trace::{profile_streams, ProfileMode, StreamProfile};
 
 /// A cache line is 64 bytes throughout the reproduction (Table 3).
 pub const LINE_BYTES: u64 = 64;

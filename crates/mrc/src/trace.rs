@@ -98,39 +98,14 @@ pub fn profile_streams(
     streams: &[u16],
     mode: ProfileMode,
 ) -> Result<Vec<StreamProfile>, TraceError> {
-    // Exact stacks are pre-sized from the trace's own summary (see
-    // `profile_streams_scanned`); the extra validating scan is cheap
-    // next to exact Mattson work. Sampled profiling skips it and stays
-    // strictly single-pass (its stacks are bounded by `s_max` instead).
+    // Exact stacks are pre-sized from the trace's own summary; the extra
+    // validating scan is cheap next to exact Mattson work. Sampled
+    // profiling skips it and stays strictly single-pass (its stacks are
+    // bounded by `s_max` instead).
     let info = match mode {
         ProfileMode::Exact => Some(TraceInfo::scan(path)?),
         ProfileMode::Sampled(_) => None,
     };
-    run_profile(path, streams, mode, info.as_ref())
-}
-
-/// [`profile_streams`] for callers that already hold the trace's
-/// [`TraceInfo`] (e.g. from enumerating its streams): exact-mode
-/// pre-sizing reuses it instead of paying another whole-file scan.
-///
-/// # Errors
-///
-/// As for [`profile_streams`].
-pub fn profile_streams_scanned(
-    path: &Path,
-    info: &TraceInfo,
-    streams: &[u16],
-    mode: ProfileMode,
-) -> Result<Vec<StreamProfile>, TraceError> {
-    run_profile(path, streams, mode, Some(info))
-}
-
-fn run_profile(
-    path: &Path,
-    streams: &[u16],
-    mode: ProfileMode,
-    info: Option<&TraceInfo>,
-) -> Result<Vec<StreamProfile>, TraceError> {
     for (i, sid) in streams.iter().enumerate() {
         if streams[..i].contains(sid) {
             return Err(TraceError::Corrupt(format!(
@@ -146,6 +121,7 @@ fn run_profile(
             .iter()
             .map(|&sid| {
                 let est = info
+                    .as_ref()
                     .and_then(|i| i.streams.iter().find(|s| s.meta.id == sid))
                     .map_or(0, |s| {
                         let span = s

@@ -22,11 +22,10 @@ use whirlpool_repro::harness::{
 };
 use wp_bench::sweep::SweepSpec;
 use wp_mrc::{
-    max_miss_ratio_error_with_slack, profile_streams, profile_streams_scanned, ProfileMode,
-    ShardsConfig, StreamProfile,
+    max_miss_ratio_error_with_slack, profile_streams, ProfileMode, ShardsConfig, StreamProfile,
 };
 use wp_paws::SchedPolicy;
-use wp_trace::{BatchReader, TraceData, TraceError, TraceInfo};
+use wp_trace::TraceInfo;
 
 use crate::protocol::{ExpOp, Request};
 use crate::store::ServeStore;
@@ -373,19 +372,10 @@ pub fn replay(rest: &[String], ctx: &OpCtx) -> Result<Vec<String>, String> {
     } else {
         Classification::Manual
     };
-    // Each replay validates the chunks of the streams it replays as it
-    // decodes them (see `Experiment::run`), so nothing scans the file
-    // first. A damaged file reports the scan's error.
+    // Each replay validates the whole capture as it runs (see
+    // `Experiment::run`), so nothing scans the file first. A damaged file
+    // reports the scan's error.
     let replayed = stream.unwrap_or(0);
-    if !args.flag("--mix") {
-        // One stream replays; the others are decoded here, once, so a
-        // damaged chunk anywhere still fails the command. The stream
-        // table comes from a frame walk that decodes no chunk.
-        let scan_error = |e| TraceInfo::scan_error(path, e).to_string();
-        let table = wp_trace::stream_table(path).map_err(scan_error)?;
-        let rest = table.iter().filter(|m| u64::from(m.id) != replayed);
-        check_streams(path, rest.map(|m| m.id)).map_err(scan_error)?;
-    }
     let stream = u16::try_from(replayed)
         .map_err(|_| format!("stream index {replayed} is out of range (max 65535)"))?;
     let mut lines = Vec::with_capacity(kinds.len());
@@ -400,17 +390,6 @@ pub fn replay(rest: &[String], ctx: &OpCtx) -> Result<Vec<String>, String> {
         lines.push(summary.to_json());
     }
     Ok(lines)
-}
-
-/// Checks every chunk of streams `ids` of `path` and their `End` totals,
-/// folding the chunks to summaries rather than decoding their events.
-fn check_streams(path: &Path, ids: impl Iterator<Item = u16>) -> Result<(), TraceError> {
-    let image = Arc::new(TraceData::open(path)?);
-    for id in ids {
-        let mut reader = BatchReader::new(Arc::clone(&image))?.follow(id);
-        while reader.next_summary()?.is_some() {}
-    }
-    Ok(())
 }
 
 /// `profile <file>`: miss curves straight from a recording — exact
@@ -515,18 +494,15 @@ fn profile_uncached(args: &Args) -> Result<Vec<String>, String> {
     if args.flag("--all-streams") && args.value("--stream").is_some() {
         return Err("--all-streams profiles every stream; it conflicts with --stream".into());
     }
-    // `--all-streams` needs a full scan to enumerate the streams; hold
-    // the summary so the exact profiles below reuse it for pre-sizing
-    // instead of scanning the file again.
-    let mut info: Option<TraceInfo> = None;
+    // `--all-streams` lists the streams by a frame walk that decodes no
+    // chunk; a damaged file reports the scan's error.
     let streams: Vec<u16> = if args.flag("--all-streams") {
-        let i = TraceInfo::scan(path).map_err(|e| e.to_string())?;
-        if i.streams.is_empty() {
+        let table =
+            wp_trace::stream_table(path).map_err(|e| TraceInfo::scan_error(path, e).to_string())?;
+        if table.is_empty() {
             return Err(format!("{file} defines no streams"));
         }
-        let ids = i.streams.iter().map(|s| s.meta.id).collect();
-        info = Some(i);
-        ids
+        table.iter().map(|m| m.id).collect()
     } else {
         let k = args.number("--stream")?.unwrap_or(0);
         vec![u16::try_from(k).map_err(|_| format!("stream index {k} is out of range"))?]
@@ -535,15 +511,12 @@ fn profile_uncached(args: &Args) -> Result<Vec<String>, String> {
         Some(cfg) => ProfileMode::Sampled(cfg),
         None => ProfileMode::Exact,
     };
-    let run = |mode: ProfileMode| match &info {
-        Some(i) => profile_streams_scanned(path, i, &streams, mode),
-        None => profile_streams(path, &streams, mode),
-    };
-    let profiles = run(mode).map_err(|e| e.to_string())?;
+    let profiles = profile_streams(path, &streams, mode).map_err(|e| e.to_string())?;
     // The verification pass re-profiles exactly; each stream's error is
     // the max absolute miss-ratio gap over the capacity sweep.
     let errors: Option<Vec<f64>> = if args.flag("--verify-exact") {
-        let exact = run(ProfileMode::Exact).map_err(|e| e.to_string())?;
+        let exact =
+            profile_streams(path, &streams, ProfileMode::Exact).map_err(|e| e.to_string())?;
         Some(
             exact
                 .iter()

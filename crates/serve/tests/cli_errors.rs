@@ -85,6 +85,74 @@ fn cli_mix_replay_of_a_capture_without_streams_exits_2_one_line() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// Reads the varint at `buf[*pos..]`, advancing `pos`.
+fn varint(buf: &[u8], pos: &mut usize) -> usize {
+    let mut v = 0;
+    for shift in (0..64).step_by(7) {
+        let b = buf[*pos];
+        *pos += 1;
+        v |= usize::from(b & 0x7f) << shift;
+        if b & 0x80 == 0 {
+            break;
+        }
+    }
+    v
+}
+
+/// The payload range of the first chunk of `stream`, found by walking
+/// the `.wpt` block framing (tag, length varint, CRC-32, payload).
+fn first_chunk_of(buf: &[u8], stream: usize) -> std::ops::Range<usize> {
+    let mut pos = 8;
+    loop {
+        let tag = buf[pos];
+        pos += 1;
+        let len = varint(buf, &mut pos);
+        pos += 4;
+        let mut id_pos = pos;
+        if tag == 2 && varint(buf, &mut id_pos) == stream {
+            return pos..pos + len;
+        }
+        pos += len;
+    }
+}
+
+#[test]
+fn cli_one_stream_surfaces_reject_damage_in_another_stream() {
+    let path = temp("mix-flip");
+    Experiment::mix(SchemeKind::SNucaLru, &["mcf", "lbm", "delaunay", "milc"])
+        .warmup(0)
+        .measure(200_000)
+        .capture_to(&path)
+        .run()
+        .expect("mix capture");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let chunk = first_chunk_of(&bytes, 2);
+    bytes[chunk.start + chunk.len() / 2] ^= 0x10;
+    std::fs::write(&path, bytes).unwrap();
+    let want = format!(
+        "trace_tool: {}",
+        wp_trace::TraceInfo::scan(&path).expect_err("the scan rejects the flip")
+    );
+
+    // Each replays stream 0 only, whose chunks are intact.
+    let uri = format!("trace:{}", path.display());
+    let out = temp("mix-flip-out");
+    for argv in [
+        vec!["sweep", "--apps", &uri, "--schemes", "LRU"],
+        vec!["record", &uri, "--out", out.to_str().unwrap()],
+    ] {
+        let got = Command::new(env!("CARGO_BIN_EXE_trace_tool"))
+            .args(&argv)
+            .output()
+            .expect("run trace_tool");
+        let err = String::from_utf8_lossy(&got.stderr);
+        assert_eq!(got.status.code(), Some(2), "{argv:?}: {err}");
+        assert_eq!(err.lines().last(), Some(want.as_str()), "{argv:?}");
+    }
+    assert!(!out.exists(), "record wrote nothing");
+    std::fs::remove_file(&path).unwrap();
+}
+
 #[test]
 fn cli_colliding_trace_mix_exits_nonzero() {
     let path = capture_small("cli-collide");

@@ -1,11 +1,12 @@
 //! Replay validates a capture in the same pass that simulates it: no
 //! whole-file scan runs first. This is the corruption matrix for that
 //! path over a 4-stream mix capture. Every damaged file must fail each
-//! replay surface (`Experiment::replay` of all streams, `ops::replay`
-//! with and without `--mix`, and the `trace_tool replay` process with
-//! and without `--mix`) with exactly the error text of
-//! `TraceInfo::scan`, and nothing may panic on the way. The panic hook
-//! is process-wide, so this file holds a single test.
+//! replay surface (`Experiment::replay_all`, `Experiment::replay` of
+//! stream 0, `ops::replay` with and without `--mix`, `ops::obs`, and the
+//! `trace_tool replay` process with and without `--mix`) with exactly
+//! the error text of `TraceInfo::scan`, and nothing may panic on the
+//! way. The panic hook is process-wide, so this file holds a single
+//! test.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -171,21 +172,27 @@ fn assert_replays_fail_like_the_scan(case: &str, path: &Path, budget: &[&str]) {
         .to_string();
     let file = path.to_str().unwrap();
 
-    let mut exp =
-        Experiment::replay_all(SchemeKind::SNucaLru, path).classification(Classification::None);
-    if let ["--measure", n] = budget {
-        exp = exp.measure(n.parse().unwrap());
+    // Stream 0 alone: the other streams are checked before the run.
+    let all = Experiment::replay_all(SchemeKind::SNucaLru, path);
+    let one = Experiment::replay(SchemeKind::SNucaLru, path, 0);
+    for (surface, exp) in [("all streams", all), ("stream 0", one)] {
+        let mut exp = exp.classification(Classification::None);
+        if let ["--measure", n] = budget {
+            exp = exp.measure(n.parse().unwrap());
+        }
+        let got = exp.run().expect_err(case).to_string();
+        assert_eq!(got, want, "{case}: Experiment::replay, {surface}");
     }
-    let got = exp.run().expect_err(case).to_string();
-    assert_eq!(got, want, "{case}: Experiment::replay, all streams");
 
-    // Stream 0 alone: the other streams are checked before the schemes run.
     let mix = [&["replay", file, "--mix", "--scheme", "LRU"], budget].concat();
     let one = [&["replay", file, "--scheme", "LRU"], budget].concat();
     for argv in [&mix, &one] {
         let got = ops::replay(&strs(&argv[1..]), &OpCtx::offline()).expect_err(case);
         assert_eq!(got, want, "{case}: ops::{argv:?}");
     }
+    let obs = [&[file, "--scheme", "LRU"], budget].concat();
+    let got = ops::obs(&strs(&obs), &OpCtx::offline()).expect_err(case);
+    assert_eq!(got, want, "{case}: ops::obs");
     for argv in [mix, one] {
         let out = Command::new(env!("CARGO_BIN_EXE_trace_tool"))
             .args(&argv)

@@ -35,7 +35,7 @@ pub use config::SystemConfig;
 pub use driver::{CoreRunner, MultiCoreSim, RunSummary, SimConfig};
 pub use energy::{EnergyBreakdown, EnergyMeter, EnergyParams};
 pub use memory::MemoryChannels;
-pub use replay::{stream_bundle, trace_bundle, trace_pools, TraceWorkload};
+pub use replay::{stream_bundle, trace_bundle, TraceWorkload};
 pub use scheme::{
     AccessContext, BatchClock, LlcOutcome, LlcResponse, LlcScheme, PoolDescriptor, TraceEvent,
     Workload, WorkloadBundle, LOOKAHEAD,

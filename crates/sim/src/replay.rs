@@ -54,13 +54,7 @@ impl std::fmt::Debug for TraceWorkload {
 impl TraceWorkload {
     /// Opens stream 0 of `path` (the whole trace for single-app captures).
     pub fn open(path: &Path) -> Result<Self, TraceError> {
-        Self::open_stream(path, 0)
-    }
-
-    /// Opens stream `stream` of `path` (per-core streams of a multi-core
-    /// capture).
-    pub fn open_stream(path: &Path, stream: u16) -> Result<Self, TraceError> {
-        Self::over(path, Arc::new(TraceData::open(path)?), stream)
+        Self::over(path, Arc::new(TraceData::open(path)?), 0)
     }
 
     /// Stream `stream` of `image`, the already-opened `path`. The
@@ -163,25 +157,23 @@ pub(crate) fn pool_metas_of(pools: &[PoolDescriptor]) -> Vec<wp_trace::PoolMeta>
         .collect()
 }
 
-/// Reads the definition of stream `stream` by a frame walk that stops
-/// there ([`wp_trace::stream_defs`]), decoding no chunk.
+/// Reads the definition of stream `stream` from the stream table
+/// ([`wp_trace::stream_table`]), decoding no chunk.
 fn stream_meta(path: &Path, stream: u16) -> Result<wp_trace::StreamMeta, TraceError> {
-    wp_trace::stream_defs(path, stream)?
+    wp_trace::stream_table(path)?
         .into_iter()
         .nth(usize::from(stream))
         .ok_or_else(|| TraceError::Corrupt(format!("stream {stream} is not defined in the trace")))
 }
 
-/// The pool descriptors recorded in stream `stream` of `path` — the exact
-/// classification the captured run was given, so pools-consuming schemes
-/// (Whirlpool) replay identically.
-pub fn trace_pools(path: &Path, stream: u16) -> Result<Vec<PoolDescriptor>, TraceError> {
-    Ok(descriptors_of(&stream_meta(path, stream)?.pools))
-}
-
 /// Builds a ready-to-attach [`WorkloadBundle`] from stream `stream` of
-/// `path`. `with_pools` controls whether the recorded classification is
-/// handed to the scheme (pools-agnostic baselines ignore it either way).
+/// `path`. With `with_pools`, the bundle carries the stream's recorded
+/// pool descriptors — the exact classification the captured run was
+/// given, so pools-consuming schemes (Whirlpool) replay identically;
+/// pools-agnostic baselines ignore them either way.
+///
+/// This reads only the stream table and stream `stream`; it does not
+/// check the capture's other streams (`Experiment::replay` does).
 pub fn trace_bundle(
     path: &Path,
     stream: u16,
@@ -192,10 +184,10 @@ pub fn trace_bundle(
 }
 
 /// [`trace_bundle`] for a stream whose definition the caller already
-/// holds (from [`wp_trace::stream_table`] or [`wp_trace::stream_defs`])
-/// over an already-opened image of `path`, so building a whole mix's
-/// bundles walks the file once, and maps it once, rather than once per
-/// stream.
+/// holds (from [`wp_trace::stream_table`]) over an already-opened image
+/// of `path`, so building a whole mix's bundles walks the file once, and
+/// maps it once, rather than once per stream. Like [`trace_bundle`], it
+/// checks no other stream of the file.
 pub fn stream_bundle(
     path: &Path,
     image: &Arc<TraceData>,
@@ -373,7 +365,7 @@ mod tests {
     fn missing_stream_is_an_error() {
         let path = temp("missing.wpt");
         write_demo(&path);
-        assert!(trace_pools(&path, 3).is_err());
+        assert!(trace_bundle(&path, 3, true).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 }

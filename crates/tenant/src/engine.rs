@@ -261,7 +261,7 @@ fn run_one_scheme(
             }
         }
         // Membership-change events first, in tenant file order.
-        for (i, t) in scenario.tenants.iter().enumerate() {
+        for t in &scenario.tenants {
             if t.arrival == e {
                 push(&mut events, e, &t.name, TenantEventKind::Arrive);
                 wp_obs::add(wp_obs::Counter::TenantArrivals, 1);
@@ -270,7 +270,6 @@ fn run_one_scheme(
                 push(&mut events, e, &t.name, TenantEventKind::Depart);
                 wp_obs::add(wp_obs::Counter::TenantDepartures, 1);
             }
-            let _ = i;
         }
         let admitted = &schedule.admitted[e as usize];
         let waiting = &schedule.waiting[e as usize];

@@ -13,6 +13,7 @@
 //! same file always describes the same timeline on every machine.
 
 use whirlpool_repro::harness::{resolve_app, HarnessError};
+use wp_fault::splitmix64;
 use wp_obs::json::{parse, Json};
 
 /// A tenant's service-level objective, checked once per admitted epoch.
@@ -67,15 +68,6 @@ pub const DEFAULT_WARMUP_INSTRS: u64 = 200_000;
 
 fn err(msg: impl Into<String>) -> HarnessError {
     HarnessError::Scenario(msg.into())
-}
-
-/// The splitmix64 mixer — the repo's stock deterministic hash.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A non-negative integer field (rejects fractions, negatives, and

@@ -332,9 +332,8 @@ enum Follow {
     All,
     /// One stream's chunks ([`BatchReader::follow`]).
     One(u16),
-    /// No chunk at all ([`stream_table`]); with `Some(id)`, the walk
-    /// stops once stream `id` is defined ([`stream_defs`]).
-    Nothing(Option<u16>),
+    /// No chunk at all ([`stream_table`]).
+    Nothing,
 }
 
 impl Follow {
@@ -342,7 +341,7 @@ impl Follow {
         match self {
             Follow::All => true,
             Follow::One(f) => stream == u64::from(f),
-            Follow::Nothing(_) => false,
+            Follow::Nothing => false,
         }
     }
 }
@@ -425,7 +424,9 @@ impl BatchReader {
     /// separate whole-file scan, so an all-streams replay checks every
     /// chunk and every stream's `End` totals exactly once, each in the
     /// reader of the core that replays the stream (see
-    /// `wp_sim::TraceWorkload`).
+    /// `wp_sim::TraceWorkload`). A one-stream replay checks the streams
+    /// it leaves out the same way, with one followed
+    /// [`next_summary`](Self::next_summary) pass each.
     #[must_use]
     pub fn follow(mut self, stream: u16) -> Self {
         self.follow = Follow::One(stream);
@@ -543,16 +544,12 @@ impl BatchReader {
                             self.streams.len()
                         )));
                     }
-                    let id = meta.id;
                     self.streams.push(BatchStream {
                         meta,
                         events: 0,
                         instrs: 0,
                         skipped: false,
                     });
-                    if self.follow == Follow::Nothing(Some(id)) {
-                        return Ok(None);
-                    }
                 }
                 TAG_CHUNK => {
                     let (stream, body) = chunk_stream_id(payload)?;
@@ -625,28 +622,13 @@ impl BatchReader {
 /// header, the block framing, the CRCs of the stream definitions and the
 /// `End` block, the `End` block's stream count, and that nothing follows
 /// it, but steps over every chunk payload undecoded. This is how a
-/// whole-capture replay enumerates its streams without the full decode
-/// of [`TraceInfo::scan`](crate::TraceInfo::scan); the replay's own
+/// replay enumerates its streams without the full decode of
+/// [`TraceInfo::scan`](crate::TraceInfo::scan); the replay's own
 /// per-stream readers validate the chunks.
 pub fn stream_table(path: &Path) -> Result<Vec<StreamMeta>, TraceError> {
-    walk_defs(path, None)
-}
-
-/// The definitions of streams `0..=last` of `path` (fewer if the file
-/// defines fewer), by the frame walk of [`stream_table`] cut short once
-/// stream `last` is defined. A definition precedes its stream's chunks,
-/// so this usually reads only the head of the file: it is how a replay of
-/// some of a capture's streams finds their definitions, leaving the rest
-/// of the file to the streams' own readers.
-pub fn stream_defs(path: &Path, last: u16) -> Result<Vec<StreamMeta>, TraceError> {
-    walk_defs(path, Some(last))
-}
-
-fn walk_defs(path: &Path, last: Option<u16>) -> Result<Vec<StreamMeta>, TraceError> {
     let mut reader = BatchReader::open(path)?;
-    reader.follow = Follow::Nothing(last);
-    // With nothing followed, one call walks to the End block, or to the
-    // definition of stream `last`.
+    reader.follow = Follow::Nothing;
+    // With nothing followed, one call walks to the End block.
     reader.next_chunk(&mut EventBatch::new())?;
     Ok(reader.streams.into_iter().map(|s| s.meta).collect())
 }
@@ -1190,19 +1172,6 @@ mod tests {
             table(&[&buf[..], b"x"].concat()),
             Err(TraceError::Corrupt(_))
         ));
-
-        // stream_defs stops at the definition asked for, so a body cut
-        // short after the definitions is not its to see.
-        let defs = |bytes: &[u8], last: u16| {
-            std::fs::write(&path, bytes).unwrap();
-            stream_defs(&path, last)
-        };
-        let head = &buf[..chunk.start];
-        assert_eq!(defs(head, 0).unwrap().len(), 1);
-        assert_eq!(defs(head, 1).unwrap().len(), 2);
-        // Past the last definition it walks the whole file.
-        assert_eq!(defs(&buf, 5).unwrap().len(), 2);
-        assert!(matches!(defs(head, 5), Err(TraceError::Truncated)));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -76,7 +76,10 @@
 //!   decoded on a lookahead thread, the simulator's replay path.
 //!
 //! [`stream_table`] lists a file's streams by a frame walk that decodes
-//! no chunk ([`stream_defs`] stops it at a given stream's definition).
+//! no chunk. A replay of one stream reads that table, then folds every
+//! other stream to summaries with a followed reader
+//! ([`BatchReader::follow`], [`BatchReader::next_summary`]), so damage
+//! anywhere in the file fails it.
 //! Because every consumer runs the same parser, they all accept and
 //! reject exactly the same inputs with the same errors. Readers of
 //! several streams of one file can share one mapped image
@@ -104,9 +107,7 @@ mod reference;
 mod varint;
 mod writer;
 
-pub use batch::{
-    stream_defs, stream_table, BatchReader, ChunkSummary, EventBatch, PrefetchBatches,
-};
+pub use batch::{stream_table, BatchReader, ChunkSummary, EventBatch, PrefetchBatches};
 pub use meta::{PoolMeta, StreamMeta, TraceRecord};
 pub use mmap::TraceData;
 pub use reader::{StreamInfo, TraceInfo, TraceReader};

@@ -125,18 +125,17 @@ pub fn profile_trace_file(
     path: &std::path::Path,
     cfg: ProfilerConfig,
 ) -> Result<(ProfileData, Vec<(CallpointId, String)>), wp_trace::TraceError> {
-    let pools = wp_sim::trace_pools(path, 0)?;
+    let mut bundle = wp_sim::trace_bundle(path, 0, true)?;
     let mut page_map: HashMap<PageId, CallpointId> = HashMap::new();
-    let mut legend = Vec::with_capacity(pools.len());
-    for (i, p) in pools.iter().enumerate() {
+    let mut legend = Vec::with_capacity(bundle.pools.len());
+    for (i, p) in bundle.pools.iter().enumerate() {
         let cp = CallpointId(i as u64 + 1);
         legend.push((cp, p.name.clone()));
         for pg in &p.pages {
             page_map.insert(*pg, cp);
         }
     }
-    let mut trace = wp_sim::TraceWorkload::open(path)?;
-    Ok((profile(&mut trace, &page_map, cfg), legend))
+    Ok((profile(bundle.trace.as_mut(), &page_map, cfg), legend))
 }
 
 fn flush_interval(

@@ -25,7 +25,7 @@ use wp_mem::{CallpointId, PageId, LINES_PER_PAGE};
 use wp_noc::CoreId;
 use wp_paws::{core_workloads, schedule, ParallelClassification, SchedPolicy, Schedule};
 use wp_sim::{LlcScheme, MultiCoreSim, RunSummary, SystemConfig, WorkloadBundle};
-use wp_trace::{TraceError, TraceInfo};
+use wp_trace::{BatchReader, TraceError, TraceInfo};
 use wp_whirltool::{cluster, profile, ProfilerConfig};
 use wp_workloads::parallel::{ParallelApp, ParallelSpec};
 use wp_workloads::registry;
@@ -851,8 +851,8 @@ impl Experiment {
     }
 
     /// Replays stream `stream` of a recorded capture on core 0. The
-    /// capture's other streams are stepped over, not checked (see
-    /// [`run`](Self::run)).
+    /// capture's other streams are checked once before the run, so
+    /// damage anywhere in the file fails it (see [`run`](Self::run)).
     pub fn replay(kind: SchemeKind, trace: impl Into<PathBuf>, stream: u16) -> Self {
         Self::with_placement(
             kind,
@@ -998,19 +998,17 @@ impl Experiment {
     ///
     /// A replay validates its capture in the pass that simulates it, with
     /// no scan first. Opening it reads the stream definitions by a frame
-    /// walk that decodes no chunk ([`wp_trace::stream_table`] for
-    /// [`replay_all`](Self::replay_all), which also checks the `End`
-    /// block; [`wp_trace::stream_defs`] up to the one stream of
-    /// [`replay`](Self::replay)). Each replayed stream's reader then
+    /// walk that decodes no chunk and checks the `End` block
+    /// ([`wp_trace::stream_table`]). Each replayed stream's reader then
     /// checks the block framing, every chunk of its stream and that
     /// stream's `End` totals, and drains whatever tail the budgets left
     /// unread ([`wp_sim::TraceWorkload`]). So a damaged stream fails its
-    /// replay however short the run. A one-stream replay does not check
-    /// the chunks of the streams it leaves out; `trace_tool replay`
-    /// decodes those once per invocation, before its schemes run. A
-    /// failed replay's error, `trace:` single apps included, is the one
-    /// [`TraceInfo::scan`] reports for the file; the scan runs on this
-    /// error path only.
+    /// replay however short the run. A one-stream
+    /// [`replay`](Self::replay), `trace:` single apps included, first
+    /// folds every other stream's chunks to summaries, so it rejects
+    /// damage anywhere in the file too. A failed replay's error is the
+    /// one [`TraceInfo::scan`] reports for the file; the scan runs on
+    /// this error path only.
     pub fn run(self) -> Result<RunSummary, HarnessError> {
         self.run_full().map(|r| r.summary)
     }
@@ -1110,35 +1108,42 @@ impl Experiment {
             Placement::Replay { trace, stream } => {
                 let with_pools = !matches!(classification, Classification::None);
                 // Each bundle is built from its stream's definition, read
-                // by one frame walk: over the whole file for every stream,
-                // else only up to the replayed stream's definition.
-                let table = match stream {
-                    None => wp_trace::stream_table(&trace)?,
+                // by one frame walk over the file.
+                let table = wp_trace::stream_table(&trace)?;
+                let replayed = match stream {
+                    None => &table[..],
                     Some(k) => {
-                        let defs = wp_trace::stream_defs(&trace, k)?;
-                        let meta = defs.into_iter().find(|m| m.id == k).ok_or_else(|| {
+                        std::slice::from_ref(table.get(usize::from(k)).ok_or_else(|| {
                             TraceError::Corrupt(format!("stream {k} is not defined in the trace"))
-                        })?;
-                        vec![meta]
+                        })?)
                     }
                 };
-                if table.is_empty() {
+                if replayed.is_empty() {
                     return Err(TraceError::Corrupt(format!(
                         "{} defines no streams",
                         trace.display()
                     ))
                     .into());
                 }
-                if table.len() > cores {
+                if replayed.len() > cores {
                     return Err(HarnessError::TooManyWorkloads {
-                        workloads: table.len(),
+                        workloads: replayed.len(),
                         cores,
                     });
                 }
                 // Every stream's reader shares one image of the file.
                 let image = Arc::new(wp_trace::TraceData::open(&trace).map_err(TraceError::from)?);
-                let mut out = Vec::with_capacity(table.len());
-                for (c, meta) in table.iter().enumerate() {
+                // A one-stream replay folds the streams it leaves out to
+                // chunk summaries first, so damage anywhere in the file
+                // fails it as it fails a replay of every stream.
+                if let Some(k) = stream {
+                    for meta in table.iter().filter(|m| m.id != k) {
+                        let mut reader = BatchReader::new(Arc::clone(&image))?.follow(meta.id);
+                        while reader.next_summary()?.is_some() {}
+                    }
+                }
+                let mut out = Vec::with_capacity(replayed.len());
+                for (c, meta) in replayed.iter().enumerate() {
                     out.push((
                         CoreId(c as u16),
                         wp_sim::stream_bundle(&trace, &image, meta, with_pools)?,

@@ -48,18 +48,15 @@ fn capture_is_self_contained_pools_round_trip() {
         .expect("capture");
     let model = wp_workloads::AppModel::new(wp_workloads::registry::spec("delaunay"));
     let want = model.descriptors_manual();
-    let got = wp_sim::trace_pools(&path, 0).expect("pools");
-    assert_eq!(got.len(), want.len());
-    for (g, w) in got.iter().zip(&want) {
+    let bundle = wp_sim::trace_bundle(&path, 0, true).expect("bundle");
+    assert_eq!(bundle.name, "delaunay");
+    assert_eq!(bundle.pools.len(), want.len());
+    for (g, w) in bundle.pools.iter().zip(&want) {
         assert_eq!(g.name, w.name);
         assert_eq!(g.pool, w.pool);
         assert_eq!(g.bytes, w.bytes);
         assert_eq!(g.pages, w.pages);
     }
-    // And the bundle built from the trace carries the recorded name.
-    let bundle = wp_sim::trace_bundle(&path, 0, true).expect("bundle");
-    assert_eq!(bundle.name, "delaunay");
-    assert_eq!(bundle.pools.len(), want.len());
     std::fs::remove_file(&path).unwrap();
 }
 
